@@ -31,7 +31,11 @@ void DiskModel::enqueue(Request req) {
       rotation_.push_back(req.stream);
     }
   }
-  it->second.pending.emplace(req.offset, std::move(req));
+  auto& pending = it->second.pending;
+  const auto pos = std::upper_bound(
+      pending.begin(), pending.end(), req.offset,
+      [](Bytes offset, const Request& r) { return offset < r.offset; });
+  pending.insert(pos, req);
   ++queued_;
   max_runnable_ = std::max(max_runnable_, rotation_.size() + (have_current_ ? 1 : 0));
   work_.trigger();
@@ -163,10 +167,12 @@ sim::Task DiskModel::service_loop() {
     auto pick = q.begin();
     auto head = next_offset_.find(current_stream_);
     if (head != next_offset_.end()) {
-      auto ge = q.lower_bound(head->second);
+      auto ge = std::lower_bound(
+          q.begin(), q.end(), head->second,
+          [](const Request& r, Bytes offset) { return r.offset < offset; });
       if (ge != q.end()) pick = ge;
     }
-    Request req = std::move(pick->second);
+    const Request req = *pick;
     q.erase(pick);
     --queued_;
     if (q.empty()) --runnable_;

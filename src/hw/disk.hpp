@@ -28,7 +28,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -132,8 +131,10 @@ class DiskModel {
   };
 
   /// Per-stream elevator queue: requests served in ascending offset order.
+  /// Kept sorted by offset, equal offsets in arrival order; the vector keeps
+  /// its capacity, so a stream's steady-state churn never allocates.
   struct StreamQueue {
-    std::multimap<Bytes, Request> pending;
+    std::vector<Request> pending;
   };
 
   void enqueue(Request req);

@@ -32,7 +32,7 @@ sim::Co<Errno> Client::unlink(std::string path) {
 }
 
 sim::Task Client::rpc(OstIndex ost, ObjectId object, Bytes object_offset,
-                      Bytes bytes, bool is_write, std::shared_ptr<IoState> state) {
+                      Bytes bytes, bool is_write, IoState* state) {
   // Async span per RPC on this client's track, issue -> completion; the
   // layers underneath (link flows, scheduler wait, disk service) emit
   // their own spans, so the lifecycle stages line up in the viewer.
@@ -111,30 +111,51 @@ sim::Co<Errno> Client::flush() {
 }
 
 sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_write) {
-  if (length == 0) co_return Errno::ok;
+  if (length == 0 && is_write) co_return Errno::ok;
   Inode& node = fs_->inode(file);
+  // Reading past EOF is an error for the simulated apps (they always read
+  // back what was written); holes inside the file read as zeros.
+  if (!is_write && !node.is_dir && offset + length > node.size) {
+    co_return Errno::einval;
+  }
+  if (length == 0) co_return Errno::ok;
   if (node.is_dir) co_return Errno::eisdir;
   PFSC_REQUIRE(!node.layout.osts.empty(), "io: file has no layout");
 
-  auto state = std::make_shared<IoState>();
-  std::vector<sim::Task> inflight;
-  for (const LayoutSegment& seg : segments(node.layout, offset, length)) {
-    // Split each per-object run into bulk RPCs of at most max_rpc_size.
-    Bytes done = 0;
-    while (done < seg.length) {
-      const Bytes chunk =
-          std::min<Bytes>(fs_->params().max_rpc_size, seg.length - done);
-      sim::Task t = rpc(node.layout.osts[seg.layout_index],
-                        node.layout.objects[seg.layout_index],
-                        seg.object_offset + done, chunk, is_write, state);
-      eng_->spawn(t);
-      inflight.push_back(std::move(t));
-      done += chunk;
+  // The RPCs share this frame's IoState: io joins every one of them before
+  // it returns (an exception aborts the whole run), so the pointer each RPC
+  // holds cannot dangle.
+  IoState state;
+  const StripeLayout& layout = node.layout;
+  const Bytes max_rpc = fs_->params().max_rpc_size;
+  const LayoutSegment first = locate(layout, offset);
+  if (length <= first.length && length <= max_rpc) {
+    // One stripe, one RPC (every RPC of a stripe-aligned transfer): the
+    // same spawn and join as the loop below, without its vectors.
+    sim::Task t = rpc(layout.osts[first.layout_index],
+                      layout.objects[first.layout_index], first.object_offset,
+                      length, is_write, &state);
+    eng_->spawn(t);
+    co_await t;
+  } else {
+    std::vector<sim::Task> inflight;
+    for (const LayoutSegment& seg : segments(layout, offset, length)) {
+      // Split each per-object run into bulk RPCs of at most max_rpc_size.
+      Bytes done = 0;
+      while (done < seg.length) {
+        const Bytes chunk = std::min<Bytes>(max_rpc, seg.length - done);
+        sim::Task t = rpc(layout.osts[seg.layout_index],
+                          layout.objects[seg.layout_index],
+                          seg.object_offset + done, chunk, is_write, &state);
+        eng_->spawn(t);
+        inflight.push_back(std::move(t));
+        done += chunk;
+      }
     }
+    co_await sim::join_all(std::move(inflight));
   }
-  co_await sim::join_all(std::move(inflight));
 
-  if (state->err != Errno::ok) co_return state->err;
+  if (state.err != Errno::ok) co_return state.err;
   if (is_write) {
     node.written.insert(offset, length);
     node.size = std::max(node.size, offset + length);
@@ -145,16 +166,14 @@ sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_writ
   co_return Errno::ok;
 }
 
+// Plain forwarders, not coroutines: Co is lazy, so returning io's Co runs
+// exactly what `co_return co_await io(...)` would, one frame fewer.
 sim::Co<Errno> Client::write(InodeId file, Bytes offset, Bytes length) {
-  co_return co_await io(file, offset, length, /*is_write=*/true);
+  return io(file, offset, length, /*is_write=*/true);
 }
 
 sim::Co<Errno> Client::read(InodeId file, Bytes offset, Bytes length) {
-  // Reading past EOF is an error for the simulated apps (they always read
-  // back what was written); holes inside the file read as zeros.
-  Inode& node = fs_->inode(file);
-  if (!node.is_dir && offset + length > node.size) co_return Errno::einval;
-  co_return co_await io(file, offset, length, /*is_write=*/false);
+  return io(file, offset, length, /*is_write=*/false);
 }
 
 }  // namespace pfsc::lustre

@@ -75,7 +75,7 @@ class Client {
 
   sim::Co<Errno> io(InodeId file, Bytes offset, Bytes length, bool is_write);
   sim::Task rpc(OstIndex ost, ObjectId object, Bytes object_offset, Bytes bytes,
-                bool is_write, std::shared_ptr<IoState> state);
+                bool is_write, IoState* state);
   sim::Task drain_buffered(InodeId file, Bytes offset, Bytes length);
 
   FileSystem* fs_;

@@ -8,24 +8,46 @@ namespace pfsc::lustre {
 
 void ExtentMap::insert(Bytes offset, Bytes length) {
   if (length == 0) return;
-  Bytes start = offset;
+  const Bytes start = offset;
   Bytes end = offset + length;
 
-  // Find the first extent that could touch [start, end): the one before
-  // `start` (if it reaches start) or the first one starting within range.
-  auto it = extents_.upper_bound(start);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) it = prev;
+  // The extent before `start` grows in place when it reaches start.
+  auto next = extents_.upper_bound(start);
+  if (next != extents_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->second >= start) {
+      if (prev->second >= end) return;  // already covered
+      total_ += end - prev->second;
+      prev->second = end;
+      absorb(prev, next);
+      return;
+    }
   }
-  while (it != extents_.end() && it->first <= end) {
-    start = std::min(start, it->first);
-    end = std::max(end, it->second);
-    total_ -= it->second - it->first;
-    it = extents_.erase(it);
+  if (next == extents_.end() || next->first > end) {
+    extents_.emplace_hint(next, start, end);
+    total_ += length;
+    return;
   }
-  extents_.emplace(start, end);
-  total_ += end - start;
+  // No predecessor reaches start but a successor starts within range:
+  // re-key that successor's node to `start` instead of allocating one.
+  const auto hint = std::next(next);
+  auto node = extents_.extract(next);
+  total_ -= node.mapped() - node.key();
+  node.key() = start;
+  node.mapped() = std::max(end, node.mapped());
+  total_ += node.mapped() - start;
+  absorb(extents_.insert(hint, std::move(node)), hint);
+}
+
+void ExtentMap::absorb(Map::iterator grown, Map::iterator next) {
+  while (next != extents_.end() && next->first <= grown->second) {
+    if (next->second > grown->second) {
+      total_ += next->second - grown->second;
+      grown->second = next->second;
+    }
+    total_ -= next->second - next->first;
+    next = extents_.erase(next);
+  }
 }
 
 bool ExtentMap::covers(Bytes offset, Bytes length) const {

@@ -33,7 +33,12 @@ class ExtentMap {
   void clear();
 
  private:
-  std::map<Bytes, Bytes> extents_;  // start -> end (exclusive)
+  using Map = std::map<Bytes, Bytes>;  // start -> end (exclusive)
+
+  /// Merge into `grown` every extent from `next` on that it reaches.
+  void absorb(Map::iterator grown, Map::iterator next);
+
+  Map extents_;
   Bytes total_ = 0;
 };
 

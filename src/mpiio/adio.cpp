@@ -60,10 +60,12 @@ class LustreFamilyDriver final : public AdioDriver {
     co_return Errno::ok;
   }
 
+  // The pure forwarders below are plain functions returning the inner Co:
+  // Co is lazy, so this runs exactly what `co_return co_await` would.
   sim::Co<Errno> write_independent(lustre::Client& client, OpenContext& ctx,
                                    int /*rank*/, Bytes offset,
                                    Bytes length) override {
-    co_return co_await client.write(ctx.ino, offset, length);
+    return client.write(ctx.ino, offset, length);
   }
 
   sim::Co<Errno> read_independent(lustre::Client& client, OpenContext& ctx,
@@ -85,13 +87,13 @@ class LustreFamilyDriver final : public AdioDriver {
   sim::Co<Errno> write_run(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents) override {
-    co_return co_await run_extents(client, ctx, extents, /*is_write=*/true);
+    return run_extents(client, ctx, extents, /*is_write=*/true);
   }
 
   sim::Co<Errno> read_run(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents) override {
-    co_return co_await run_extents(client, ctx, extents, /*is_write=*/false);
+    return run_extents(client, ctx, extents, /*is_write=*/false);
   }
 
   sim::Co<Errno> close_rank(lustre::Client& /*client*/, OpenContext& /*ctx*/,
@@ -110,20 +112,22 @@ class LustreFamilyDriver final : public AdioDriver {
   static sim::Co<Errno> run_extents(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents, bool is_write) {
-    auto err = std::make_shared<Errno>(Errno::ok);
+    // Every extent task is joined before this frame ends (an exception
+    // aborts the whole run), so they can share the frame-local error.
+    Errno err = Errno::ok;
     std::vector<sim::Task> inflight;
     inflight.reserve(extents.size());
     for (const auto& [off, len] : extents) {
       sim::Task t = [](lustre::Client& c, lustre::InodeId ino, Bytes o, Bytes l,
-                       bool w, std::shared_ptr<Errno> e) -> sim::Task {
+                       bool w, Errno* e) -> sim::Task {
         const Errno r = w ? co_await c.write(ino, o, l) : co_await c.read(ino, o, l);
         if (r != Errno::ok && *e == Errno::ok) *e = r;
-      }(client, ctx.ino, off, len, is_write, err);
+      }(client, ctx.ino, off, len, is_write, &err);
       client.fs().engine().spawn(t);
       inflight.push_back(std::move(t));
     }
     co_await sim::join_all(std::move(inflight));
-    co_return *err;
+    co_return err;
   }
 
   bool apply_hints_;

@@ -180,6 +180,7 @@ sim::Co<Errno> File::collective_io(int rank, Bytes offset, Bytes length,
 
   std::uint64_t seq = 0;
   CollState& st = state_for(rank, seq);
+  if (st.reqs.empty()) st.reqs.reserve(static_cast<std::size_t>(comm_->size()));
   st.reqs.push_back(IoRequest{rank, offset, length});
   if (++st.arrived == comm_->size()) {
     auto aggs = choose_aggregators(
@@ -209,12 +210,14 @@ sim::Co<Errno> File::collective_io(int rank, Bytes offset, Bytes length,
   co_return co_await finish(seq);
 }
 
+// Plain forwarders, not coroutines: Co is lazy, so returning the inner Co
+// runs exactly what `co_return co_await collective_io(...)` would.
 sim::Co<Errno> File::write_at_all(int rank, Bytes offset, Bytes length) {
-  co_return co_await collective_io(rank, offset, length, /*is_write=*/true);
+  return collective_io(rank, offset, length, /*is_write=*/true);
 }
 
 sim::Co<Errno> File::read_at_all(int rank, Bytes offset, Bytes length) {
-  co_return co_await collective_io(rank, offset, length, /*is_write=*/false);
+  return collective_io(rank, offset, length, /*is_write=*/false);
 }
 
 sim::Co<Errno> File::close(int rank) {

@@ -15,6 +15,7 @@ std::vector<std::pair<Bytes, Bytes>> merge_extents(
   }
   std::sort(spans.begin(), spans.end());
   std::vector<std::pair<Bytes, Bytes>> merged;
+  merged.reserve(spans.size());
   for (const auto& [off, len] : spans) {
     if (!merged.empty() && merged.back().first + merged.back().second >= off) {
       const Bytes end = std::max(merged.back().first + merged.back().second,
@@ -31,6 +32,8 @@ std::vector<int> choose_aggregators(std::span<const void* const> node_key_of_ran
                                     std::uint32_t cb_nodes) {
   std::vector<int> firsts;
   std::vector<const void*> seen;
+  firsts.reserve(node_key_of_rank.size());
+  seen.reserve(node_key_of_rank.size());
   for (std::size_t r = 0; r < node_key_of_rank.size(); ++r) {
     const void* key = node_key_of_rank[r];
     if (std::find(seen.begin(), seen.end(), key) == seen.end()) {

@@ -139,6 +139,8 @@ void Engine::run() {
 }
 
 bool Engine::run_until(Seconds t) {
+  // Stopping "before now" would set now_ = t below and rewind the clock.
+  PFSC_REQUIRE(t >= now_, "Engine::run_until: target time is before now()");
   for (;;) {
     // Cancelled tombstones are not pending work: drain them first so an
     // engine left with nothing but a stopped sampler's wakeup reports

@@ -94,6 +94,7 @@ class Engine {
   /// Run until simulated time reaches `t` (or the queue drains).
   /// Returns true if the queue drained. Cancelled wakeups do not count as
   /// pending work: an engine whose queue holds only tombstones drains.
+  /// Throws UsageError if `t` < now(): the clock never runs backwards.
   bool run_until(Seconds t);
 
   // -- sharded-run coordinator interface (sim/domain.hpp) ----------------

@@ -113,7 +113,7 @@ class TaskPromise : public FramePooled {
   bool release_ref() noexcept { return --refs_ == 0; }
   bool done() const noexcept { return done_; }
   bool spawned() const noexcept { return engine_ != nullptr; }
-  std::exception_ptr exception() const noexcept { return exception_; }
+  const std::exception_ptr& exception() const noexcept { return exception_; }
   // Joiner list with an inline first slot: almost every task has 0 or 1
   // joiners, so the common case never touches the overflow vector.
   void add_waiter(std::coroutine_handle<> h) {
@@ -164,7 +164,9 @@ inline auto Task::operator co_await() const {
       task.handle().promise().add_waiter(h);
     }
     void await_resume() const {
-      if (auto e = task.handle().promise().exception()) std::rethrow_exception(e);
+      if (const auto& e = task.handle().promise().exception()) {
+        std::rethrow_exception(e);
+      }
     }
   };
   PFSC_ASSERT(valid());
@@ -212,7 +214,7 @@ class Co {
         return h;  // symmetric transfer into the child
       }
       T await_resume() {
-        if (auto e = h.promise().exception()) std::rethrow_exception(e);
+        if (const auto& e = h.promise().exception()) std::rethrow_exception(e);
         if constexpr (!std::is_void_v<T>) {
           return std::move(h.promise().value());
         }
@@ -245,7 +247,7 @@ class CoPromiseCore : public FramePooled {
   void unhandled_exception() noexcept { exception_ = std::current_exception(); }
   void set_continuation(std::coroutine_handle<> h) noexcept { continuation_ = h; }
   std::coroutine_handle<> continuation() const noexcept { return continuation_; }
-  std::exception_ptr exception() const noexcept { return exception_; }
+  const std::exception_ptr& exception() const noexcept { return exception_; }
 
  private:
   std::coroutine_handle<> continuation_;

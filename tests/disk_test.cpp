@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "hw/disk.hpp"
+#include "support/rng.hpp"
 
 namespace pfsc::hw {
 namespace {
@@ -219,6 +223,213 @@ TEST(Disk, ManyStreamsDegradeThroughputMonotonically) {
   // Single stream approaches the sequential rate.
   EXPECT_GT(bw1, mb_per_sec(250.0));
 }
+
+// ---------------------------------------------------------------------------
+// Queue equivalence: DiskModel against a reference elevator that keeps each
+// stream's queue in a std::multimap<offset, request> (equal offsets FIFO)
+// and replays the same arrivals on its own clock.
+// ---------------------------------------------------------------------------
+
+struct Arrival {
+  Seconds at;
+  DiskModel::StreamId stream;
+  Bytes offset;
+  Bytes bytes;
+  bool is_write;
+};
+
+struct ElevatorResult {
+  std::vector<std::size_t> order;  // arrival indices in service order
+  Seconds busy_time = 0.0;
+  std::uint64_t seeks = 0;
+  std::uint64_t switches = 0;
+};
+
+class ReferenceElevator {
+ public:
+  explicit ReferenceElevator(DiskParams p) : p_(p) {}
+
+  ElevatorResult run(const std::vector<Arrival>& arrivals) {
+    Seconds now = 0.0;
+    std::size_t next = 0;
+    for (;;) {
+      if (queued_ == 0) {
+        if (next == arrivals.size()) break;
+        now = std::max(now, arrivals[next].at);  // idle until the next arrival
+      }
+      // Arrivals at or before a decision instant were enqueued first: their
+      // wakeups were scheduled at t = 0, ahead of the service loop's own.
+      while (next < arrivals.size() && arrivals[next].at <= now) {
+        enqueue(next, arrivals[next]);
+        ++next;
+      }
+      now += serve_one(arrivals);
+    }
+    return std::move(res_);
+  }
+
+ private:
+  void enqueue(std::size_t index, const Arrival& a) {
+    auto& q = queues_[a.stream];
+    if (q.empty() && !(have_current_ && a.stream == current_)) {
+      rotation_.push_back(a.stream);
+    }
+    q.emplace(a.offset, index);
+    ++queued_;
+  }
+
+  Seconds serve_one(const std::vector<Arrival>& arrivals) {
+    bool switched = false;
+    const bool was_current = have_current_;
+    const auto prev = current_;
+    if (have_current_ && (queues_[current_].empty() || batch_used_ >= p_.batch)) {
+      if (!queues_[current_].empty()) rotation_.push_back(current_);
+      have_current_ = false;
+    }
+    if (!have_current_) {
+      do {
+        current_ = rotation_.front();
+        rotation_.pop_front();
+      } while (queues_[current_].empty());
+      have_current_ = true;
+      batch_used_ = 0;
+      if (!was_current || current_ != prev) {
+        switched = true;
+        ++res_.switches;
+      }
+    }
+    auto& q = queues_[current_];
+    auto pick = q.begin();
+    if (auto head = next_offset_.find(current_); head != next_offset_.end()) {
+      if (auto ge = q.lower_bound(head->second); ge != q.end()) pick = ge;
+    }
+    const std::size_t index = pick->second;
+    q.erase(pick);
+    --queued_;
+    ++batch_used_;
+    const Arrival& a = arrivals[index];
+
+    hot_ring_.push_back(a.stream);
+    ++hot_counts_[a.stream];
+    if (hot_ring_.size() > p_.hot_window) {
+      if (--hot_counts_[hot_ring_.front()] == 0) hot_counts_.erase(hot_ring_.front());
+      hot_ring_.pop_front();
+    }
+
+    bool seek = switched;
+    if (auto pos = next_offset_.find(a.stream); pos == next_offset_.end()) {
+      seek = true;
+    } else if (pos->second != a.offset) {
+      const Bytes gap = a.offset > pos->second ? a.offset - pos->second
+                                               : pos->second - a.offset;
+      if (gap > p_.reorder_window) seek = true;
+    }
+    Seconds t = p_.per_request_overhead;
+    double bw = p_.sequential_bw;
+    if (a.is_write) {
+      if (seek && p_.raid_full_stripe > 0 && a.bytes < p_.raid_full_stripe) {
+        bw *= p_.rmw_factor;
+      }
+    } else {
+      bw *= p_.read_factor;
+    }
+    if (seek) {
+      const std::size_t streams = std::max(
+          rotation_.size() + (have_current_ ? 1 : 0), hot_counts_.size());
+      double factor = 1.0;
+      if (streams > p_.contention_knee) {
+        factor += p_.contention_alpha *
+                  static_cast<double>(streams - p_.contention_knee);
+      }
+      if (streams > p_.contention_quad_knee) {
+        const auto over = static_cast<double>(streams - p_.contention_quad_knee);
+        factor += p_.contention_quad_alpha * over * over;
+      }
+      t += p_.seek_time * factor;
+      ++res_.seeks;
+    }
+    t += static_cast<double>(a.bytes) / bw;
+    res_.busy_time += t;
+    next_offset_[a.stream] = a.offset + a.bytes;
+    res_.order.push_back(index);
+    return t;
+  }
+
+  DiskParams p_;
+  std::map<DiskModel::StreamId, std::multimap<Bytes, std::size_t>> queues_;
+  std::deque<DiskModel::StreamId> rotation_;
+  std::map<DiskModel::StreamId, Bytes> next_offset_;
+  DiskModel::StreamId current_ = 0;
+  bool have_current_ = false;
+  std::uint32_t batch_used_ = 0;
+  std::size_t queued_ = 0;
+  std::deque<DiskModel::StreamId> hot_ring_;
+  std::map<DiskModel::StreamId, std::uint32_t> hot_counts_;
+  ElevatorResult res_;
+};
+
+/// Seeded arrivals: same-instant bursts, repeated offsets, backward jumps
+/// and restarts below a stream's head (the elevator's wrap-around).
+std::vector<Arrival> random_arrivals(Rng& rng, std::size_t n) {
+  const std::uint64_t nstreams = 1 + rng.uniform(6);
+  std::vector<Bytes> cursor(nstreams, 0);
+  std::vector<Arrival> out;
+  Seconds t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.uniform(3) != 0) t += rng.uniform_double(0.0, 0.05);
+    const auto s = rng.uniform(nstreams);
+    const Bytes bytes = (1 + rng.uniform(4)) * 256_KiB;
+    Bytes off = cursor[s];
+    switch (rng.uniform(6)) {
+      case 0: off = cursor[s] > bytes ? cursor[s] - bytes : 0; break;  // repeat
+      case 1: off = rng.uniform(cursor[s] + 1); break;                 // backward
+      case 2: off = cursor[s] + (1 + rng.uniform(64)) * 1_MiB; break;  // forward gap
+      default: break;                                                  // sequential
+    }
+    cursor[s] = std::max(cursor[s], off + bytes);
+    out.push_back(Arrival{t, s + 1, off, bytes, rng.uniform(4) != 0});
+  }
+  return out;
+}
+
+ElevatorResult run_disk(const DiskParams& p, const std::vector<Arrival>& arrivals) {
+  sim::Engine eng;
+  DiskModel disk(eng, p);
+  ElevatorResult res;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    eng.spawn([](sim::Engine& e, DiskModel& d, const Arrival& a, std::size_t index,
+                 std::vector<std::size_t>& order) -> sim::Task {
+      co_await e.delay(a.at);
+      co_await d.submit(a.stream, a.offset, a.bytes, a.is_write);
+      order.push_back(index);
+    }(eng, disk, arrivals[i], i, res.order));
+  }
+  eng.run();
+  res.busy_time = disk.busy_time();
+  res.seeks = disk.seeks();
+  res.switches = disk.stream_switches();
+  return res;
+}
+
+class DiskQueueEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DiskQueueEquivalence, MatchesMultimapReferenceElevator) {
+  Rng rng(GetParam());
+  DiskParams p;
+  p.batch = static_cast<std::uint32_t>(1 + rng.uniform(8));
+  p.reorder_window = rng.uniform(2) == 0 ? 0 : 16_MiB;
+  const auto arrivals = random_arrivals(rng, 400);
+  const ElevatorResult ref = ReferenceElevator(p).run(arrivals);
+  const ElevatorResult got = run_disk(p, arrivals);
+  ASSERT_EQ(ref.order.size(), arrivals.size());
+  EXPECT_EQ(got.order, ref.order);
+  EXPECT_EQ(got.busy_time, ref.busy_time);  // same sums in the same order
+  EXPECT_EQ(got.seeks, ref.seeks);
+  EXPECT_EQ(got.switches, ref.switches);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DiskQueueEquivalence,
+                         ::testing::Values(1ull, 2ull, 3ull, 17ull, 99ull, 2024ull));
 
 }  // namespace
 }  // namespace pfsc::hw

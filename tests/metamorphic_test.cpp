@@ -10,7 +10,10 @@
 //    exactly according to a last-writer-wins reference model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <map>
+#include <type_traits>
 
 #include "harness/scenario.hpp"
 #include "plfs/plfs.hpp"
@@ -24,11 +27,21 @@ using lustre::Errno;
 // Transport equivalence.
 // ---------------------------------------------------------------------------
 
+// GoogleTest names each case after a byte dump of its parameter. Implicit
+// padding would put indeterminate bytes into those names, so the gap before
+// dirty_window is an explicit, always-zero member.
 struct PathVariant {
   bool collective;
   bool cb;
+  std::array<std::uint8_t, 6> zero{};
   Bytes dirty_window;
 };
+static_assert(std::has_unique_object_representations_v<PathVariant>);
+
+PathVariant path_variant(bool collective, bool cb, Bytes dirty_window) {
+  return PathVariant{
+      .collective = collective, .cb = cb, .dirty_window = dirty_window};
+}
 
 class TransportEquivalence : public ::testing::TestWithParam<PathVariant> {};
 
@@ -70,10 +83,10 @@ TEST_P(TransportEquivalence, SameFinalCoverage) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, TransportEquivalence,
-    ::testing::Values(PathVariant{true, true, 256_MiB},   // two-phase + async
-                      PathVariant{true, true, 0},         // two-phase sync
-                      PathVariant{true, false, 256_MiB},  // collective, no cb
-                      PathVariant{false, true, 256_MiB}   // independent
+    ::testing::Values(path_variant(true, true, 256_MiB),   // two-phase + async
+                      path_variant(true, true, 0),         // two-phase sync
+                      path_variant(true, false, 256_MiB),  // collective, no cb
+                      path_variant(false, true, 256_MiB)   // independent
                       ));
 
 // ---------------------------------------------------------------------------

@@ -53,6 +53,21 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   EXPECT_EQ(log.size(), 4u);
 }
 
+TEST(Engine, RunUntilRejectsTargetBeforeNow) {
+  Engine eng;
+  std::vector<double> log;
+  eng.spawn(record_at(eng, 1.0, log, 1));
+  eng.spawn(record_at(eng, 5.0, log, 2));
+  EXPECT_FALSE(eng.run_until(2.0));
+  // The next event lies beyond 1.0, so accepting it would rewind the clock.
+  EXPECT_THROW(eng.run_until(1.0), UsageError);
+  EXPECT_DOUBLE_EQ(eng.now(), 2.0);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_FALSE(eng.run_until(2.0));  // now() itself is a valid target
+  EXPECT_TRUE(eng.run_until(10.0));
+  EXPECT_EQ(log.size(), 4u);
+}
+
 TEST(Engine, ExecutedEventsCounts) {
   Engine eng;
   std::vector<double> log;
