@@ -388,6 +388,24 @@ struct Rig {
     }
   }
 
+  /// Run-end checks once the engine has drained: every client is
+  /// quiescent (Client::check_quiescent throws SimulationError otherwise),
+  /// and the frame high-water mark goes into the observation.
+  void finish_run(Observation& obs, const lustre::Client* setup = nullptr) {
+    for (int rank = 0; rank < rt.nprocs(); ++rank) {
+      rt.client(rank).check_quiescent();
+    }
+    for (const auto& client : noise_clients) client->check_quiescent();
+    if (setup != nullptr) setup->check_quiescent();
+    if (!shards) {
+      obs.peak_frames = eng.frame_arena().peak_outstanding();
+      return;
+    }
+    for (std::size_t d = 0; d < shards->domains(); ++d) {
+      obs.peak_frames += shards->domain(d).frame_arena().peak_outstanding();
+    }
+  }
+
   /// Harvest the controller's decision log into the observation.
   void finish_ctrl(Observation& obs, const Scenario& s) {
     if (!controller) return;
@@ -770,6 +788,7 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
   obs.metric = mean;
   obs.contention = core::observe(rig.fs.ost_occupancy(files));
   if (admission != nullptr) obs.admissions = admission->take_records();
+  rig.finish_run(obs, setup_client.get());
   rig.finish_ctrl(obs, s);
   rig.export_bandwidth(obs);
   rig.finish_trace(obs, s, seed);
@@ -801,6 +820,7 @@ Observation run_single(const Scenario& s, const JobPlan& plan,
     const auto data_files = plfs->backend_data_files(spec.ior.test_file);
     obs.contention = core::observe(rig.fs.ost_occupancy(data_files));
   }
+  rig.finish_run(obs);
   rig.finish_ctrl(obs, s);
   rig.export_bandwidth(obs);
   rig.finish_trace(obs, s, seed);
@@ -840,6 +860,7 @@ Observation run_probe(const Scenario& s, const JobPlan& plan,
     obs.per_job.push_back(r);
     obs.total_mbps += mbps;
   }
+  rig.finish_run(obs);
   rig.finish_trace(obs, s, seed);
   return obs;
 }

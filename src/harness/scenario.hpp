@@ -259,6 +259,11 @@ struct Observation {
   /// ior/plfs, mean per-job write MB/s for multi/jobs, mean per-process
   /// MB/s for the probe.
   double metric = 0.0;
+
+  /// The most coroutine frames live at once (FrameArena high-water mark,
+  /// summed over domains in a sharded run): the simulator's parked-work
+  /// footprint, not a simulated quantity.
+  std::uint64_t peak_frames = 0;
 };
 
 /// Run one scenario to completion on a fresh deterministic simulation.

@@ -1,6 +1,9 @@
 #include "lustre/client.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
 
 namespace pfsc::lustre {
 
@@ -31,48 +34,62 @@ sim::Co<Errno> Client::unlink(std::string path) {
   co_return co_await fs_->unlink(std::move(path));
 }
 
-sim::Task Client::rpc(OstIndex ost, ObjectId object, Bytes object_offset,
-                      Bytes bytes, bool is_write, IoState* state) {
+void Client::begin_span(Rpc& rpc) {
   // Async span per RPC on this client's track, issue -> completion; the
   // layers underneath (link flows, scheduler wait, disk service) emit
   // their own spans, so the lifecycle stages line up in the viewer.
-  std::uint64_t span = 0;
   if (auto* rec = eng_->recorder();
       rec != nullptr && rec->enabled(trace::Cat::client)) {
-    span = rec->next_id();
+    rpc.span = rec->next_id();
     rec->begin(trace::Cat::client, track_.get(*rec, trace_label_),
-               is_write ? "write_rpc" : "read_rpc", eng_->now(), span,
-               static_cast<std::int64_t>(job_), static_cast<std::int64_t>(ost),
-               static_cast<double>(bytes));
+               rpc.extent->is_write ? "write_rpc" : "read_rpc", eng_->now(),
+               rpc.span, static_cast<std::int64_t>(job_),
+               static_cast<std::int64_t>(rpc.ost),
+               static_cast<double>(rpc.bytes));
   }
-  const auto end_span = [&] {
-    if (span == 0) return;
-    if (auto* rec = eng_->recorder();
-        rec != nullptr && rec->enabled(trace::Cat::client)) {
-      rec->end(trace::Cat::client, track_.get(*rec, trace_label_),
-               is_write ? "write_rpc" : "read_rpc", eng_->now(), span,
-               static_cast<std::int64_t>(job_),
-               static_cast<std::int64_t>(ost));
+}
+
+void Client::end_span(const Rpc& rpc) {
+  if (rpc.span == 0) return;
+  if (auto* rec = eng_->recorder();
+      rec != nullptr && rec->enabled(trace::Cat::client)) {
+    rec->end(trace::Cat::client, track_.get(*rec, trace_label_),
+             rpc.extent->is_write ? "write_rpc" : "read_rpc", eng_->now(),
+             rpc.span, static_cast<std::int64_t>(job_),
+             static_cast<std::int64_t>(rpc.ost));
+  }
+}
+
+void Client::Rpc::wake() {
+  Client& c = *extent->client;
+  if (!queued) {
+    c.begin_span(*this);
+    if (!c.rpc_slots_.acquire_or_queue(*this)) {
+      queued = true;
+      return;
     }
-  };
-  co_await rpc_slots_.acquire();
-  if (fs_->ost_failed(ost)) {
-    if (state->err == Errno::ok) state->err = Errno::eio;
-    rpc_slots_.release();
-    end_span();
-    co_return;
   }
-  co_await proc_pipe_->transfer(bytes);
-  if (node_nic_ != nullptr) co_await node_nic_->transfer(bytes);
-  co_await fs_->fabric().transfer(bytes);
-  // The server half — request hop, scheduler admission, OSS pipe, disk
-  // service, reply hop — lives in the FileSystem so sharded runs can
-  // execute it on the OSS's own domain.
-  co_await fs_->oss_round_trip(job_, ost, object, object_offset, bytes,
-                               is_write);
-  if (fs_->ost_failed(ost) && state->err == Errno::ok) state->err = Errno::eio;
+  c.eng_->start(c.serve(this));
+}
+
+sim::Task Client::serve(Rpc* rpc) {
+  Extent& x = *rpc->extent;
+  if (fs_->ost_failed(rpc->ost)) {
+    if (x.err == Errno::ok) x.err = Errno::eio;
+  } else {
+    co_await proc_pipe_->transfer(rpc->bytes);
+    if (node_nic_ != nullptr) co_await node_nic_->transfer(rpc->bytes);
+    co_await fs_->fabric().transfer(rpc->bytes);
+    // The server half — request hop, scheduler admission, OSS pipe, disk
+    // service, reply hop — lives in the FileSystem so sharded runs can
+    // execute it on the OSS's own domain.
+    co_await fs_->oss_round_trip(job_, rpc->ost, rpc->object,
+                                 rpc->object_offset, rpc->bytes, x.is_write);
+    if (fs_->ost_failed(rpc->ost) && x.err == Errno::ok) x.err = Errno::eio;
+  }
   rpc_slots_.release();
-  end_span();
+  end_span(*rpc);
+  x.rpcs.child_done(rpc->index);
 }
 
 sim::Co<void> Client::local_copy(Bytes bytes) {
@@ -110,60 +127,138 @@ sim::Co<Errno> Client::flush() {
   co_return e;
 }
 
-sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_write) {
-  if (length == 0 && is_write) co_return Errno::ok;
-  Inode& node = fs_->inode(file);
+void Client::Extent::init(Client& c, InodeId f, Bytes off, Bytes len,
+                        bool write) {
+  client = &c;
+  file = f;
+  offset = off;
+  length = len;
+  is_write = write;
+}
+
+bool Client::Extent::issue() {
+  if (length == 0 && is_write) return false;
+  Client& c = *client;
+  node = &c.fs_->inode(file);
   // Reading past EOF is an error for the simulated apps (they always read
   // back what was written); holes inside the file read as zeros.
-  if (!is_write && !node.is_dir && offset + length > node.size) {
-    co_return Errno::einval;
+  if (!is_write && !node->is_dir && offset + length > node->size) {
+    err = Errno::einval;
+    return false;
   }
-  if (length == 0) co_return Errno::ok;
-  if (node.is_dir) co_return Errno::eisdir;
-  PFSC_REQUIRE(!node.layout.osts.empty(), "io: file has no layout");
+  if (length == 0) return false;
+  if (node->is_dir) {
+    err = Errno::eisdir;
+    return false;
+  }
+  PFSC_REQUIRE(!node->layout.osts.empty(), "io: file has no layout");
 
-  // The RPCs share this frame's IoState: io joins every one of them before
-  // it returns (an exception aborts the whole run), so the pointer each RPC
-  // holds cannot dangle.
-  IoState state;
-  const StripeLayout& layout = node.layout;
-  const Bytes max_rpc = fs_->params().max_rpc_size;
+  const StripeLayout& layout = node->layout;
+  const Bytes max_rpc = c.fs_->params().max_rpc_size;
   const LayoutSegment first = locate(layout, offset);
+  std::span<Rpc> out;
   if (length <= first.length && length <= max_rpc) {
-    // One stripe, one RPC (every RPC of a stripe-aligned transfer): the
-    // same spawn and join as the loop below, without its vectors.
-    sim::Task t = rpc(layout.osts[first.layout_index],
-                      layout.objects[first.layout_index], first.object_offset,
-                      length, is_write, &state);
-    eng_->spawn(t);
-    co_await t;
+    // One stripe, one RPC (every RPC of a stripe-aligned transfer): no
+    // segments() or RPC vector.
+    one.ost = layout.osts[first.layout_index];
+    one.object = layout.objects[first.layout_index];
+    one.object_offset = first.object_offset;
+    one.bytes = length;
+    out = std::span<Rpc>(&one, 1);
   } else {
-    std::vector<sim::Task> inflight;
-    for (const LayoutSegment& seg : segments(layout, offset, length)) {
-      // Split each per-object run into bulk RPCs of at most max_rpc_size.
-      Bytes done = 0;
-      while (done < seg.length) {
-        const Bytes chunk = std::min<Bytes>(max_rpc, seg.length - done);
-        sim::Task t = rpc(layout.osts[seg.layout_index],
-                          layout.objects[seg.layout_index],
-                          seg.object_offset + done, chunk, is_write, &state);
-        eng_->spawn(t);
-        inflight.push_back(std::move(t));
-        done += chunk;
+    // Split each per-object run into bulk RPCs of at most max_rpc_size.
+    const std::vector<LayoutSegment> segs = segments(layout, offset, length);
+    std::size_t count = 0;
+    for (const LayoutSegment& seg : segs) {
+      count += static_cast<std::size_t>((seg.length + max_rpc - 1) / max_rpc);
+    }
+    many = std::make_unique<Rpc[]>(count);
+    std::size_t i = 0;
+    for (const LayoutSegment& seg : segs) {
+      for (Bytes done_bytes = 0; done_bytes < seg.length; done_bytes += max_rpc) {
+        Rpc& r = many[i++];
+        r.ost = layout.osts[seg.layout_index];
+        r.object = layout.objects[seg.layout_index];
+        r.object_offset = seg.object_offset + done_bytes;
+        r.bytes = std::min<Bytes>(max_rpc, seg.length - done_bytes);
       }
     }
-    co_await sim::join_all(std::move(inflight));
+    out = std::span<Rpc>(many.get(), count);
   }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].extent = this;
+    out[i].index = static_cast<std::uint32_t>(i);
+    c.eng_->schedule(out[i], c.eng_->now());
+  }
+  // A batch member is its own joiner; io()'s frame joins by co_await.
+  rpcs.arm(*c.eng_, out,
+           batch != nullptr ? sim::Wakeup(*this) : sim::Wakeup());
+  return true;
+}
 
-  if (state.err != Errno::ok) co_return state.err;
+void Client::Extent::commit() {
+  if (err != Errno::ok) return;
   if (is_write) {
-    node.written.insert(offset, length);
-    node.size = std::max(node.size, offset + length);
-    bytes_written_ += length;
+    node->written.insert(offset, length);
+    node->size = std::max(node->size, offset + length);
+    client->bytes_written_ += length;
   } else {
-    bytes_read_ += length;
+    client->bytes_read_ += length;
   }
-  co_return Errno::ok;
+}
+
+void Client::Extent::wake() {
+  if (!issued) {
+    issued = true;
+    if (issue()) return;  // the joined RPCs wake this record again
+  } else {
+    commit();
+  }
+  if (err != Errno::ok && batch->err == Errno::ok) batch->err = err;
+  batch->join.child_done(index);
+}
+
+sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_write) {
+  // The extent record lives in this frame, which outlives its RPCs: the
+  // join below returns only once every one of them is back.
+  Extent x;
+  x.init(*this, file, offset, length, is_write);
+  if (x.issue()) {
+    co_await x.rpcs;
+    x.commit();
+  }
+  co_return x.err;
+}
+
+sim::Co<Errno> Client::io_extents(
+    InodeId file, const std::vector<std::pair<Bytes, Bytes>>& extents,
+    bool is_write) {
+  if (extents.empty()) co_return Errno::ok;
+  // Each extent starts on its own wakeup, like a spawned task, and the
+  // batch joins them in list order; their records live in this frame.
+  Batch batch;
+  std::vector<Extent> records(extents.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    Extent& x = records[i];
+    x.init(*this, file, extents[i].first, extents[i].second, is_write);
+    x.batch = &batch;
+    x.index = static_cast<std::uint32_t>(i);
+    eng_->schedule(x, eng_->now());
+  }
+  batch.join.arm(*eng_, std::span<Extent>(records));
+  co_await batch.join;
+  co_return batch.err;
+}
+
+void Client::check_quiescent() const {
+  const std::size_t held = rpc_slots_.capacity() - rpc_slots_.available();
+  const std::size_t queued = rpc_slots_.queue_length();
+  if (held == 0 && queued == 0 && outstanding_buffered_ == 0) return;
+  throw SimulationError(
+      "client " + name_ + " is not quiescent at run end: " +
+      std::to_string(held) + " rpc slot(s) held, " + std::to_string(queued) +
+      " RPC(s) queued for a slot, " + std::to_string(outstanding_buffered_) +
+      " buffered write(s) draining");
 }
 
 // Plain forwarders, not coroutines: Co is lazy, so returning io's Co runs

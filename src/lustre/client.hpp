@@ -39,6 +39,14 @@ class Client {
   sim::Co<Errno> write(InodeId file, Bytes offset, Bytes length);
   sim::Co<Errno> read(InodeId file, Bytes offset, Bytes length);
 
+  /// Move every (offset, length) extent of `file` concurrently, as if each
+  /// were its own spawned write()/read() joined in list order (the client's
+  /// RPC window bounds what is in flight); returns the first error in
+  /// completion order.
+  sim::Co<Errno> io_extents(InodeId file,
+                            const std::vector<std::pair<Bytes, Bytes>>& extents,
+                            bool is_write);
+
   /// Buffered (page-cache) write: returns once the data is accepted into
   /// the client's write-back budget; the transfer to the servers continues
   /// asynchronously. Errors surface at the next flush(). This is how POSIX
@@ -68,14 +76,75 @@ class Client {
   /// Per-process link statistics (diagnostics/benchmarks).
   const sim::LinkModel& proc_pipe() const { return *proc_pipe_; }
 
+  /// Run-end invariant "every RPC completes, nothing left parked": throws
+  /// SimulationError naming this client if an RPC still holds an rpc slot
+  /// or waits for one, or a buffered write is still draining.
+  void check_quiescent() const;
+
  private:
-  struct IoState {
+  struct Extent;
+
+  /// One bulk RPC. Until it holds an rpc slot it is this record (in the
+  /// engine's queue, then in rpc_slots_' FIFO); only then does a serve()
+  /// frame exist for it.
+  struct Rpc final : sim::Wakeable {
+    Extent* extent = nullptr;
+    std::uint32_t index = 0;  // position in the extent's join
+    OstIndex ost = 0;
+    ObjectId object = 0;
+    Bytes object_offset = 0;
+    Bytes bytes = 0;
+    std::uint64_t span = 0;  // trace span id, 0 when untraced
+    bool queued = false;     // parked for a slot: the next wake holds one
+    bool done = false;       // set by the extent's join
+
+    /// First wake: the RPC starts and takes a free slot or queues for
+    /// one. A queued RPC's wake is the slot hand-off.
+    void wake() override;
+  };
+
+  struct Batch;
+
+  /// One extent (what one write()/read() moves) as a record: its RPCs,
+  /// their in-order join and the commit once they are all back. io()
+  /// keeps one in its frame; io_extents() keeps one per extent.
+  struct Extent final : sim::Wakeable {
+    Client* client = nullptr;
+    InodeId file = kNoInode;
+    Bytes offset = 0;
+    Bytes length = 0;
+    bool is_write = false;
+    bool issued = false;  // batch member: its start wakeup has run
+    bool done = false;  // set by the batch's join
+    Errno err = Errno::ok;
+    Inode* node = nullptr;
+    Rpc one;                      // the RPC of a one-RPC extent
+    std::unique_ptr<Rpc[]> many;  // the RPCs of any other extent
+    sim::OrderedJoin<Rpc> rpcs;
+    Batch* batch = nullptr;  // io_extents() members only
+    std::uint32_t index = 0;  // position in the batch's join
+
+    void init(Client& c, InodeId f, Bytes off, Bytes len, bool write);
+    /// Validate and issue the RPCs (one start wakeup each); false when
+    /// the extent finished without any, `err` saying how.
+    bool issue();
+    /// The RPCs are back: on success record what was moved.
+    void commit();
+    /// Batch member: the first wake issues, the joined RPCs' wake commits
+    /// and reports to the batch.
+    void wake() override;
+  };
+
+  struct Batch {
+    sim::OrderedJoin<Extent> join;
     Errno err = Errno::ok;
   };
 
   sim::Co<Errno> io(InodeId file, Bytes offset, Bytes length, bool is_write);
-  sim::Task rpc(OstIndex ost, ObjectId object, Bytes object_offset, Bytes bytes,
-                bool is_write, IoState* state);
+  /// An RPC's service, from slot to reply; the frame lives only this long.
+  sim::Task serve(Rpc* rpc);
+  void begin_span(Rpc& rpc);
+  void end_span(const Rpc& rpc);
   sim::Task drain_buffered(InodeId file, Bytes offset, Bytes length);
 
   FileSystem* fs_;

@@ -84,16 +84,18 @@ class LustreFamilyDriver final : public AdioDriver {
     co_return co_await client.read(ctx.ino, offset, length);
   }
 
+  // One round's extents, issued concurrently as records (the client's RPC
+  // window provides the in-flight bound, like a real Lustre client).
   sim::Co<Errno> write_run(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents) override {
-    return run_extents(client, ctx, extents, /*is_write=*/true);
+    return client.io_extents(ctx.ino, extents, /*is_write=*/true);
   }
 
   sim::Co<Errno> read_run(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents) override {
-    return run_extents(client, ctx, extents, /*is_write=*/false);
+    return client.io_extents(ctx.ino, extents, /*is_write=*/false);
   }
 
   sim::Co<Errno> close_rank(lustre::Client& /*client*/, OpenContext& /*ctx*/,
@@ -107,29 +109,6 @@ class LustreFamilyDriver final : public AdioDriver {
   }
 
  private:
-  /// One round's extents, issued concurrently (the client's RPC window
-  /// provides the in-flight bound, like a real Lustre client).
-  static sim::Co<Errno> run_extents(
-      lustre::Client& client, OpenContext& ctx,
-      const std::vector<std::pair<Bytes, Bytes>>& extents, bool is_write) {
-    // Every extent task is joined before this frame ends (an exception
-    // aborts the whole run), so they can share the frame-local error.
-    Errno err = Errno::ok;
-    std::vector<sim::Task> inflight;
-    inflight.reserve(extents.size());
-    for (const auto& [off, len] : extents) {
-      sim::Task t = [](lustre::Client& c, lustre::InodeId ino, Bytes o, Bytes l,
-                       bool w, Errno* e) -> sim::Task {
-        const Errno r = w ? co_await c.write(ino, o, l) : co_await c.read(ino, o, l);
-        if (r != Errno::ok && *e == Errno::ok) *e = r;
-      }(client, ctx.ino, off, len, is_write, &err);
-      client.fs().engine().spawn(t);
-      inflight.push_back(std::move(t));
-    }
-    co_await sim::join_all(std::move(inflight));
-    co_return err;
-  }
-
   bool apply_hints_;
 };
 

@@ -60,7 +60,7 @@ void FrameArena::deallocate_frame(void* frame) noexcept {
 }
 
 void* FrameArena::bucket_alloc(std::size_t size_class) {
-  ++outstanding_;
+  if (++outstanding_ > peak_) peak_ = outstanding_;
   void*& head = free_lists_[size_class];
   if (head != nullptr) {
     ++reused_;

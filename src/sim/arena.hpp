@@ -56,6 +56,8 @@ class FrameArena {
   std::uint64_t reused_allocations() const { return reused_; }
   /// Frames currently live (allocated, not yet freed).
   std::uint64_t outstanding() const { return outstanding_; }
+  /// High-water mark of outstanding(): the most frames ever live at once.
+  std::uint64_t peak_outstanding() const { return peak_; }
 
  private:
   // Size classes: 64-byte steps up to 4 KiB. Typical Task/Co frames in
@@ -73,6 +75,7 @@ class FrameArena {
   std::uint64_t fresh_ = 0;
   std::uint64_t reused_ = 0;
   std::uint64_t outstanding_ = 0;
+  std::uint64_t peak_ = 0;
 };
 
 /// Mixin providing pooled frame allocation; inherited by the coroutine

@@ -23,11 +23,11 @@ Engine::~Engine() {
   FrameArena::exchange_current(prev_arena_);
 }
 
-WakeToken Engine::schedule(std::coroutine_handle<> h, Seconds t) {
-  PFSC_ASSERT(h && !h.done());
+WakeToken Engine::schedule(Wakeup w, Seconds t) {
+  PFSC_ASSERT(w && !w.done());
   PFSC_ASSERT(t >= now_);
   const std::uint64_t seq = ++seq_;  // 1-based: token 0 stays null
-  queue_->push(ScheduledEvent{t, now_, seq, h, /*src=*/0});
+  queue_->push(ScheduledEvent{t, now_, seq, w, /*src=*/0});
   ++pending_;
   return WakeToken{seq};
 }
@@ -43,23 +43,21 @@ void Engine::schedule_message(std::coroutine_handle<> h, Seconds t, Seconds at,
 
 void Engine::spawn_message(Task task, Seconds t, Seconds at, std::uint32_t src,
                            std::uint64_t seq) {
-  PFSC_REQUIRE(task.valid(), "Engine::spawn_message: invalid task");
-  auto h = task.handle();
-  PFSC_REQUIRE(!h.promise().spawned(),
-               "Engine::spawn_message: task already spawned");
-  h.promise().bind(*this, live_roots_.size());
-  live_roots_.push_back(h);
-  schedule_message(h, t, at, src, seq);
+  schedule_message(adopt(task), t, at, src, seq);
 }
 
-void Engine::spawn(Task task) {
-  PFSC_REQUIRE(task.valid(), "Engine::spawn: invalid task");
+std::coroutine_handle<> Engine::adopt(const Task& task) {
+  PFSC_REQUIRE(task.valid(), "Engine: cannot start an invalid task");
   auto h = task.handle();
-  PFSC_REQUIRE(!h.promise().spawned(), "Engine::spawn: task already spawned");
+  PFSC_REQUIRE(!h.promise().spawned(), "Engine: task already started");
   h.promise().bind(*this, live_roots_.size());
   live_roots_.push_back(h);
-  schedule(h, now_);
+  return h;
 }
+
+void Engine::spawn(Task task) { schedule(adopt(task), now_); }
+
+void Engine::start(Task task) { adopt(task).resume(); }
 
 void Engine::note_root_done(std::size_t live_index) {
   PFSC_ASSERT(live_index < live_roots_.size());
@@ -89,7 +87,7 @@ void Engine::dispatch_one() {
   now_ = ev.t;
   ++executed_;
   if (recorder_ != nullptr) trace_dispatch();
-  ev.h.resume();
+  ev.target();
 }
 
 const ScheduledEvent* Engine::drain_cancelled_front() {

@@ -4,6 +4,8 @@
 // run in schedule order. Processes are C++20 coroutines; see task.hpp for
 // the two coroutine types (`Task` roots and `Co<T>` children) and
 // resources.hpp for the synchronisation primitives built on this engine.
+// Queued work that needs no stack of its own can instead be a Wakeable
+// record (event_queue.hpp), which an event wakes exactly like a coroutine.
 //
 // One engine is always single-threaded, but a run may shard its model
 // across several engines (sim/domain.hpp), each on its own worker thread,
@@ -73,19 +75,25 @@ class Engine {
   /// The engine's coroutine-frame arena (statistics for tests/benchmarks).
   const FrameArena& frame_arena() const { return arena_; }
 
-  /// Resume `h` at absolute simulated time `t` (must be >= now()).
-  /// The returned token cancels exactly this wakeup; discard it if the
-  /// wakeup is never cancelled.
-  WakeToken schedule(std::coroutine_handle<> h, Seconds t);
+  /// Resume `w` (a coroutine, or a Wakeable record) at absolute simulated
+  /// time `t` (must be >= now()). The returned token cancels exactly this
+  /// wakeup; discard it if the wakeup is never cancelled.
+  WakeToken schedule(Wakeup w, Seconds t);
 
-  /// Resume `h` after `dt` seconds.
-  WakeToken schedule_after(std::coroutine_handle<> h, Seconds dt) {
-    return schedule(h, now_ + dt);
+  /// Resume `w` after `dt` seconds.
+  WakeToken schedule_after(Wakeup w, Seconds dt) {
+    return schedule(w, now_ + dt);
   }
 
   /// Start a root coroutine; it begins running at the current time.
   /// The engine keeps unfinished roots alive and destroys them at teardown.
   void spawn(Task task);
+
+  /// Start a root coroutine inline: it runs now, inside the current
+  /// dispatch, until its first suspension. Unlike spawn() this schedules
+  /// no event, so a record can hand its work to a fresh frame without
+  /// moving the schedule sequence. Ownership is as for spawn().
+  void start(Task task);
 
   /// Run until no events remain. Throws if a root task failed with an
   /// exception that no joiner consumed.
@@ -179,6 +187,8 @@ class Engine {
   }
 
  private:
+  /// Register `task` as a live root bound to this engine; returns its handle.
+  std::coroutine_handle<> adopt(const Task& task);
   void dispatch_one();
   /// Pop leading cancelled entries, erasing their tombstones; returns the
   /// first live pending event (nullptr when none remain).

@@ -35,7 +35,57 @@
 
 namespace pfsc::sim {
 
-/// One scheduled resume, ordered by the key (t, at, src, seq).
+/// A piece of parked work the engine wakes without a coroutine frame: a
+/// queued RPC record, an in-order join. wake() runs inside the dispatch,
+/// exactly where a resumed coroutine would run.
+class Wakeable {
+ public:
+  Wakeable() = default;
+  // The engine and the queues that park a record hold its address.
+  Wakeable(const Wakeable&) = delete;
+  Wakeable& operator=(const Wakeable&) = delete;
+
+  virtual void wake() = 0;
+
+ protected:
+  ~Wakeable() = default;
+};
+
+/// What one scheduled event wakes: a suspended coroutine or a Wakeable
+/// record, in one tagged word (both are at least 8-byte aligned, so the
+/// low bit is free to mark records).
+class Wakeup {
+ public:
+  Wakeup() = default;
+  template <typename P>
+  Wakeup(std::coroutine_handle<P> h) noexcept
+      : bits_(reinterpret_cast<std::uintptr_t>(h.address())) {}
+  Wakeup(Wakeable& w) noexcept
+      : bits_(reinterpret_cast<std::uintptr_t>(&w) | kRecord) {}
+
+  explicit operator bool() const noexcept { return bits_ != 0; }
+  /// True for a coroutine that already ran to completion (never a record).
+  bool done() const {
+    return (bits_ & kRecord) == 0 && handle().done();
+  }
+  /// Resume the coroutine, or wake the record.
+  void operator()() const {
+    if ((bits_ & kRecord) != 0) {
+      reinterpret_cast<Wakeable*>(bits_ & ~kRecord)->wake();
+    } else {
+      handle().resume();
+    }
+  }
+
+ private:
+  static constexpr std::uintptr_t kRecord = 1;
+  std::coroutine_handle<> handle() const {
+    return std::coroutine_handle<>::from_address(reinterpret_cast<void*>(bits_));
+  }
+  std::uintptr_t bits_ = 0;
+};
+
+/// One scheduled wakeup, ordered by the key (t, at, src, seq).
 ///
 /// `at` is the simulated time at which the wakeup was *scheduled* (the
 /// engine's now() during the schedule call) and `src` identifies where it
@@ -55,7 +105,7 @@ struct ScheduledEvent {
   Seconds t = 0.0;
   Seconds at = 0.0;
   std::uint64_t seq = 0;
-  std::coroutine_handle<> h;
+  Wakeup target;
   std::uint32_t src = 0;
 };
 

@@ -86,7 +86,9 @@ class Condition {
 };
 
 /// Counting semaphore. release() hands the token directly to the oldest
-/// waiter, so admission is strictly FIFO (no barging).
+/// waiter, so admission is strictly FIFO (no barging). Waiters are
+/// coroutines (acquire()) or Wakeable records (acquire_or_queue()) in one
+/// FIFO.
 class Resource {
  public:
   Resource(Engine& eng, std::size_t capacity)
@@ -98,17 +100,23 @@ class Resource {
   std::size_t available() const { return available_; }
   std::size_t queue_length() const { return waiters_.size(); }
 
+  /// Take a token now (true), or queue `w` to be woken at now() once a
+  /// release() hands it one (false).
+  bool acquire_or_queue(Wakeup w) {
+    if (available_ > 0) {
+      --available_;
+      return true;
+    }
+    waiters_.push_back(w);
+    return false;
+  }
+
   auto acquire() {
     struct Awaiter {
       Resource& res;
       bool await_ready() const noexcept { return false; }
       bool await_suspend(std::coroutine_handle<> h) {
-        if (res.available_ > 0) {
-          --res.available_;
-          return false;  // token taken; continue immediately
-        }
-        res.waiters_.push_back(h);
-        return true;
+        return !res.acquire_or_queue(h);  // token taken: continue at once
       }
       void await_resume() const noexcept {}
     };
@@ -117,9 +125,9 @@ class Resource {
 
   void release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
+      const Wakeup w = waiters_.front();
       waiters_.pop_front();
-      eng_->schedule(h, eng_->now());  // token passes directly to the waiter
+      eng_->schedule(w, eng_->now());  // token passes directly to the waiter
     } else {
       PFSC_ASSERT(available_ < capacity_);
       ++available_;
@@ -130,7 +138,7 @@ class Resource {
   Engine* eng_;
   std::size_t capacity_;
   std::size_t available_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Wakeup> waiters_;
 };
 
 /// Reusable barrier for `parties` processes.

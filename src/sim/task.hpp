@@ -28,6 +28,7 @@
 
 #include <coroutine>
 #include <exception>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -283,5 +284,64 @@ class CoPromise<void> : public CoPromiseCore<void> {
 inline Co<void> join_all(std::vector<Task> tasks) {
   for (auto& t : tasks) co_await t;
 }
+
+/// The frame-free twin of join_all, for children that are records rather
+/// than Tasks: it wakes exactly when join_all over one Task per child
+/// would. The joiner waits on the lowest unfinished child; that child's
+/// child_done() schedules the join at now() (join_all's resume), and the
+/// wake skips every child that finished meanwhile, then waits again or,
+/// once all are done, runs the joiner inline (join_all's symmetric
+/// transfer back to its awaiter). The joiner is the record passed to
+/// arm(), or else the coroutine that co_awaits the join. `Child` carries
+/// a `bool done`, set here.
+template <typename Child>
+class OrderedJoin final : public Wakeable {
+ public:
+  /// Start joining `children` (none finished yet, at least one).
+  void arm(Engine& eng, std::span<Child> children, Wakeup joiner = {}) {
+    PFSC_ASSERT(!children.empty());
+    eng_ = &eng;
+    children_ = children;
+    joiner_ = joiner;
+    next_ = 0;
+    waiting_ = true;
+  }
+
+  void child_done(std::size_t i) {
+    children_[i].done = true;
+    if (waiting_ && i == next_) {
+      waiting_ = false;
+      eng_->schedule(*this, eng_->now());
+    }
+  }
+
+  bool complete() const { return next_ == children_.size(); }
+
+  void wake() override {
+    while (next_ < children_.size() && children_[next_].done) ++next_;
+    if (next_ < children_.size()) {
+      waiting_ = true;
+      return;
+    }
+    joiner_();
+  }
+
+  auto operator co_await() noexcept {
+    struct Awaiter {
+      OrderedJoin& join;
+      bool await_ready() const noexcept { return join.complete(); }
+      void await_suspend(std::coroutine_handle<> h) noexcept { join.joiner_ = h; }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this};
+  }
+
+ private:
+  Engine* eng_ = nullptr;
+  std::span<Child> children_;
+  Wakeup joiner_;
+  std::size_t next_ = 0;
+  bool waiting_ = false;
+};
 
 }  // namespace pfsc::sim

@@ -179,8 +179,10 @@ TEST(PlacementEdge, FactoryRoundTripsKindAndRejectsUnknown) {
 
 namespace admission_edges {
 
+// `spec` by value: callers pass temporaries, and a coroutine's reference
+// parameter would outlive them (the frame runs after the call returns).
 sim::Task admit_job(sim::Engine& eng, harness::AdmissionController& ac,
-                    const harness::JobSpec& spec, double service) {
+                    harness::JobSpec spec, double service) {
   if (spec.arrival > 0.0) co_await eng.delay(spec.arrival);
   (void)co_await ac.admit(spec);
   co_await eng.delay(service);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -154,6 +155,81 @@ TEST(PipeLatency, PerMessageLatencyAdds) {
   }(pipe, eng, done_at));
   eng.run();
   EXPECT_DOUBLE_EQ(done_at, 1.5);  // 0.5 latency + 1.0 transfer
+}
+
+// -- records: Wakeable work the engine wakes without a frame --------------
+
+struct Log final : Wakeable {
+  Engine* eng = nullptr;
+  std::vector<std::pair<int, Seconds>>* out = nullptr;
+  int id = 0;
+  void wake() override { out->emplace_back(id, eng->now()); }
+};
+
+TEST(Records, EngineWakesRecordsInKeyOrderAmongCoroutines) {
+  Engine eng;
+  std::vector<std::pair<int, Seconds>> out;
+  Log a, b;
+  a.eng = b.eng = &eng;
+  a.out = b.out = &out;
+  a.id = 1;
+  b.id = 2;
+  eng.schedule(b, 2.0);
+  eng.spawn([](Engine& e, std::vector<std::pair<int, Seconds>>& out) -> Task {
+    co_await e.delay(1.0);
+    out.emplace_back(0, e.now());
+  }(eng, out));
+  // Same time as the coroutine's timer, but scheduled first: the timer is
+  // only scheduled when the spawn's start wakeup dispatches.
+  eng.schedule(a, 1.0);
+  const WakeToken cancelled = eng.schedule(a, 1.5);
+  eng.cancel_scheduled(cancelled);
+  eng.run();
+  const std::vector<std::pair<int, Seconds>> want = {{1, 1.0}, {0, 1.0}, {2, 2.0}};
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(eng.executed_events(), 4u);  // spawn, delay, a, b
+}
+
+TEST(Records, ResourceHandsTokensFifoAcrossCoroutinesAndRecords) {
+  Engine eng;
+  Resource res(eng, 1);
+  std::vector<std::pair<int, Seconds>> out;
+  Log rec;
+  rec.eng = &eng;
+  rec.out = &out;
+  rec.id = 1;
+  ASSERT_TRUE(res.acquire_or_queue(rec));  // token taken at once
+  eng.spawn([](Resource& r, Engine& e,
+               std::vector<std::pair<int, Seconds>>& out) -> Task {
+    co_await r.acquire();  // queued behind nobody: waits for the release
+    out.emplace_back(0, e.now());
+    co_await e.delay(1.0);
+    r.release();
+  }(res, eng, out));
+  eng.run();
+  EXPECT_TRUE(out.empty());  // the record still holds the only token
+  EXPECT_EQ(res.queue_length(), 1u);
+  res.release();             // hands it to the coroutine...
+  EXPECT_FALSE(res.acquire_or_queue(rec));  // ...and queues the record
+  eng.run();
+  const std::vector<std::pair<int, Seconds>> want = {{0, 0.0}, {1, 1.0}};
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(res.available(), 0u);  // the record now holds it
+}
+
+TEST(Records, StartRunsARootInlineWithoutAnEvent) {
+  Engine eng;
+  int steps = 0;
+  eng.start([](Engine& e, int& steps) -> Task {
+    ++steps;
+    co_await e.delay(1.0);
+    ++steps;
+  }(eng, steps));
+  EXPECT_EQ(steps, 1);  // ran up to its first suspension already
+  EXPECT_EQ(eng.pending_events(), 1u);
+  eng.run();
+  EXPECT_EQ(steps, 2);
+  EXPECT_EQ(eng.executed_events(), 1u);  // only the delay
 }
 
 }  // namespace
