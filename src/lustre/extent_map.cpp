@@ -2,86 +2,119 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
-
 namespace pfsc::lustre {
+
+namespace {
+
+/// Tail entries tolerated before a merge, on top of a quarter of the
+/// settled extents.
+constexpr std::size_t kTailSlack = 8;
+
+}  // namespace
 
 void ExtentMap::insert(Bytes offset, Bytes length) {
   if (length == 0) return;
-  const Bytes start = offset;
-  Bytes end = offset + length;
+  const Bytes end = offset + length;
+  const auto settled = extents_.begin() + static_cast<std::ptrdiff_t>(sorted_);
 
-  // The extent before `start` grows in place when it reaches start.
-  auto next = extents_.upper_bound(start);
-  if (next != extents_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->second >= start) {
-      if (prev->second >= end) return;  // already covered
-      total_ += end - prev->second;
-      prev->second = end;
-      absorb(prev, next);
+  if (sorted_ < extents_.size()) {
+    // Continues (or lies inside) the latest tail entry: grow it in place.
+    Extent& last = extents_.back();
+    if (last.start <= offset && offset <= last.end) {
+      last.end = std::max(last.end, end);
       return;
     }
-  }
-  if (next == extents_.end() || next->first > end) {
-    extents_.emplace_hint(next, start, end);
+  } else if (sorted_ == 0 || offset > extents_.back().end) {
+    // Past the settled end with nothing pending: append settled.
+    extents_.push_back({offset, end});
+    ++sorted_;
     total_ += length;
     return;
   }
-  // No predecessor reaches start but a successor starts within range:
-  // re-key that successor's node to `start` instead of allocating one.
-  const auto hint = std::next(next);
-  auto node = extents_.extract(next);
-  total_ -= node.mapped() - node.key();
-  node.key() = start;
-  node.mapped() = std::max(end, node.mapped());
-  total_ += node.mapped() - start;
-  absorb(extents_.insert(hint, std::move(node)), hint);
+
+  // The settled extent starting at or before `offset`, if it reaches it,
+  // grows in place unless that would reach its successor.
+  auto next = std::upper_bound(
+      extents_.begin(), settled, offset,
+      [](Bytes off, const Extent& e) { return off < e.start; });
+  if (next != extents_.begin()) {
+    Extent& prev = *(next - 1);
+    if (prev.end >= offset) {
+      if (prev.end >= end) return;  // already covered
+      if (next == settled || next->start > end) {
+        total_ += end - prev.end;
+        prev.end = end;
+        return;
+      }
+    }
+  }
+
+  extents_.push_back({offset, end});
+  if (extents_.size() - sorted_ > kTailSlack + sorted_ / 4) merge();
 }
 
-void ExtentMap::absorb(Map::iterator grown, Map::iterator next) {
-  while (next != extents_.end() && next->first <= grown->second) {
-    if (next->second > grown->second) {
-      total_ += next->second - grown->second;
-      grown->second = next->second;
+void ExtentMap::merge() const {
+  const auto mid = extents_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  const auto by_start = [](const Extent& a, const Extent& b) {
+    return a.start < b.start;
+  };
+  std::sort(mid, extents_.end(), by_start);
+  std::inplace_merge(extents_.begin(), mid, extents_.end(), by_start);
+  // Coalesce overlapping and adjacent neighbours in one compacting pass.
+  std::size_t out = 0;
+  total_ = 0;
+  for (std::size_t i = 1; i < extents_.size(); ++i) {
+    if (extents_[i].start <= extents_[out].end) {
+      extents_[out].end = std::max(extents_[out].end, extents_[i].end);
+    } else {
+      total_ += extents_[out].end - extents_[out].start;
+      extents_[++out] = extents_[i];
     }
-    total_ -= next->second - next->first;
-    next = extents_.erase(next);
   }
+  total_ += extents_[out].end - extents_[out].start;
+  extents_.resize(out + 1);
+  // A file holds one map for its lifetime and most collapse to a few
+  // extents: give back the room the tail grew into.
+  if (extents_.capacity() > 2 * extents_.size()) extents_.shrink_to_fit();
+  sorted_ = extents_.size();
 }
 
 bool ExtentMap::covers(Bytes offset, Bytes length) const {
   if (length == 0) return true;
-  auto it = extents_.upper_bound(offset);
+  settle();
+  auto it = std::upper_bound(
+      extents_.begin(), extents_.end(), offset,
+      [](Bytes off, const Extent& e) { return off < e.start; });
   if (it == extents_.begin()) return false;
   --it;
-  return it->first <= offset && it->second >= offset + length;
+  return it->start <= offset && it->end >= offset + length;
 }
 
 Bytes ExtentMap::covered_bytes(Bytes offset, Bytes length) const {
   if (length == 0) return 0;
+  settle();
   const Bytes end = offset + length;
   Bytes covered = 0;
-  auto it = extents_.upper_bound(offset);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > offset) it = prev;
-  }
-  for (; it != extents_.end() && it->first < end; ++it) {
-    const Bytes lo = std::max(offset, it->first);
-    const Bytes hi = std::min(end, it->second);
+  auto it = std::upper_bound(
+      extents_.begin(), extents_.end(), offset,
+      [](Bytes off, const Extent& e) { return off < e.start; });
+  if (it != extents_.begin() && (it - 1)->end > offset) --it;
+  for (; it != extents_.end() && it->start < end; ++it) {
+    const Bytes lo = std::max(offset, it->start);
+    const Bytes hi = std::min(end, it->end);
     if (hi > lo) covered += hi - lo;
   }
   return covered;
 }
 
 Bytes ExtentMap::end_offset() const {
-  if (extents_.empty()) return 0;
-  return extents_.rbegin()->second;
+  settle();
+  return extents_.empty() ? 0 : extents_.back().end;
 }
 
 void ExtentMap::clear() {
   extents_.clear();
+  sorted_ = 0;
   total_ = 0;
 }
 

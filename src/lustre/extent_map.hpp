@@ -4,9 +4,20 @@
 // this range ever written?" so integrity tests can prove that reads observe
 // exactly what writes produced (Lustre files, PLFS index resolution,
 // collective-buffer reassembly).
+//
+// Layout: one flat vector. Its first `sorted_` entries are the settled set
+// (sorted, disjoint, non-adjacent); the entries after them are a tail of
+// inserts not yet merged. An insert that grows a settled extent without
+// reaching its successor, or that lies past the settled end, stays in the
+// settled prefix; one that continues the latest tail entry grows it. Any
+// other insert joins the tail, which is sorted and merged in one linear
+// pass once it outgrows 8 + a quarter of the settled set (amortised
+// O(log n) per insert). Queries merge a pending tail first, so every
+// answer is exact.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <vector>
 
 #include "support/units.hpp"
 
@@ -24,22 +35,36 @@ class ExtentMap {
   Bytes covered_bytes(Bytes offset, Bytes length) const;
 
   /// Total distinct bytes written.
-  Bytes total_bytes() const { return total_; }
+  Bytes total_bytes() const {
+    settle();
+    return total_;
+  }
 
   /// One past the highest written byte (file size under append semantics).
   Bytes end_offset() const;
 
-  std::size_t extent_count() const { return extents_.size(); }
+  std::size_t extent_count() const {
+    settle();
+    return extents_.size();
+  }
   void clear();
 
  private:
-  using Map = std::map<Bytes, Bytes>;  // start -> end (exclusive)
+  struct Extent {
+    Bytes start;
+    Bytes end;  // exclusive
+  };
 
-  /// Merge into `grown` every extent from `next` on that it reaches.
-  void absorb(Map::iterator grown, Map::iterator next);
+  /// Merge a pending tail into the settled prefix.
+  void settle() const {
+    if (sorted_ != extents_.size()) merge();
+  }
+  void merge() const;
 
-  Map extents_;
-  Bytes total_ = 0;
+  // Settling is invisible to callers, so the const queries may do it.
+  mutable std::vector<Extent> extents_;
+  mutable std::size_t sorted_ = 0;  // length of the settled prefix
+  mutable Bytes total_ = 0;         // bytes in the settled prefix
 };
 
 }  // namespace pfsc::lustre

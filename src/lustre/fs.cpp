@@ -484,23 +484,11 @@ struct RpcCrossing {
 sim::Co<void> FileSystem::oss_round_trip(sched::JobId job, OstIndex ost,
                                          ObjectId object, Bytes object_offset,
                                          Bytes bytes, bool is_write) {
-  const Seconds latency = params_.rpc_latency;
-  if (shards_ == nullptr) {
-    // Single-engine path: the historical await sequence, verbatim, so the
-    // refactor is bit-for-bit neutral for every existing golden.
-    co_await eng_->delay(latency);  // request hop
-    sched::Scheduler& sched = sched_for_ost(ost);
-    co_await sched.admit(job, bytes);
-    co_await oss_pipe_for_ost(ost).transfer(bytes);
-    co_await ost_disk(ost).submit(object, object_offset, bytes, is_write);
-    sched.complete(job, bytes);
-    co_await eng_->delay(latency);  // reply hop
-    co_return;
-  }
-  // Sharded path: the request hop is the message's lookahead delay, the
-  // server sequence runs as serve_rpc on the owning OSS domain, and the
-  // reply hop is the reply message's lookahead delay — same three legs,
-  // same simulated timestamps.
+  PFSC_REQUIRE(shards_ != nullptr, "oss_round_trip: the run is not sharded");
+  // The request hop is the message's lookahead delay, the server sequence
+  // runs as serve_rpc on the owning OSS domain, and the reply hop is the
+  // reply message's lookahead delay — the three legs of Client::serve's
+  // inline sequence, at the same simulated timestamps.
   sim::Message m;
   m.kind = kRpcRequest;
   m.sent_at = eng_->now();

@@ -120,12 +120,12 @@ class FileSystem {
   const hw::PlatformParams& params() const { return params_; }
 
   // -- sharded execution -------------------------------------------------
-  /// The server half of one bulk RPC, from arrival latency to reply
-  /// latency: request hop, scheduler admission, OSS pipe, disk service,
-  /// completion, reply hop. Single-engine runs inline the historical
-  /// await sequence; sharded runs post a request message to the owning
-  /// OSS domain and suspend until its reply message resumes the caller —
-  /// same events, same timestamps, different thread.
+  /// The server half of one bulk RPC in a sharded run, from arrival
+  /// latency to reply latency: posts a request message to the owning OSS
+  /// domain, where serve_rpc runs scheduler admission, OSS pipe, disk
+  /// service and completion, and suspends until the reply message resumes
+  /// the caller. Single-engine runs do not call this: Client::serve runs
+  /// the same sequence inline — same events, same timestamps.
   sim::Co<void> oss_round_trip(sched::JobId job, OstIndex ost, ObjectId object,
                                Bytes object_offset, Bytes bytes,
                                bool is_write);

@@ -2,11 +2,10 @@
 // order with no admission control, exactly as the data path behaved
 // before the scheduler layer existed.
 //
-// admit() never suspends: a Co<void> that co_returns immediately runs
-// synchronously via symmetric transfer and schedules ZERO engine events,
-// so the event sequence — and therefore every golden number — is
-// bit-for-bit identical to the pre-scheduler tree. The golden regression
-// tests pin this.
+// try_grant() always grants, so admit() never suspends and schedules ZERO
+// engine events: the event sequence — and therefore every golden number —
+// is bit-for-bit identical to the pre-scheduler tree. The golden
+// regression tests pin this.
 #pragma once
 
 #include "lustre/sched/scheduler.hpp"
@@ -17,8 +16,16 @@ class FifoSched final : public Scheduler {
  public:
   using Scheduler::Scheduler;
 
-  sim::Co<void> admit(JobId job, Bytes bytes) override;
   SchedPolicy policy() const override { return SchedPolicy::fifo; }
+
+ private:
+  bool try_grant(JobId job, Bytes bytes, std::uint64_t trace_id) override {
+    note_granted(trace_id, job, bytes);
+    return true;
+  }
+  void park(JobId, Bytes, std::uint64_t, std::coroutine_handle<>) override {
+    PFSC_ASSERT(false);  // try_grant never refuses
+  }
 };
 
 }  // namespace pfsc::lustre::sched

@@ -11,34 +11,22 @@ JobFairSched::JobFairSched(sim::Engine& eng, SchedTuning tuning)
                "JobFairSched: need at least one service slot");
 }
 
-struct JobFairSched::AdmitAwaiter {
-  JobFairSched* sched;
-  JobId job;
-  Bytes bytes;
-  std::uint64_t trace_id;
-
-  bool await_ready() const {
-    // Fast path: nothing is backlogged and a slot is free — grant in
-    // arrival order without suspending (no engine events).
-    if (sched->active_.empty() &&
-        sched->in_service() < sched->tuning_.service_slots) {
-      sched->note_granted(trace_id, job, bytes);
-      return true;
-    }
-    return false;
+bool JobFairSched::try_grant(JobId job, Bytes bytes, std::uint64_t trace_id) {
+  // Fast path: nothing is backlogged and a slot is free — grant in arrival
+  // order without suspending (no engine events).
+  if (active_.empty() && in_service() < tuning_.service_slots) {
+    note_granted(trace_id, job, bytes);
+    return true;
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    auto& q = sched->queues_[job];
-    if (q.empty()) sched->active_.push_back(job);
-    q.push_back(Pending{bytes, h, trace_id});
-    sched->pump();
-  }
-  void await_resume() const {}
-};
+  return false;
+}
 
-sim::Co<void> JobFairSched::admit(JobId job, Bytes bytes) {
-  const std::uint64_t trace_id = note_submitted(job, bytes);
-  co_await AdmitAwaiter{this, job, bytes, trace_id};
+void JobFairSched::park(JobId job, Bytes bytes, std::uint64_t trace_id,
+                        std::coroutine_handle<> waiter) {
+  auto& q = queues_[job];
+  if (q.empty()) active_.push_back(job);
+  q.push_back(Pending{bytes, waiter, trace_id});
+  pump();
 }
 
 void JobFairSched::pump() {

@@ -16,8 +16,9 @@
 // the link + disk pipeline saturated so total bandwidth stays at FIFO
 // levels (bench/ablation_qos verifies both properties).
 //
-// Under light load (no backlog, free slots) admit grants synchronously
-// without touching the engine, so an uncontended data path costs nothing.
+// Under light load (no backlog, free slots) try_grant grants at the
+// co_await without touching the engine, so an uncontended data path costs
+// nothing.
 #pragma once
 
 #include <coroutine>
@@ -32,7 +33,6 @@ class JobFairSched final : public Scheduler {
  public:
   JobFairSched(sim::Engine& eng, SchedTuning tuning);
 
-  sim::Co<void> admit(JobId job, Bytes bytes) override;
   SchedPolicy policy() const override { return SchedPolicy::job_fair; }
   void check_invariants() const override;
 
@@ -45,8 +45,10 @@ class JobFairSched final : public Scheduler {
     std::coroutine_handle<> waiter;
     std::uint64_t trace_id = 0;  // note_submitted's span, ended at grant
   };
-  struct AdmitAwaiter;
 
+  bool try_grant(JobId job, Bytes bytes, std::uint64_t trace_id) override;
+  void park(JobId job, Bytes bytes, std::uint64_t trace_id,
+            std::coroutine_handle<> waiter) override;
   /// Grant queued requests round-robin until the slots fill or the
   /// backlog drains. Never resumes a waiter inline: granted waiters are
   /// scheduled on the engine, so pump() is safe to call from complete().

@@ -2,16 +2,21 @@
 // point between client RPC arrival at an OSS and the OSS link/disk
 // service underneath.
 //
-// Every bulk RPC calls `admit(job, bytes)` when it reaches its OSS and
-// `complete(job, bytes)` when the disk finishes serving it. A policy
+// Every bulk RPC awaits `admit(job, bytes)` when it reaches its OSS and
+// calls `complete(job, bytes)` when the disk finishes serving it. A policy
 // decides only *when* admit resumes; the service path itself (OSS link,
 // OST disk elevator) is untouched, so policies reorder and pace the
 // backlog without changing what service costs.
 //
-//  * FifoSched        — grants instantly, in arrival order. An immediately
-//                       returning Co<void> adds zero engine events, so the
-//                       data path is bit-for-bit the pre-scheduler
-//                       behaviour (pinned by the golden regression tests).
+// admit() returns a Scheduler::Admission awaiter held in the awaiting
+// frame: at the co_await the policy's try_grant() either grants at once
+// (no suspension, no engine event) or refuses, and park() queues the
+// awaiting coroutine for the policy to schedule when it grants.
+//
+//  * FifoSched        — grants instantly, in arrival order, so the data
+//                       path adds zero engine events: bit-for-bit the
+//                       pre-scheduler behaviour (pinned by the golden
+//                       regression tests).
 //  * JobFairSched     — deficit round robin across JobIds with a bounded
 //                       number of in-service requests: each round a job's
 //                       deficit grows by one quantum and it may send
@@ -31,6 +36,7 @@
 // mirroring how sim::make_link selects the link-sharing model.
 #pragma once
 
+#include <coroutine>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,9 +58,12 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
   virtual ~Scheduler() = default;
 
-  /// Gate one request into the OSS service path; resumes when the policy
-  /// grants it. Pair every granted admit with exactly one complete().
-  virtual sim::Co<void> admit(JobId job, Bytes bytes) = 0;
+  class Admission;
+
+  /// Gate one request into the OSS service path: `co_await` it to resume
+  /// when the policy grants it. Pair every granted admit with exactly one
+  /// complete().
+  Admission admit(JobId job, Bytes bytes);
 
   /// Account a granted request leaving service (after the disk finished).
   void complete(JobId job, Bytes bytes);
@@ -93,6 +102,15 @@ class Scheduler {
   virtual void check_invariants() const;
 
  protected:
+  /// Grant a just-submitted request now if the policy allows it: call
+  /// note_granted() and return true. Returning false parks it.
+  virtual bool try_grant(JobId job, Bytes bytes, std::uint64_t trace_id) = 0;
+  /// Queue a request try_grant() refused. When the policy grants it, it
+  /// calls note_granted() and schedules `waiter` on the engine (never
+  /// resumes it inline).
+  virtual void park(JobId job, Bytes bytes, std::uint64_t trace_id,
+                    std::coroutine_handle<> waiter) = 0;
+
   /// Call at arrival (start of admit), before any grant decision. Returns
   /// a trace correlation id (0 when tracing is off) that the policy must
   /// carry with the request and hand back to note_granted, so the queued
@@ -124,6 +142,32 @@ class Scheduler {
   std::string trace_label_ = "sched";
   trace::TrackHandle track_;
 };
+
+/// The awaiter admit() returns; lives in the awaiting coroutine's frame.
+class Scheduler::Admission {
+ public:
+  Admission(Scheduler& sched, JobId job, Bytes bytes) noexcept
+      : sched_(&sched), job_(job), bytes_(bytes) {}
+
+  bool await_ready() {
+    trace_id_ = sched_->note_submitted(job_, bytes_);
+    return sched_->try_grant(job_, bytes_, trace_id_);
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    sched_->park(job_, bytes_, trace_id_, h);
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Scheduler* sched_;
+  JobId job_;
+  Bytes bytes_;
+  std::uint64_t trace_id_ = 0;
+};
+
+inline Scheduler::Admission Scheduler::admit(JobId job, Bytes bytes) {
+  return Admission(*this, job, bytes);
+}
 
 /// Construct the scheduler implementation selected by `policy`.
 std::unique_ptr<Scheduler> make_scheduler(sim::Engine& eng, SchedPolicy policy,

@@ -42,35 +42,25 @@ void TokenBucketSched::refill(Bucket& b) {
   b.last = now;
 }
 
-struct TokenBucketSched::AdmitAwaiter {
-  TokenBucketSched* sched;
-  JobId job;
-  Bytes bytes;
-  std::uint64_t trace_id;
-
-  bool await_ready() const {
-    Bucket& b = sched->bucket(job);
-    sched->refill(b);
-    // FIFO within the job: an empty queue is required, or this request
-    // would overtake a queued head.
-    if (b.q.empty() && b.tokens >= sched->need(bytes) - kTokenEps) {
-      b.tokens -= static_cast<double>(bytes);
-      sched->note_granted(trace_id, job, bytes);
-      return true;
-    }
-    return false;
+bool TokenBucketSched::try_grant(JobId job, Bytes bytes,
+                                 std::uint64_t trace_id) {
+  Bucket& b = bucket(job);
+  refill(b);
+  // FIFO within the job: an empty queue is required, or this request
+  // would overtake a queued head.
+  if (b.q.empty() && b.tokens >= need(bytes) - kTokenEps) {
+    b.tokens -= static_cast<double>(bytes);
+    note_granted(trace_id, job, bytes);
+    return true;
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    Bucket& b = sched->bucket(job);
-    b.q.push_back(Pending{bytes, h, trace_id});
-    if (b.q.size() == 1) sched->arm(job, b);
-  }
-  void await_resume() const {}
-};
+  return false;
+}
 
-sim::Co<void> TokenBucketSched::admit(JobId job, Bytes bytes) {
-  const std::uint64_t trace_id = note_submitted(job, bytes);
-  co_await AdmitAwaiter{this, job, bytes, trace_id};
+void TokenBucketSched::park(JobId job, Bytes bytes, std::uint64_t trace_id,
+                            std::coroutine_handle<> waiter) {
+  Bucket& b = bucket(job);
+  b.q.push_back(Pending{bytes, waiter, trace_id});
+  if (b.q.size() == 1) arm(job, b);
 }
 
 void TokenBucketSched::drain(JobId job) {

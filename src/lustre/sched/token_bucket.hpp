@@ -15,7 +15,7 @@
 // independent: there is no cross-job coupling and no service-slot cap,
 // so the policy shapes rather than schedules. Waiting queues wake via
 // generation-counted timers sized to the head request's token deficit;
-// stale timers no-op, exactly like FairSharePipe's wakeups.
+// stale timers no-op.
 #pragma once
 
 #include <coroutine>
@@ -31,7 +31,6 @@ class TokenBucketSched final : public Scheduler {
  public:
   TokenBucketSched(sim::Engine& eng, SchedTuning tuning);
 
-  sim::Co<void> admit(JobId job, Bytes bytes) override;
   SchedPolicy policy() const override { return SchedPolicy::token_bucket; }
   void check_invariants() const override;
 
@@ -51,8 +50,10 @@ class TokenBucketSched final : public Scheduler {
     std::deque<Pending> q;
     std::uint64_t timer_generation = 0;
   };
-  struct AdmitAwaiter;
 
+  bool try_grant(JobId job, Bytes bytes, std::uint64_t trace_id) override;
+  void park(JobId job, Bytes bytes, std::uint64_t trace_id,
+            std::coroutine_handle<> waiter) override;
   /// Tokens a request of `bytes` must hold to be granted.
   double need(Bytes bytes) const;
   Bucket& bucket(JobId job);

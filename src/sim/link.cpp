@@ -52,46 +52,61 @@ const char* link_policy_name(LinkPolicy policy) {
   return "?";
 }
 
-Co<void> FifoPipe::transfer(Bytes bytes) {
-  const std::uint64_t flow = trace_flow_begin(bytes);
-  co_await slots_.acquire();
-  const Seconds service = latency_ + static_cast<double>(bytes) / rate_;
-  busy_time_ += service;
-  bytes_moved_ += bytes;
+// ---------------------------------------------------------------------------
+// FifoPipe
+// ---------------------------------------------------------------------------
+
+bool FifoPipe::start(Transfer& t) {
+  t.flow_ = trace_flow_begin(t.bytes_);
+  if (!slots_.acquire_or_queue(t)) return true;  // the hand-off wakes t
+  return serve(t);
+}
+
+void FifoPipe::resume_queued(Transfer& t) {
+  // Woken holding the slot a release() handed over.
+  if (!serve(t)) t.waiter_.resume();
+}
+
+bool FifoPipe::serve(Transfer& t) {
+  const Seconds service = service_time(t);
+  t.started_ = eng_->now();
+  ++in_service_;
+  started_sum_ += t.started_;
+  bytes_moved_ += t.bytes_;
   ++transfers_;
-  co_await eng_->delay(service);
+  if (service <= 0.0) return false;
+  eng_->schedule_after(t.waiter_, service);
+  return true;
+}
+
+void FifoPipe::finish(Transfer& t) {
+  busy_time_ += service_time(t);
+  // Reset at idle so rounding in the running sum cannot accumulate.
+  started_sum_ = --in_service_ == 0 ? 0.0 : started_sum_ - t.started_;
   slots_.release();
-  trace_flow_end(flow);
+  trace_flow_end(t.flow_);
 }
 
 // ---------------------------------------------------------------------------
 // FairSharePipe
 // ---------------------------------------------------------------------------
 
-/// Suspends the transferring coroutine and registers it as an in-flight
-/// flow; FairSharePipe::complete_due resumes it at the flow's finish time.
-struct FairShareAwaiter {
-  FairSharePipe& pipe;
-  Bytes bytes;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    pipe.advance_clock();
-    FairSharePipe::Flow flow;
-    flow.finish_v = pipe.vtime_ + static_cast<double>(bytes) / pipe.rate_;
-    flow.id = pipe.next_flow_id_++;
-    flow.waiter = h;
-    pipe.join(std::move(flow));
+bool FairSharePipe::start(Transfer& t) {
+  t.flow_ = trace_flow_begin(t.bytes_);
+  if (latency_ > 0.0) {
+    eng_->schedule_after(t, latency_);  // the record joins after the latency
+  } else {
+    join(t);
   }
-  void await_resume() const noexcept {}
-};
+  return true;
+}
 
-Co<void> FairSharePipe::transfer(Bytes bytes) {
-  const std::uint64_t flow = trace_flow_begin(bytes);
-  if (latency_ > 0.0) co_await eng_->delay(latency_);
-  co_await FairShareAwaiter{*this, bytes};
-  bytes_moved_ += bytes;
+void FairSharePipe::resume_queued(Transfer& t) { join(t); }
+
+void FairSharePipe::finish(Transfer& t) {
+  bytes_moved_ += t.bytes_;
   ++transfers_;
-  trace_flow_end(flow);
+  trace_flow_end(t.flow_);
 }
 
 /// Integrate the virtual clock (and the utilisation integral) up to now.
@@ -120,8 +135,13 @@ double FairSharePipe::utilisation() const {
   return busy / t;
 }
 
-void FairSharePipe::join(Flow flow) {
-  flows_.push_back(std::move(flow));
+void FairSharePipe::join(const Transfer& t) {
+  advance_clock();
+  Flow flow;
+  flow.finish_v = vtime_ + static_cast<double>(t.bytes_) / rate_;
+  flow.id = next_flow_id_++;
+  flow.waiter = t.waiter_;
+  flows_.push_back(flow);
   std::push_heap(flows_.begin(), flows_.end(), LaterFinish{});
   arm();
 }

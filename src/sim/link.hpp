@@ -26,6 +26,11 @@
 // `LinkPolicy` selects the implementation; `make_link` is the factory the
 // owning layers (lustre::FileSystem, mpi::Runtime, lustre::Client) build
 // their links through, driven by hw::PlatformParams::link_policy.
+//
+// A transfer is not a coroutine of its own: `transfer()` returns a
+// LinkModel::Transfer awaiter that lives in the awaiting coroutine's
+// frame, and the policy wakes either that coroutine or, while the
+// transfer waits for a slot or its latency, the Transfer record itself.
 #pragma once
 
 #include <coroutine>
@@ -65,8 +70,11 @@ class LinkModel {
   LinkModel& operator=(const LinkModel&) = delete;
   virtual ~LinkModel() = default;
 
-  /// Move `bytes` through the link; completes after queueing + service.
-  virtual Co<void> transfer(Bytes bytes) = 0;
+  class Transfer;
+
+  /// Move `bytes` through the link; `co_await` it to wait for queueing +
+  /// service.
+  Transfer transfer(Bytes bytes);
 
   virtual LinkPolicy policy() const = 0;
 
@@ -90,10 +98,21 @@ class LinkModel {
   const std::string& trace_label() const { return trace_label_; }
 
  protected:
+  // The three steps of a Transfer, implemented by each policy.
+  /// At the co_await: queue or begin service. Returns false when the
+  /// transfer is already over (zero service time on a free slot), so the
+  /// awaiting coroutine continues without suspending.
+  virtual bool start(Transfer& t) = 0;
+  /// The record's own wakeup (slot hand-off, end of a per-message
+  /// latency): move on, waking the awaiting coroutine when done.
+  virtual void resume_queued(Transfer& t) = 0;
+  /// In await_resume: release what the transfer held, account it, trace.
+  virtual void finish(Transfer& t) = 0;
+
   /// Emit a flow-arrival async span + flow counters; returns the span id
   /// (0 when tracing is off — trace_flow_end then no-ops). Implementations
-  /// call this at transfer() entry and pair it with trace_flow_end at
-  /// completion, bracketing queueing + service.
+  /// call this in start() and pair it with trace_flow_end in finish(),
+  /// bracketing queueing + service.
   std::uint64_t trace_flow_begin(Bytes bytes);
   void trace_flow_end(std::uint64_t id);
 
@@ -109,6 +128,38 @@ class LinkModel {
   trace::TrackHandle track_;
 };
 
+/// The awaiter transfer() returns. It is a record held in the awaiting
+/// coroutine's frame: slot FIFOs and the engine queue reference it by
+/// address while it waits, so the frame must stay suspended until the
+/// link resumes it (co_await guarantees that).
+class LinkModel::Transfer final : public Wakeable {
+ public:
+  Transfer(LinkModel& link, Bytes bytes) noexcept : link_(&link), bytes_(bytes) {}
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    waiter_ = h;
+    return link_->start(*this);
+  }
+  void await_resume() { link_->finish(*this); }
+
+  void wake() override { link_->resume_queued(*this); }
+
+ private:
+  friend class FifoPipe;
+  friend class FairSharePipe;
+
+  LinkModel* link_;
+  Bytes bytes_;
+  std::coroutine_handle<> waiter_;
+  std::uint64_t flow_ = 0;  // trace span id
+  Seconds started_ = 0.0;   // FifoPipe: when service began
+};
+
+inline LinkModel::Transfer LinkModel::transfer(Bytes bytes) {
+  return Transfer(*this, bytes);
+}
+
 /// FIFO store-and-forward server; see file header. `channels` > 1 models a
 /// link that can serve that many transfers at full rate each (used
 /// sparingly).
@@ -119,8 +170,6 @@ class FifoPipe final : public LinkModel {
       : LinkModel(eng, rate, per_message_latency, channels),
         slots_(eng, channels) {}
 
-  Co<void> transfer(Bytes bytes) override;
-
   LinkPolicy policy() const override { return LinkPolicy::fifo; }
   std::size_t active_flows() const override {
     return (slots_.capacity() - slots_.available()) + slots_.queue_length();
@@ -128,15 +177,30 @@ class FifoPipe final : public LinkModel {
   BytesPerSecond flow_rate() const override {
     return slots_.available() < slots_.capacity() ? rate_ : 0.0;
   }
+  /// Elapsed service only: finished transfers plus the part of each
+  /// in-service transfer that has already run.
   double utilisation() const override {
     const Seconds t = eng_->now();
     if (t <= 0.0) return 0.0;
-    return busy_time_ / (t * static_cast<double>(slots_.capacity()));
+    const Seconds busy =
+        busy_time_ + static_cast<double>(in_service_) * t - started_sum_;
+    return busy / (t * static_cast<double>(slots_.capacity()));
   }
 
  private:
+  bool start(Transfer& t) override;
+  void resume_queued(Transfer& t) override;
+  void finish(Transfer& t) override;
+  /// Begin service on a held slot; false when it takes no time.
+  bool serve(Transfer& t);
+  Seconds service_time(const Transfer& t) const {
+    return latency_ + static_cast<double>(t.bytes_) / rate_;
+  }
+
   Resource slots_;
-  Seconds busy_time_ = 0.0;
+  Seconds busy_time_ = 0.0;    // service of finished transfers
+  std::size_t in_service_ = 0;
+  Seconds started_sum_ = 0.0;  // sum of in-service transfers' start times
 };
 
 /// Progress-based processor-sharing server; see file header.
@@ -149,8 +213,7 @@ class FifoPipe final : public LinkModel {
 /// persistent timer coroutine sleeps until the earliest completion; every
 /// change to the earliest completion cancels its pending wakeup by token
 /// (Engine::cancel_scheduled) and re-schedules it, so re-arming costs two
-/// queue operations instead of the coroutine spawn per arrival/departure
-/// the old generation-counted timer paid.
+/// queue operations instead of a coroutine spawn per arrival/departure.
 class FairSharePipe final : public LinkModel {
  public:
   FairSharePipe(Engine& eng, BytesPerSecond rate,
@@ -160,8 +223,6 @@ class FairSharePipe final : public LinkModel {
     eng.spawn(timer_loop());
   }
   ~FairSharePipe() override { eng_->cancel_scheduled(timer_token_); }
-
-  Co<void> transfer(Bytes bytes) override;
 
   LinkPolicy policy() const override { return LinkPolicy::fair_share; }
   std::size_t active_flows() const override { return flows_.size(); }
@@ -190,13 +251,17 @@ class FairSharePipe final : public LinkModel {
     return nn <= c ? 1.0 : c / nn;
   }
 
+  bool start(Transfer& t) override;
+  void resume_queued(Transfer& t) override;
+  void finish(Transfer& t) override;
+
   void advance_clock();
-  void join(Flow flow);
+  /// Add `t` to the in-flight flows; complete_due() resumes its waiter.
+  void join(const Transfer& t);
   void complete_due();
   void arm();
   Task timer_loop();
 
-  friend struct FairShareAwaiter;
   friend struct FairShareTimerPark;
 
   std::vector<Flow> flows_;  // min-heap on (finish_v, id) via LaterFinish

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -246,6 +249,137 @@ TEST_P(ExtentMapOracle, EveryInsertPathMatchesSortedIntervals) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentMapOracle,
                          ::testing::Values(1ull, 7ull, 42ull, 1234ull));
+
+// Reference for the flat layout: a std::map of start -> end, coalesced on
+// every insert (the map-backed ExtentMap's algorithm, written plainly).
+struct MapReference {
+  std::map<Bytes, Bytes> m;
+
+  void insert(Bytes off, Bytes len) {
+    if (len == 0) return;
+    Bytes start = off;
+    Bytes end = off + len;
+    auto it = m.upper_bound(start);
+    if (it != m.begin() && std::prev(it)->second >= start) --it;
+    while (it != m.end() && it->first <= end) {
+      start = std::min(start, it->first);
+      end = std::max(end, it->second);
+      it = m.erase(it);
+    }
+    m.emplace(start, end);
+  }
+  Bytes total() const {
+    Bytes t = 0;
+    for (const auto& [s, e] : m) t += e - s;
+    return t;
+  }
+  bool covers(Bytes off, Bytes len) const {
+    if (len == 0) return true;
+    auto it = m.upper_bound(off);
+    if (it == m.begin()) return false;
+    --it;
+    return it->first <= off && it->second >= off + len;
+  }
+  Bytes covered(Bytes off, Bytes len) const {
+    Bytes c = 0;
+    for (const auto& [s, e] : m) {
+      const Bytes lo = std::max(off, s);
+      const Bytes hi = std::min(off + len, e);
+      if (hi > lo) c += hi - lo;
+    }
+    return c;
+  }
+  Bytes end_offset() const { return m.empty() ? 0 : m.rbegin()->second; }
+};
+
+/// Insert streams the data path produces, plus plain random ones.
+enum class Pattern {
+  random,       // uniform offsets and lengths
+  sequential,   // one writer appending, sometimes overlapping its tail
+  interleaved,  // many writers each appending to its own region
+  descending,   // blocks written back to front
+};
+
+class ExtentMapVsMap
+    : public ::testing::TestWithParam<std::tuple<Pattern, std::uint64_t>> {};
+
+TEST_P(ExtentMapVsMap, EveryQueryMatchesAfterEveryInsert) {
+  const auto [pattern, seed] = GetParam();
+  Rng rng(seed);
+  constexpr Bytes kSpan = 1 << 16;
+  constexpr std::size_t kWriters = 24;
+  std::vector<Bytes> cursor(kWriters);
+  for (std::size_t w = 0; w < kWriters; ++w) cursor[w] = w * (kSpan / kWriters);
+  Bytes seq = 0;
+  Bytes back = kSpan;
+  ExtentMap m;
+  MapReference ref;
+  for (int step = 0; step < 1500; ++step) {
+    Bytes off = 0;
+    Bytes len = 0;
+    switch (pattern) {
+      case Pattern::random:
+        off = rng.uniform(kSpan);
+        len = rng.uniform(8) == 0 ? rng.uniform(2048) : rng.uniform(64);
+        break;
+      case Pattern::sequential:
+        len = 1 + rng.uniform(64);
+        // Mostly exact continuation, sometimes a gap or a rewrite.
+        off = rng.uniform(6) == 0 ? seq + rng.uniform(16) : seq;
+        if (rng.uniform(10) == 0 && seq > 32) off = seq - 32;
+        seq = std::max(seq, off + len);
+        break;
+      case Pattern::interleaved: {
+        const std::size_t w = rng.uniform(kWriters - 1);
+        len = 1 + rng.uniform(32);
+        off = cursor[w];
+        cursor[w] += len;
+        break;
+      }
+      case Pattern::descending:
+        len = 1 + rng.uniform(40);
+        back = back > len ? back - len : 0;
+        off = rng.uniform(5) == 0 ? back + 1 : back;
+        break;
+    }
+    m.insert(off, len);
+    ref.insert(off, len);
+    // Query only every few steps so pending tails build up in between.
+    if (step % 7 != 0 && step != 1499) continue;
+    ASSERT_EQ(m.total_bytes(), ref.total()) << "step " << step;
+    ASSERT_EQ(m.extent_count(), ref.m.size()) << "step " << step;
+    ASSERT_EQ(m.end_offset(), ref.end_offset()) << "step " << step;
+    for (int q = 0; q < 16; ++q) {
+      const Bytes qoff = rng.uniform(kSpan + 512);
+      const Bytes qlen = rng.uniform(4) == 0 ? rng.uniform(4096) : rng.uniform(64);
+      ASSERT_EQ(m.covers(qoff, qlen), ref.covers(qoff, qlen))
+          << "step " << step << " off=" << qoff << " len=" << qlen;
+      ASSERT_EQ(m.covered_bytes(qoff, qlen), ref.covered(qoff, qlen))
+          << "step " << step << " off=" << qoff << " len=" << qlen;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, ExtentMapVsMap,
+    ::testing::Combine(::testing::Values(Pattern::random, Pattern::sequential,
+                                         Pattern::interleaved,
+                                         Pattern::descending),
+                       ::testing::Values(3ull, 99ull)));
+
+TEST(ExtentMap, QueriesMergeAPendingTailExactly) {
+  ExtentMap m;
+  m.insert(1000, 10);
+  // Out-of-order inserts wait in the tail; every query still sees them.
+  m.insert(0, 10);
+  EXPECT_EQ(m.total_bytes(), 20u);
+  m.insert(10, 990);  // bridges the two extents
+  EXPECT_EQ(m.extent_count(), 1u);
+  EXPECT_TRUE(m.covers(0, 1010));
+  m.insert(500, 2000);
+  EXPECT_EQ(m.end_offset(), 2500u);
+  EXPECT_EQ(m.covered_bytes(0, 5000), 2500u);
+}
 
 }  // namespace
 }  // namespace pfsc::lustre

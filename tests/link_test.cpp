@@ -1,8 +1,12 @@
 // FairSharePipe semantics: processor sharing with a virtual-time clock.
 // Every expected instant below is derived by hand from the PS invariant
-// (n in-flight flows each progress at rate * min(1, channels/n)).
+// (n in-flight flows each progress at rate * min(1, channels/n)). The
+// tests at the end pin the Transfer awaiter's edge cases for both
+// policies: the events and instants each wakeup path costs, which are
+// what a coroutine per transfer produced.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -150,6 +154,121 @@ TEST(FairSharePipe, ManyFlowsConserveWork) {
   EXPECT_EQ(pipe.transfers(), static_cast<std::uint64_t>(kFlows));
   const Seconds expect_end = static_cast<double>(total) / 1.0e6;
   EXPECT_NEAR(done.back(), expect_end, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Transfer awaiter edge cases
+// ---------------------------------------------------------------------------
+
+/// (now, executed_events) when a transfer returned to its coroutine.
+using Marks = std::vector<std::pair<Seconds, std::uint64_t>>;
+
+Task marked_flow(Engine& eng, LinkModel& link, Seconds start, Bytes bytes,
+                 Marks& marks) {
+  if (start > 0.0) co_await eng.delay(start);
+  co_await link.transfer(bytes);
+  marks.emplace_back(eng.now(), eng.executed_events());
+}
+
+TEST(FifoPipe, ZeroServiceOnAFreeSlotCompletesWithoutAnEvent) {
+  Engine eng;
+  FifoPipe pipe(eng, 100.0);
+  Marks marks;
+  eng.spawn(marked_flow(eng, pipe, 0.0, 0, marks));
+  eng.run();
+  // The spawn is the only event: no slot wait, no service timer.
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_EQ(marks[0], std::make_pair(0.0, std::uint64_t{1}));
+  EXPECT_EQ(eng.executed_events(), 1u);
+  EXPECT_EQ(pipe.transfers(), 1u);
+  EXPECT_EQ(pipe.active_flows(), 0u);
+}
+
+TEST(FifoPipe, ZeroServiceAfterAQueuedHandOffCompletesInline) {
+  Engine eng;
+  FifoPipe pipe(eng, 100.0);
+  Marks marks;
+  eng.spawn(marked_flow(eng, pipe, 0.0, 100, marks));  // holds [0, 1]
+  eng.spawn(marked_flow(eng, pipe, 0.0, 0, marks));    // queues behind it
+  eng.run();
+  // Events: two spawns, the first service end at t=1, then the slot
+  // hand-off; the zero-byte transfer finishes inside that hand-off.
+  ASSERT_EQ(marks.size(), 2u);
+  EXPECT_EQ(marks[0], std::make_pair(1.0, std::uint64_t{3}));
+  EXPECT_EQ(marks[1], std::make_pair(1.0, std::uint64_t{4}));
+  EXPECT_EQ(eng.executed_events(), 4u);
+  EXPECT_EQ(pipe.transfers(), 2u);
+  EXPECT_EQ(pipe.active_flows(), 0u);
+}
+
+TEST(FifoPipe, QueuedTransfersKeepArrivalOrderAndTimes) {
+  Engine eng;
+  FifoPipe pipe(eng, 100.0, /*per_message_latency=*/0.25);
+  Marks marks;
+  for (int i = 0; i < 3; ++i) eng.spawn(marked_flow(eng, pipe, 0.0, 100, marks));
+  eng.run();
+  // Each transfer holds the slot for 1.25 s; every hand-off is one event
+  // and every service end another.
+  ASSERT_EQ(marks.size(), 3u);
+  EXPECT_EQ(marks[0], std::make_pair(1.25, std::uint64_t{4}));
+  EXPECT_EQ(marks[1], std::make_pair(2.5, std::uint64_t{6}));
+  EXPECT_EQ(marks[2], std::make_pair(3.75, std::uint64_t{8}));
+  EXPECT_EQ(pipe.bytes_moved(), 300u);
+}
+
+TEST(FairSharePipe, PerMessageLatencyKeepsSharedCompletionTimes) {
+  Engine eng;
+  FairSharePipe pipe(eng, 100.0, /*per_message_latency=*/0.5);
+  Marks marks;
+  // A (100 B, t=0) joins at 0.5 and runs alone until B (100 B, t=0.25)
+  // joins at 0.75: A has 75 B left. Both then run at 50 B/s: A finishes
+  // at 0.75 + 1.5 = 2.25 with B at 75 B; B's last 25 B alone take 0.25 s.
+  eng.spawn(marked_flow(eng, pipe, 0.0, 100, marks));
+  eng.spawn(marked_flow(eng, pipe, 0.25, 100, marks));
+  eng.run();
+  ASSERT_EQ(marks.size(), 2u);
+  EXPECT_NEAR(marks[0].first, 2.25, 1e-9);
+  EXPECT_NEAR(marks[1].first, 2.5, 1e-9);
+  EXPECT_EQ(marks[0].second, 8u);
+  EXPECT_EQ(marks[1].second, 10u);
+  EXPECT_EQ(eng.executed_events(), 10u);
+  EXPECT_EQ(pipe.bytes_moved(), 200u);
+  EXPECT_EQ(pipe.active_flows(), 0u);
+}
+
+TEST(LinkUtilisation, CountsOnlyElapsedServiceOnEveryPolicy) {
+  // Two back-to-back 1 s transfers: the link is busy from 0 to 2, so at
+  // every instant inside that window it has been busy all along.
+  for (const LinkPolicy policy : {LinkPolicy::fifo, LinkPolicy::fair_share}) {
+    Engine eng;
+    const auto link = make_link(eng, policy, 100.0);
+    Marks marks;
+    eng.spawn(marked_flow(eng, *link, 0.0, 100, marks));
+    eng.spawn(marked_flow(eng, *link, 0.0, 100, marks));
+    eng.spawn([](Engine& e) -> Task { co_await e.delay(4.0); }(eng));
+    for (const Seconds t : {0.5, 1.0, 1.5, 2.0}) {
+      EXPECT_FALSE(eng.run_until(t));
+      EXPECT_NEAR(link->utilisation(), 1.0, 1e-9)
+          << link_policy_name(policy) << " at t=" << t;
+    }
+    EXPECT_FALSE(eng.run_until(3.0));
+    EXPECT_NEAR(link->utilisation(), 2.0 / 3.0, 1e-9) << link_policy_name(policy);
+    eng.run();
+    EXPECT_NEAR(link->utilisation(), 0.5, 1e-9) << link_policy_name(policy);
+  }
+}
+
+TEST(LinkUtilisation, FifoChannelsCountEachLaneElapsed) {
+  Engine eng;
+  FifoPipe pipe(eng, 100.0, 0.0, /*channels=*/2);
+  Marks marks;
+  eng.spawn(marked_flow(eng, pipe, 0.0, 100, marks));   // lane 1: [0, 1]
+  eng.spawn(marked_flow(eng, pipe, 0.5, 100, marks));   // lane 2: [0.5, 1.5]
+  EXPECT_FALSE(eng.run_until(1.0));
+  // 1 s + 0.5 s busy over 2 lanes x 1 s.
+  EXPECT_NEAR(pipe.utilisation(), 0.75, 1e-9);
+  eng.run();
+  EXPECT_NEAR(pipe.utilisation(), 2.0 / 3.0, 1e-9);  // 2 s over 2 x 1.5 s
 }
 
 }  // namespace

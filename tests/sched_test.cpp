@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lustre/client.hpp"
@@ -219,6 +220,55 @@ TEST(JobFairSched, SlotCapHoldsAndBacklogDrainsOnComplete) {
   EXPECT_EQ(order.size(), 6u);
   EXPECT_EQ(s.served_bytes(), 6_MiB);
   EXPECT_EQ(s.in_service(), 0u);
+}
+
+/// (now, executed_events) at each grant, in grant order.
+using Marks = std::vector<std::pair<Seconds, std::uint64_t>>;
+
+sim::Task marked_request(sim::Engine& eng, Scheduler& s, JobId job,
+                         Bytes bytes, Seconds service, Marks& marks) {
+  co_await s.admit(job, bytes);
+  marks.emplace_back(eng.now(), eng.executed_events());
+  if (service > 0.0) co_await eng.delay(service);
+  s.complete(job, bytes);
+}
+
+TEST(JobFairSched, ParkedGrantsResumeAtTheirGrantEvent) {
+  // One service slot: the first request grants at the co_await, the
+  // parked two each resume from the grant that a completion schedules.
+  sim::Engine eng;
+  SchedTuning t;
+  t.service_slots = 1;
+  t.quantum = 1_MiB;
+  JobFairSched s(eng, t);
+  Marks marks;
+  eng.spawn(marked_request(eng, s, 1, 1_MiB, 1.0, marks));
+  eng.spawn(marked_request(eng, s, 1, 1_MiB, 1.0, marks));
+  eng.spawn(marked_request(eng, s, 2, 1_MiB, 1.0, marks));
+  eng.run();
+  // Events: three spawns; per service end, the completion's grant.
+  EXPECT_EQ(marks, (Marks{{0.0, 1}, {1.0, 5}, {2.0, 7}}));
+  EXPECT_EQ(eng.executed_events(), 8u);
+  EXPECT_EQ(s.served_bytes(1), 2_MiB);
+  EXPECT_EQ(s.served_bytes(2), 1_MiB);
+}
+
+TEST(TokenBucketSched, ParkedGrantsResumeAtTheirGrantEvent) {
+  // 100 B/s into a 100 B bucket: the first request empties it, each
+  // parked one waits 1 s for its refill timer, whose drain schedules it.
+  sim::Engine eng;
+  SchedTuning t;
+  t.job_rate = 100.0;
+  t.bucket_depth = 100;
+  TokenBucketSched s(eng, t);
+  Marks marks;
+  for (int i = 0; i < 3; ++i) eng.spawn(marked_request(eng, s, 0, 100, 0.0, marks));
+  eng.run();
+  // Events: three spawns; per parked grant, the timer's spawn, its
+  // delay and the scheduled grant.
+  EXPECT_EQ(marks, (Marks{{0.0, 1}, {1.0, 6}, {2.0, 9}}));
+  EXPECT_EQ(eng.executed_events(), 9u);
+  EXPECT_EQ(s.served_bytes(), 300u);
 }
 
 TEST(TokenBucketSched, BurstThenSustainedRate) {
