@@ -29,10 +29,8 @@
 // as CtrlAction rows (surfaced in fleet analytics as the "adaptation"
 // block) and, when a Recorder is attached, as instants on a "ctrl" track.
 //
-// Determinism: the controller reads and writes simulator state directly,
-// so a controlled run must be single-engine; the harness forces the
-// sharded-sampler fallback whenever mode != off (exactly like periodic
-// telemetry), keeping reports byte-identical at any --sim_domains or
+// Determinism: the controller reads and writes simulator state directly
+// from inside the run's one engine, so reports are byte-identical at any
 // --threads. With mode == off nothing is constructed and no engine event
 // is added — goldens stay bit-for-bit.
 #pragma once

@@ -20,10 +20,9 @@
 //              stripe-tunable (plfs, probes) are admitted unchanged.
 //
 // Prediction uses Eq. 1's heterogeneous form over the *running* jobs'
-// stripe requests (core::d_inuse), all bookkeeping held controller-side on
-// domain 0 — never sampled from server counters — so decisions are
-// deterministic at any --sim_domains count and any ParallelRunner thread
-// count.
+// stripe requests (core::d_inuse), all bookkeeping held controller-side —
+// never sampled from server counters — so decisions are deterministic at
+// any ParallelRunner thread count.
 #pragma once
 
 #include <cstdint>

@@ -320,18 +320,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
                   parse_event_queue_policy("--event_queue", text);
             });
   table.alias("--event-queue");
-  table.add("--sim_domains", "N",
-            "simulation domains per run: 1 = one engine thread, N >= 2 "
-            "shards the OSS across N-1 worker threads, 0 = auto (one per "
-            "hardware thread); results are bit-identical at any value",
-            [&scenario](std::string_view text) {
-              const std::uint64_t v = parse_uint("--sim_domains", text);
-              if (v > 0xFFFFFFFFull) {
-                throw UsageError("--sim_domains: value out of range");
-              }
-              scenario.platform.sim_domains = static_cast<std::uint32_t>(v);
-            });
-  table.alias("--sim-domains");
   // Degenerate SchedTuning values are rejected right here so the error
   // names the flag (Scenario::validate would only name the field).
   table.add("--sched_quantum", "BYTES",

@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -7,9 +8,18 @@
 #include <mutex>
 #include <thread>
 
-#include "sim/domain.hpp"
-
 namespace pfsc::harness {
+
+namespace {
+
+/// std::thread::hardware_concurrency(), resolved once per process and at
+/// least 1 (the standard allows it to report 0 when unknown).
+unsigned hardware_threads() {
+  static const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+  return n;
+}
+
+}  // namespace
 
 RunSet::RunSet(std::vector<std::string> axis_names,
                std::vector<PointResult> points)
@@ -24,10 +34,8 @@ std::string RunSet::to_csv(bool with_provenance) const {
   std::string out;
   if (with_provenance) {
     char line[96];
-    std::snprintf(line, sizeof line,
-                  "# rep_threads=%u domain_threads=%u hardware_threads=%u\n",
-                  provenance_.rep_threads, provenance_.domain_threads,
-                  provenance_.hardware_threads);
+    std::snprintf(line, sizeof line, "# rep_threads=%u hardware_threads=%u\n",
+                  provenance_.rep_threads, provenance_.hardware_threads);
     out += line;
   }
   for (const auto& name : axis_names_) {
@@ -79,7 +87,7 @@ TextTable RunSet::summary_table(int precision) const {
 }
 
 ParallelRunner::ParallelRunner(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) threads_ = sim::hardware_threads();
+  if (threads_ == 0) threads_ = hardware_threads();
 }
 
 RunSet ParallelRunner::run(const Scenario& base, const RunPlan& plan) const {
@@ -111,22 +119,8 @@ RunSet ParallelRunner::run(const Scenario& base, const RunPlan& plan) const {
     }
   };
 
-  // Each run may itself spawn domain worker threads (sharded engine). When
-  // it does, clamp the repetition pool so rep-threads x domain-threads
-  // stays within the hardware budget — two multiplying pools would
-  // oversubscribe quadratically. Unsharded runs keep the requested count
-  // untouched (deliberate oversubscription is a valid way to shake out
-  // ordering bugs, and results are thread-count-independent regardless).
-  // The domain count comes from the base scenario — plan axes rarely sweep
-  // it, and the clamp is a resource bound, not a correctness condition.
-  const unsigned domain_threads = static_cast<unsigned>(
-      std::min<std::size_t>(scenario_domain_threads(base), 1u << 16));
-  const unsigned budget =
-      domain_threads >= 2
-          ? std::max(1u, sim::hardware_threads() / domain_threads)
-          : threads_;
-  const unsigned pool = static_cast<unsigned>(std::min<std::size_t>(
-      std::min(threads_, budget), total ? total : 1));
+  const unsigned pool = static_cast<unsigned>(
+      std::min<std::size_t>(threads_, total ? total : 1));
   if (pool <= 1) {
     worker();
   } else {
@@ -153,7 +147,7 @@ RunSet ParallelRunner::run(const Scenario& base, const RunPlan& plan) const {
     results.push_back(std::move(pr));
   }
   RunSet set(plan.axis_names(), std::move(results));
-  set.set_provenance({pool, domain_threads, sim::hardware_threads()});
+  set.set_provenance({pool, hardware_threads()});
   return set;
 }
 

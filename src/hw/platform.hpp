@@ -103,11 +103,10 @@ struct PlatformParams {
   Bytes client_writeback_bytes = 32_MiB;
 
   // -- execution ----------------------------------------------------------
-  /// Simulation domains (worker threads) for sharded runs: clients plus
-  /// per-OSS shards synchronised by conservative lookahead (DESIGN.md §12).
-  /// 1 = single engine (the default), 0 = auto (one per hardware thread),
-  /// both clamped to 1 + oss_count. Results are bit-for-bit identical at
-  /// any value; this knob only trades threads for wall-clock time.
+  /// Always 1: the sharded multi-domain engine it sized is gone
+  /// (DESIGN.md §12). It stays only because the repository benchmark still
+  /// assigns it; Scenario::validate rejects any other value, and nothing
+  /// else reads it.
   std::uint32_t sim_domains = 1;
 
   std::uint32_t total_cores() const { return nodes * cores_per_node; }

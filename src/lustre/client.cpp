@@ -85,23 +85,17 @@ sim::Task Client::serve(Rpc* rpc) {
     for (sim::LinkModel* link : hops) {
       if (link != nullptr) co_await link->transfer(bytes);
     }
-    if (fs_->sharded()) {
-      // The server half runs on the OSS's own domain.
-      co_await fs_->oss_round_trip(job_, rpc->ost, rpc->object,
-                                   rpc->object_offset, bytes, x.is_write);
-    } else {
-      // The server half inline: request hop, scheduler admission, OSS
-      // pipe, disk service, completion, reply hop.
-      const Seconds hop = fs_->params().rpc_latency;
-      co_await eng_->delay(hop);
-      sched::Scheduler& sched = fs_->sched_for_ost(rpc->ost);
-      co_await sched.admit(job_, bytes);
-      co_await fs_->oss_pipe_for_ost(rpc->ost).transfer(bytes);
-      co_await fs_->ost_disk(rpc->ost).submit(rpc->object, rpc->object_offset,
-                                              bytes, x.is_write);
-      sched.complete(job_, bytes);
-      co_await eng_->delay(hop);
-    }
+    // The server half: request hop, scheduler admission, OSS pipe, disk
+    // service, completion, reply hop.
+    const Seconds hop = fs_->params().rpc_latency;
+    co_await eng_->delay(hop);
+    sched::Scheduler& sched = fs_->sched_for_ost(rpc->ost);
+    co_await sched.admit(job_, bytes);
+    co_await fs_->oss_pipe_for_ost(rpc->ost).transfer(bytes);
+    co_await fs_->ost_disk(rpc->ost).submit(rpc->object, rpc->object_offset,
+                                            bytes, x.is_write);
+    sched.complete(job_, bytes);
+    co_await eng_->delay(hop);
     if (fs_->ost_failed(rpc->ost) && x.err == Errno::ok) x.err = Errno::eio;
   }
   rpc_slots_.release();

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
-#include "sim/domain.hpp"
 #include "support/stats.hpp"
 
 namespace pfsc::lustre {
-
-namespace {
-
-// Cross-domain message opcodes (Message::kind). The payload layout per
-// opcode is documented at the use sites below; both ends live in this
-// translation unit, so the protocol never leaks past FileSystem.
-constexpr std::uint8_t kRpcRequest = 1;    // client domain -> OSS domain
-constexpr std::uint8_t kRpcReply = 2;      // OSS domain -> client domain
-constexpr std::uint8_t kForgetStream = 3;  // MDS unlink -> OSS domain
-
-}  // namespace
 
 std::vector<std::string_view> split_path(std::string_view path) {
   std::vector<std::string_view> parts;
@@ -32,10 +20,8 @@ std::vector<std::string_view> split_path(std::string_view path) {
 }
 
 FileSystem::FileSystem(sim::Engine& eng, hw::PlatformParams params,
-                       std::uint64_t seed, AllocPolicy policy,
-                       sim::ShardSet* shards)
+                       std::uint64_t seed, AllocPolicy policy)
     : eng_(&eng),
-      shards_(shards),
       params_(std::move(params)),
       placement_(make_placement(
           // The legacy ctor argument keeps working, but an explicit
@@ -48,42 +34,22 @@ FileSystem::FileSystem(sim::Engine& eng, hw::PlatformParams params,
       mds_slots_(eng, params_.mds_parallelism) {
   PFSC_REQUIRE(params_.ost_count > 0 && params_.oss_count > 0,
                "FileSystem: need at least one OSS and OST");
-  if (shards_ != nullptr) {
-    PFSC_REQUIRE(&shards_->domain(0) == &eng,
-                 "FileSystem: sharded runs must be built on domain 0's engine");
-    PFSC_REQUIRE(shards_->domains() >= 2,
-                 "FileSystem: a sharded run needs at least one OSS domain");
-    PFSC_REQUIRE(shards_->domains() <= std::size_t{params_.oss_count} + 1,
-                 "FileSystem: more domains than OSS shards plus the client domain");
-    // The conservative window is only sound if nothing crosses a domain
-    // boundary faster than the lookahead; the RPC hop is the (only)
-    // cross-domain latency in this model.
-    PFSC_REQUIRE(shards_->lookahead() == params_.rpc_latency,
-                 "FileSystem: shard lookahead must equal rpc_latency");
-    for (std::size_t d = 0; d < shards_->domains(); ++d) {
-      shards_->set_handler(
-          d, [this](sim::Engine& e, std::uint32_t src, const sim::Message& m) {
-            deliver_message(e, src, m);
-          });
-    }
-  }
   fabric_ = sim::make_link(eng, params_.link_policy, params_.fabric_bw);
   fabric_->set_trace_label("fabric");
   oss_pipes_.reserve(params_.oss_count);
   oss_scheds_.reserve(params_.oss_count);
   for (std::uint32_t i = 0; i < params_.oss_count; ++i) {
-    sim::Engine& oss_eng = engine_for_oss(i);
     oss_pipes_.push_back(
-        sim::make_link(oss_eng, params_.link_policy, params_.oss_bw));
+        sim::make_link(eng, params_.link_policy, params_.oss_bw));
     oss_pipes_.back()->set_trace_label("oss" + std::to_string(i));
-    oss_scheds_.push_back(sched::make_scheduler(oss_eng, params_.oss_sched_policy,
+    oss_scheds_.push_back(sched::make_scheduler(eng, params_.oss_sched_policy,
                                                 params_.oss_sched));
     oss_scheds_.back()->set_trace_label("oss" + std::to_string(i) + ".sched");
   }
   ost_disks_.reserve(params_.ost_count);
   for (std::uint32_t i = 0; i < params_.ost_count; ++i) {
-    ost_disks_.push_back(std::make_unique<hw::DiskModel>(
-        engine_for_oss(i % params_.oss_count), params_.ost_disk));
+    ost_disks_.push_back(
+        std::make_unique<hw::DiskModel>(eng, params_.ost_disk));
     ost_disks_.back()->set_trace_label("ost" + std::to_string(i) + ".disk");
   }
   ost_failed_.assign(params_.ost_count, false);
@@ -384,23 +350,7 @@ sim::Co<Errno> FileSystem::unlink(std::string path) {
       --objects_per_ost_[ost];
     }
     for (std::size_t i = 0; i < victim.layout.objects.size(); ++i) {
-      const OstIndex ost = victim.layout.osts[i];
-      if (shards_ == nullptr) {
-        ost_disks_[ost]->forget_stream(victim.layout.objects[i]);
-      } else {
-        // The MDS (domain 0) must not poke an OSS domain's disk directly;
-        // send the drop as a message instead. It lands one lookahead later
-        // than the single-engine call, which is observable only if the
-        // stream sees new I/O within that window — no workload here unlinks
-        // a file it is still writing, and the determinism tests would catch
-        // it if one ever did.
-        sim::Message m;
-        m.kind = kForgetStream;
-        m.sent_at = eng_->now();
-        m.a = victim.layout.objects[i];
-        m.u = ost;
-        shards_->post(0, domain_of_ost(ost), m);
-      }
+      ost_disks_[victim.layout.osts[i]]->forget_stream(victim.layout.objects[i]);
     }
   }
   dir.entries.erase(it);
@@ -446,105 +396,6 @@ sim::LinkModel& FileSystem::oss_pipe_for_ost(OstIndex ost) {
 sched::Scheduler& FileSystem::sched_for_ost(OstIndex ost) {
   PFSC_REQUIRE(ost < params_.ost_count, "sched_for_ost: bad OST index");
   return *oss_scheds_[ost % params_.oss_count];
-}
-
-std::uint32_t FileSystem::domain_of_oss(std::uint32_t oss) const {
-  if (shards_ == nullptr) return 0;
-  const std::size_t shard_domains = shards_->domains() - 1;
-  return 1 + static_cast<std::uint32_t>(oss % shard_domains);
-}
-
-sim::Engine& FileSystem::engine_for_oss(std::uint32_t oss) {
-  PFSC_REQUIRE(oss < params_.oss_count, "engine_for_oss: bad OSS index");
-  return shards_ == nullptr ? *eng_ : shards_->domain(domain_of_oss(oss));
-}
-
-namespace {
-
-/// Awaiter that rides the suspended frame across the domain boundary: the
-/// request message carries its handle, and the OSS domain's eventual reply
-/// message schedules that handle back on domain 0. The frame stays alive
-/// (suspended) for the whole round trip; FileSystem outlives every run, so
-/// the captured pointers stay valid.
-struct RpcCrossing {
-  sim::ShardSet* shards;
-  std::uint32_t dst;
-  sim::Message m;
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    m.resume = h;
-    shards->post(0, dst, m);
-  }
-  void await_resume() const noexcept {}
-};
-
-}  // namespace
-
-sim::Co<void> FileSystem::oss_round_trip(sched::JobId job, OstIndex ost,
-                                         ObjectId object, Bytes object_offset,
-                                         Bytes bytes, bool is_write) {
-  PFSC_REQUIRE(shards_ != nullptr, "oss_round_trip: the run is not sharded");
-  // The request hop is the message's lookahead delay, the server sequence
-  // runs as serve_rpc on the owning OSS domain, and the reply hop is the
-  // reply message's lookahead delay — the three legs of Client::serve's
-  // inline sequence, at the same simulated timestamps.
-  sim::Message m;
-  m.kind = kRpcRequest;
-  m.sent_at = eng_->now();
-  m.a = object;
-  m.b = object_offset;
-  m.c = bytes;
-  m.u = ost;
-  m.v = job;
-  m.flag = is_write;
-  co_await RpcCrossing{shards_, domain_of_ost(ost), m};
-}
-
-sim::Task FileSystem::serve_rpc(sim::Message m) {
-  const auto ost = static_cast<OstIndex>(m.u);
-  sched::Scheduler& sched = sched_for_ost(ost);
-  co_await sched.admit(m.v, m.c);
-  co_await oss_pipe_for_ost(ost).transfer(m.c);
-  co_await ost_disk(ost).submit(m.a, m.b, m.c, m.flag);
-  sched.complete(m.v, m.c);
-  sim::Message reply;
-  reply.kind = kRpcReply;
-  reply.sent_at = engine_for_oss(ost % params_.oss_count).now();
-  reply.resume = m.resume;
-  shards_->post(domain_of_ost(ost), 0, reply);
-}
-
-sim::Task FileSystem::forget_stream_task(sim::Message m) {
-  ost_disk(static_cast<OstIndex>(m.u)).forget_stream(m.a);
-  co_return;
-}
-
-void FileSystem::deliver_message(sim::Engine& eng, std::uint32_t src,
-                                 const sim::Message& m) {
-  // src + 1: ScheduledEvent reserves src 0 for the engine's native events.
-  switch (m.kind) {
-    case kRpcRequest:
-      eng.spawn_message(serve_rpc(m), m.deliver_t, m.sent_at, src + 1, m.seq);
-      break;
-    case kRpcReply:
-      eng.schedule_message(m.resume, m.deliver_t, m.sent_at, src + 1, m.seq);
-      break;
-    case kForgetStream:
-      eng.spawn_message(forget_stream_task(m), m.deliver_t, m.sent_at, src + 1,
-                        m.seq);
-      break;
-    default:
-      PFSC_REQUIRE(false, "FileSystem: unknown cross-domain message kind");
-  }
-}
-
-void FileSystem::run_all() {
-  if (shards_ != nullptr) {
-    shards_->run();
-  } else {
-    eng_->run();
-  }
 }
 
 std::size_t FileSystem::sched_queue_depth() const {

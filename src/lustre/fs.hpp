@@ -35,11 +35,6 @@
 #include "sim/task.hpp"
 #include "support/rng.hpp"
 
-namespace pfsc::sim {
-class ShardSet;
-struct Message;
-}  // namespace pfsc::sim
-
 namespace pfsc::lustre {
 
 using InodeId = std::uint64_t;
@@ -74,15 +69,8 @@ enum class AllocPolicy {
 
 class FileSystem {
  public:
-  /// `shards` (optional) shards the server side of the model: domain 0
-  /// keeps the clients, MDS and fabric (`eng` must be its engine), and
-  /// each OSS — its scheduler, OSS pipe and its OSTs' disks — is built on
-  /// domain 1 + oss mod (domains - 1). Bulk RPCs then cross domains as
-  /// mailbox messages under the ShardSet's lookahead, which must equal
-  /// params.rpc_latency. Not owned; must outlive the FileSystem.
   FileSystem(sim::Engine& eng, hw::PlatformParams params, std::uint64_t seed,
-             AllocPolicy policy = AllocPolicy::uniform_random,
-             sim::ShardSet* shards = nullptr);
+             AllocPolicy policy = AllocPolicy::uniform_random);
 
   FileSystem(const FileSystem&) = delete;
   FileSystem& operator=(const FileSystem&) = delete;
@@ -118,29 +106,6 @@ class FileSystem {
   }
   sim::Engine& engine() { return *eng_; }
   const hw::PlatformParams& params() const { return params_; }
-
-  // -- sharded execution -------------------------------------------------
-  /// The server half of one bulk RPC in a sharded run, from arrival
-  /// latency to reply latency: posts a request message to the owning OSS
-  /// domain, where serve_rpc runs scheduler admission, OSS pipe, disk
-  /// service and completion, and suspends until the reply message resumes
-  /// the caller. Single-engine runs do not call this: Client::serve runs
-  /// the same sequence inline — same events, same timestamps.
-  sim::Co<void> oss_round_trip(sched::JobId job, OstIndex ost, ObjectId object,
-                               Bytes object_offset, Bytes bytes,
-                               bool is_write);
-
-  /// Run the simulation to completion: the shard coordinator when sharded,
-  /// the plain engine otherwise (mpi::Runtime::run_to_completion calls
-  /// this instead of engine().run()).
-  void run_all();
-
-  bool sharded() const { return shards_ != nullptr; }
-  /// Domain owning OSS `oss`; 0 when the run is not sharded.
-  std::uint32_t domain_of_oss(std::uint32_t oss) const;
-  std::uint32_t domain_of_ost(OstIndex ost) const {
-    return domain_of_oss(ost % params_.oss_count);
-  }
 
   /// Liveness token for telemetry probes: a probe capturing `this` must
   /// hold a weak_ptr of this token and assert it is not expired before
@@ -215,15 +180,6 @@ class FileSystem {
 
  private:
   sim::Co<void> mds_op(Seconds cost);
-  /// Engine the given OSS's objects live on (domain engine when sharded).
-  sim::Engine& engine_for_oss(std::uint32_t oss);
-  /// Mailbox delivery handler, installed on every domain.
-  void deliver_message(sim::Engine& eng, std::uint32_t src,
-                       const sim::Message& m);
-  /// Server task spawned per delivered RPC request on the OSS domain.
-  sim::Task serve_rpc(sim::Message m);
-  /// Deferred forget_stream on the OST's owning domain (sharded unlink).
-  sim::Task forget_stream_task(sim::Message m);
   Result<InodeId> resolve(std::string_view path) const;
   /// Resolve all but the last component; returns (parent inode, leaf name).
   Result<std::pair<InodeId, std::string>> resolve_parent(std::string_view path) const;
@@ -232,7 +188,6 @@ class FileSystem {
   Inode& new_inode(bool is_dir, InodeId parent, std::string name);
 
   sim::Engine* eng_;
-  sim::ShardSet* shards_ = nullptr;
   hw::PlatformParams params_;
   std::unique_ptr<PlacementPolicy> placement_;
   PflSpec pfl_;

@@ -21,8 +21,7 @@
 //                  many OSS, so non-overlapping jobs never share an OST).
 //
 // All policies read only MDS state (per-OST demand maintained at
-// create/unlink on domain 0), never live server-side counters, so
-// placement is deterministic at any --sim_domains count.
+// create/unlink), never live server-side counters.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +42,9 @@ enum class PlacementKind : std::uint8_t {
 
 const char* placement_kind_name(PlacementKind kind);
 
-/// What a placement decision may consult: all fields are MDS (domain-0)
-/// state, so every policy stays deterministic under sharding. `demand` is
-/// the live allocated-object count per OST (FileSystem::objects_per_ost).
+/// What a placement decision may consult: all fields are MDS state.
+/// `demand` is the live allocated-object count per OST
+/// (FileSystem::objects_per_ost).
 struct PlacementView {
   std::uint32_t ost_count = 0;
   const std::vector<bool>* failed = nullptr;

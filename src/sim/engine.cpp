@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <limits>
-
 #include "sim/task.hpp"
 #include "trace/recorder.hpp"
 
@@ -27,23 +25,9 @@ WakeToken Engine::schedule(Wakeup w, Seconds t) {
   PFSC_ASSERT(w && !w.done());
   PFSC_ASSERT(t >= now_);
   const std::uint64_t seq = ++seq_;  // 1-based: token 0 stays null
-  queue_->push(ScheduledEvent{t, now_, seq, w, /*src=*/0});
+  queue_->push(ScheduledEvent{t, seq, w});
   ++pending_;
   return WakeToken{seq};
-}
-
-void Engine::schedule_message(std::coroutine_handle<> h, Seconds t, Seconds at,
-                              std::uint32_t src, std::uint64_t seq) {
-  PFSC_ASSERT(h && !h.done());
-  PFSC_ASSERT(t >= now_);
-  PFSC_ASSERT(src != 0);
-  queue_->push(ScheduledEvent{t, at, seq, h, src});
-  ++pending_;
-}
-
-void Engine::spawn_message(Task task, Seconds t, Seconds at, std::uint32_t src,
-                           std::uint64_t seq) {
-  schedule_message(adopt(task), t, at, src, seq);
 }
 
 std::coroutine_handle<> Engine::adopt(const Task& task) {
@@ -75,10 +59,7 @@ void Engine::note_root_done(std::size_t live_index) {
 void Engine::dispatch_one() {
   const ScheduledEvent ev = queue_->pop();
   --pending_;
-  // Only native wakeups can be cancelled; a delivered message's per-edge
-  // seq may numerically collide with a cancelled native token, so the
-  // tombstone set is consulted for src == 0 entries only.
-  if (ev.src == 0 && !cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
+  if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
     // Lazily-skipped cancellation: neither time nor the event count moves,
     // so cancelling is invisible to everything still scheduled.
     return;
@@ -92,7 +73,7 @@ void Engine::dispatch_one() {
 
 const ScheduledEvent* Engine::drain_cancelled_front() {
   const ScheduledEvent* top = queue_->peek();
-  while (top != nullptr && top->src == 0 && !cancelled_.empty() &&
+  while (top != nullptr && !cancelled_.empty() &&
          cancelled_.erase(top->seq) > 0) {
     queue_->pop();
     --pending_;
@@ -111,7 +92,7 @@ void Engine::trace_dispatch() {
   if (trace_batch_open_ && ++trace_in_batch_ < rec->engine_sample_every()) {
     return;
   }
-  const trace::TrackId track = rec->track(trace_track_name_);
+  const trace::TrackId track = rec->track("engine");
   if (trace_batch_open_) {
     rec->end(trace::Cat::engine, track, "dispatch", now_, 0,
              static_cast<std::int64_t>(trace_in_batch_));
@@ -149,26 +130,6 @@ bool Engine::run_until(Seconds t) {
       now_ = t;
       return false;
     }
-    dispatch_one();
-    rethrow_pending();
-  }
-}
-
-Seconds Engine::next_event_time() {
-  const ScheduledEvent* top = drain_cancelled_front();
-  return top == nullptr ? std::numeric_limits<double>::infinity() : top->t;
-}
-
-bool Engine::run_window(Seconds end) {
-  for (;;) {
-    const ScheduledEvent* top = drain_cancelled_front();
-    if (top == nullptr) return true;
-    // Strictly-before: an event at exactly `end` may still be preceded by
-    // a message delivery at `end` arriving in a later window, so it stays
-    // queued. now() deliberately does not advance to `end` — it tracks
-    // the last dispatched event, keeping schedule()'s `at` stamps equal to
-    // what the single-engine run would have produced.
-    if (top->t >= end) return false;
     dispatch_one();
     rethrow_pending();
   }

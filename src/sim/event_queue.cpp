@@ -27,7 +27,7 @@ const char* event_queue_policy_name(EventQueuePolicy policy) {
 
 ScheduledEvent BinaryHeapQueue::pop() {
   PFSC_ASSERT(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
   const ScheduledEvent ev = heap_.back();
   heap_.pop_back();
   return ev;
@@ -42,10 +42,7 @@ LadderQueue::LadderQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1) {}
 void LadderQueue::push(const ScheduledEvent& ev) {
   // Immediate wakeups (t no later than the last pop) keep arriving in
   // key order — see the today_ member comment — so they bypass the
-  // calendar entirely: O(1) ring append, O(1) ring pop. Cross-domain
-  // deliveries can never land here: conservative lookahead puts them
-  // strictly after the window that sent them (domain.hpp), hence after
-  // every pop so far.
+  // calendar entirely: O(1) ring append, O(1) ring pop.
   if (ev.t <= t_floor_) {
     today_.push_back(ev);
     ++size_;
@@ -60,7 +57,7 @@ void LadderQueue::push(const ScheduledEvent& ev) {
   if (vb < cur_vb_) vb = cur_vb_;
   Bucket& b = buckets_[vb & mask_];
   b.push_back(ev);
-  std::push_heap(b.begin(), b.end(), Later{});
+  std::push_heap(b.begin(), b.end(), EventLater{});
   ++size_;
   ++cal_size_;
   cache_valid_ = false;
@@ -90,7 +87,7 @@ bool LadderQueue::locate_min() {
   for (std::size_t i = 0; i < nbuckets; ++i) {
     if (buckets_[i].empty()) continue;
     if (best == nbuckets ||
-        Later{}(buckets_[best].front(), buckets_[i].front())) {
+        EventLater{}(buckets_[best].front(), buckets_[i].front())) {
       best = i;
     }
   }
@@ -109,7 +106,7 @@ const ScheduledEvent* LadderQueue::peek() {
       today_head_ < today_.size() ? &today_[today_head_] : nullptr;
   if (today == nullptr) return cal;
   if (cal == nullptr) return today;
-  return Later{}(*cal, *today) ? today : cal;
+  return EventLater{}(*cal, *today) ? today : cal;
 }
 
 ScheduledEvent LadderQueue::pop() {
@@ -117,7 +114,7 @@ ScheduledEvent LadderQueue::pop() {
       locate_min() ? &buckets_[cached_bucket_].front() : nullptr;
   ScheduledEvent ev;
   if (today_head_ < today_.size() &&
-      (cal == nullptr || Later{}(*cal, today_[today_head_]))) {
+      (cal == nullptr || EventLater{}(*cal, today_[today_head_]))) {
     ev = today_[today_head_++];
     if (today_head_ == today_.size()) {  // drained: reset, keep capacity
       today_.clear();
@@ -127,7 +124,7 @@ ScheduledEvent LadderQueue::pop() {
   } else {
     PFSC_ASSERT(cal != nullptr);
     Bucket& b = buckets_[cached_bucket_];
-    std::pop_heap(b.begin(), b.end(), Later{});
+    std::pop_heap(b.begin(), b.end(), EventLater{});
     ev = b.back();
     b.pop_back();
     --size_;
@@ -192,7 +189,7 @@ void LadderQueue::rebuild(std::size_t nbuckets) {
     if (vb < cur_vb_) vb = cur_vb_;
     buckets_[vb & mask_].push_back(ev);
   }
-  for (Bucket& b : buckets_) std::make_heap(b.begin(), b.end(), Later{});
+  for (Bucket& b : buckets_) std::make_heap(b.begin(), b.end(), EventLater{});
   cache_valid_ = false;
 }
 

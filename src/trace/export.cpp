@@ -69,46 +69,31 @@ void append_args(std::string& out, const Event& e) {
   out += "}}";
 }
 
-/// The canonical view over several recorders: the united name-sorted track
-/// list, per-recorder track remaps into it, and every event stably ordered
-/// by (t, canonical track). Tracks never span recorders, so the stable
-/// sort preserves each track's recorded order exactly.
-struct MergedView {
+/// The canonical view of a recorder: its tracks sorted by name, a remap
+/// from recorded track ids into that order, and every event stably
+/// ordered by (t, canonical track), so same-instant events group by track
+/// name rather than by which layer happened to run first.
+struct CanonicalView {
   std::vector<std::string> tracks;
-  std::vector<std::vector<TrackId>> remap;  // [recorder][old id] -> canonical
-  std::vector<std::pair<std::size_t, const Event*>> events;  // (recorder, ev)
+  std::vector<TrackId> remap;  // recorded id -> canonical id
+  std::vector<const Event*> events;
 };
 
-MergedView merge_recorders(const std::vector<const Recorder*>& recs) {
-  MergedView v;
-  for (const Recorder* rec : recs) {
-    for (const std::string& name : rec->tracks()) v.tracks.push_back(name);
-  }
+CanonicalView canonical_view(const Recorder& rec) {
+  CanonicalView v;
+  v.tracks = rec.tracks();
   std::sort(v.tracks.begin(), v.tracks.end());
-  v.tracks.erase(std::unique(v.tracks.begin(), v.tracks.end()), v.tracks.end());
-
-  v.remap.resize(recs.size());
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < recs.size(); ++r) {
-    v.remap[r].reserve(recs[r]->tracks().size());
-    for (const std::string& name : recs[r]->tracks()) {
-      const auto it = std::lower_bound(v.tracks.begin(), v.tracks.end(), name);
-      v.remap[r].push_back(static_cast<TrackId>(it - v.tracks.begin()));
-    }
-    total += recs[r]->events().size();
+  v.remap.reserve(rec.tracks().size());
+  for (const std::string& name : rec.tracks()) {
+    const auto it = std::lower_bound(v.tracks.begin(), v.tracks.end(), name);
+    v.remap.push_back(static_cast<TrackId>(it - v.tracks.begin()));
   }
-
-  v.events.reserve(total);
-  for (std::size_t r = 0; r < recs.size(); ++r) {
-    for (const Event& e : recs[r]->events()) v.events.push_back({r, &e});
-  }
+  v.events.reserve(rec.events().size());
+  for (const Event& e : rec.events()) v.events.push_back(&e);
   std::stable_sort(v.events.begin(), v.events.end(),
-                   [&v](const auto& a, const auto& b) {
-                     if (a.second->t != b.second->t) {
-                       return a.second->t < b.second->t;
-                     }
-                     return v.remap[a.first][a.second->track] <
-                            v.remap[b.first][b.second->track];
+                   [&v](const Event* a, const Event* b) {
+                     if (a->t != b->t) return a->t < b->t;
+                     return v.remap[a->track] < v.remap[b->track];
                    });
   return v;
 }
@@ -116,6 +101,7 @@ MergedView merge_recorders(const std::vector<const Recorder*>& recs) {
 }  // namespace
 
 std::string export_chrome_trace(const Recorder& rec) {
+  const CanonicalView v = canonical_view(rec);
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
 
@@ -123,54 +109,65 @@ std::string export_chrome_trace(const Recorder& rec) {
   out += "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
          "\"args\":{\"name\":\"pfsc\"}}";
   first = false;
-  for (TrackId i = 0; i < rec.tracks().size(); ++i) {
+  for (TrackId i = 0; i < v.tracks.size(); ++i) {
     out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
     out += std::to_string(i);
     out += ",\"args\":{\"name\":";
-    append_json_string(out, rec.tracks()[i]);
+    append_json_string(out, v.tracks[i]);
     out += "}}";
   }
 
+  // Async ids are numbered by first appearance in the canonical order, so
+  // they do not depend on how many spans the recorder dropped or opened
+  // before the exported ones.
+  std::map<std::uint64_t, std::uint64_t> ids;
+  const auto canonical_id = [&ids](std::uint64_t id) {
+    auto [it, inserted] = ids.try_emplace(id, ids.size() + 1);
+    return it->second;
+  };
+
   // Per-track stack of open *sync* spans, so a truncated trace (an engine
   // batch still open, a disk mid-service) closes cleanly at export time.
-  std::vector<std::vector<const char*>> open_sync(rec.tracks().size());
+  std::vector<std::vector<const char*>> open_sync(v.tracks.size());
   Seconds last_t = 0.0;
 
-  for (const Event& e : rec.events()) {
+  for (const Event* ep : v.events) {
+    const Event& e = *ep;
+    const TrackId track = v.remap[e.track];
     last_t = std::max(last_t, e.t);
     switch (e.kind) {
       case EventKind::span_begin:
-        open_event(out, first, e.name, e.cat, e.track, e.t);
+        open_event(out, first, e.name, e.cat, track, e.t);
         if (e.id == 0) {
           out += ",\"ph\":\"B\"";
-          open_sync[e.track].push_back(e.name);
+          open_sync[track].push_back(e.name);
         } else {
-          out += ",\"ph\":\"b\",\"id\":" + std::to_string(e.id);
+          out += ",\"ph\":\"b\",\"id\":" + std::to_string(canonical_id(e.id));
         }
         append_args(out, e);
         break;
       case EventKind::span_end:
-        open_event(out, first, e.name, e.cat, e.track, e.t);
+        open_event(out, first, e.name, e.cat, track, e.t);
         if (e.id == 0) {
           out += ",\"ph\":\"E\"";
-          if (!open_sync[e.track].empty()) open_sync[e.track].pop_back();
+          if (!open_sync[track].empty()) open_sync[track].pop_back();
         } else {
-          out += ",\"ph\":\"e\",\"id\":" + std::to_string(e.id);
+          out += ",\"ph\":\"e\",\"id\":" + std::to_string(canonical_id(e.id));
         }
         append_args(out, e);
         break;
       case EventKind::instant:
-        open_event(out, first, e.name, e.cat, e.track, e.t);
+        open_event(out, first, e.name, e.cat, track, e.t);
         out += ",\"ph\":\"i\",\"s\":\"t\"";
         append_args(out, e);
         break;
       case EventKind::counter: {
         // Counters are keyed by (pid, name) in the viewer, so the track
         // label joins the name to keep per-device series distinct.
-        std::string qualified = rec.tracks()[e.track];
+        std::string qualified = v.tracks[track];
         qualified += '.';
         qualified += e.name;
-        open_event(out, first, qualified, e.cat, e.track, e.t);
+        open_event(out, first, qualified, e.cat, track, e.t);
         out += ",\"ph\":\"C\",\"args\":{\"value\":";
         append_number(out, e.value);
         out += "}}";
@@ -193,119 +190,18 @@ std::string export_chrome_trace(const Recorder& rec) {
   return out;
 }
 
-std::string export_chrome_trace(const std::vector<const Recorder*>& recs) {
-  const MergedView v = merge_recorders(recs);
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-
-  out += "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-         "\"args\":{\"name\":\"pfsc\"}}";
-  first = false;
-  for (TrackId i = 0; i < v.tracks.size(); ++i) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
-    out += std::to_string(i);
-    out += ",\"args\":{\"name\":";
-    append_json_string(out, v.tracks[i]);
-    out += "}}";
-  }
-
-  // Async ids are per-recorder counters, so the raw values depend on the
-  // domain partition (and on drops); renumber by first appearance in the
-  // canonical order so the output does not.
-  std::map<std::pair<std::size_t, std::uint64_t>, std::uint64_t> ids;
-  const auto canonical_id = [&ids](std::size_t r, std::uint64_t id) {
-    auto [it, inserted] = ids.try_emplace({r, id}, ids.size() + 1);
-    return it->second;
-  };
-
-  std::vector<std::vector<const char*>> open_sync(v.tracks.size());
-  Seconds last_t = 0.0;
-
-  for (const auto& [r, ep] : v.events) {
-    const Event& e = *ep;
-    const TrackId track = v.remap[r][e.track];
-    last_t = std::max(last_t, e.t);
-    switch (e.kind) {
-      case EventKind::span_begin:
-        open_event(out, first, e.name, e.cat, track, e.t);
-        if (e.id == 0) {
-          out += ",\"ph\":\"B\"";
-          open_sync[track].push_back(e.name);
-        } else {
-          out += ",\"ph\":\"b\",\"id\":" + std::to_string(canonical_id(r, e.id));
-        }
-        append_args(out, e);
-        break;
-      case EventKind::span_end:
-        open_event(out, first, e.name, e.cat, track, e.t);
-        if (e.id == 0) {
-          out += ",\"ph\":\"E\"";
-          if (!open_sync[track].empty()) open_sync[track].pop_back();
-        } else {
-          out += ",\"ph\":\"e\",\"id\":" + std::to_string(canonical_id(r, e.id));
-        }
-        append_args(out, e);
-        break;
-      case EventKind::instant:
-        open_event(out, first, e.name, e.cat, track, e.t);
-        out += ",\"ph\":\"i\",\"s\":\"t\"";
-        append_args(out, e);
-        break;
-      case EventKind::counter: {
-        std::string qualified = v.tracks[track];
-        qualified += '.';
-        qualified += e.name;
-        open_event(out, first, qualified, e.cat, track, e.t);
-        out += ",\"ph\":\"C\",\"args\":{\"value\":";
-        append_number(out, e.value);
-        out += "}}";
-        break;
-      }
-    }
-  }
-
-  for (TrackId track = 0; track < open_sync.size(); ++track) {
-    auto& stack = open_sync[track];
-    while (!stack.empty()) {
-      open_event(out, first, stack.back(), Cat::engine, track, last_t);
-      out += ",\"ph\":\"E\",\"args\":{}}";
-      stack.pop_back();
-    }
-  }
-
-  out += "\n]}\n";
-  return out;
-}
-
-std::string export_counters_csv(const std::vector<const Recorder*>& recs) {
-  const MergedView v = merge_recorders(recs);
-  std::string out = "time,track,name,value\n";
-  char buf[64];
-  for (const auto& [r, ep] : v.events) {
-    const Event& e = *ep;
-    if (e.kind != EventKind::counter) continue;
-    std::snprintf(buf, sizeof buf, "%.9g,", e.t);
-    out += buf;
-    out += v.tracks[v.remap[r][e.track]];
-    out += ',';
-    out += e.name;
-    std::snprintf(buf, sizeof buf, ",%.9g\n", e.value);
-    out += buf;
-  }
-  return out;
-}
-
 std::string export_counters_csv(const Recorder& rec) {
+  const CanonicalView v = canonical_view(rec);
   std::string out = "time,track,name,value\n";
   char buf[64];
-  for (const Event& e : rec.events()) {
-    if (e.kind != EventKind::counter) continue;
-    std::snprintf(buf, sizeof buf, "%.9g,", e.t);
+  for (const Event* e : v.events) {
+    if (e->kind != EventKind::counter) continue;
+    std::snprintf(buf, sizeof buf, "%.9g,", e->t);
     out += buf;
-    out += rec.tracks()[e.track];
+    out += rec.tracks()[e->track];
     out += ',';
-    out += e.name;
-    std::snprintf(buf, sizeof buf, ",%.9g\n", e.value);
+    out += e->name;
+    std::snprintf(buf, sizeof buf, ",%.9g\n", e->value);
     out += buf;
   }
   return out;
@@ -313,62 +209,30 @@ std::string export_counters_csv(const Recorder& rec) {
 
 double mean_counter_sum(const Recorder& rec, Cat cat, const char* name) {
   const std::string_view wanted = name;
-  std::unordered_map<TrackId, double> last;
+  std::vector<double> last(rec.tracks().size(), 0.0);
   double sum = 0.0;
   double integral = 0.0;
   Seconds prev = 0.0;
   Seconds start = 0.0;
   bool seen = false;
-  for (const Event& e : rec.events()) {
-    if (e.kind != EventKind::counter || e.cat != cat || wanted != e.name) {
+  for (const Event* e : canonical_view(rec).events) {
+    if (e->kind != EventKind::counter || e->cat != cat || wanted != e->name) {
       continue;
     }
     if (!seen) {
       seen = true;
-      start = prev = e.t;
+      start = prev = e->t;
     }
-    integral += sum * (e.t - prev);
-    prev = e.t;
-    auto& v = last[e.track];
-    sum += e.value - v;
-    v = e.value;
+    integral += sum * (e->t - prev);
+    prev = e->t;
+    double& value = last[e->track];
+    sum += e->value - value;
+    value = e->value;
   }
   if (!seen) return 0.0;
   const Seconds span = prev - start;
   // A single sampling instant has no extent to average over; report the
   // instantaneous sum instead of 0/0.
-  return span > 0.0 ? integral / span : sum;
-}
-
-double mean_counter_sum(const std::vector<const Recorder*>& recs, Cat cat,
-                        const char* name) {
-  const MergedView v = merge_recorders(recs);
-  const std::string_view wanted = name;
-  // Keys combine recorder and track so same-named tracks could never alias
-  // (they never exist, but the integral must not depend on it).
-  std::unordered_map<std::uint64_t, double> last;
-  double sum = 0.0;
-  double integral = 0.0;
-  Seconds prev = 0.0;
-  Seconds start = 0.0;
-  bool seen = false;
-  for (const auto& [r, ep] : v.events) {
-    const Event& e = *ep;
-    if (e.kind != EventKind::counter || e.cat != cat || wanted != e.name) {
-      continue;
-    }
-    if (!seen) {
-      seen = true;
-      start = prev = e.t;
-    }
-    integral += sum * (e.t - prev);
-    prev = e.t;
-    auto& value = last[(static_cast<std::uint64_t>(r) << 16) | e.track];
-    sum += e.value - value;
-    value = e.value;
-  }
-  if (!seen) return 0.0;
-  const Seconds span = prev - start;
   return span > 0.0 ? integral / span : sum;
 }
 
@@ -401,7 +265,12 @@ std::string RunSummary::format() const {
     }
   }
   out += "jain index:        " + fmt_double(jain, 4) + "\n";
-  out += "mean queue depth:  " + fmt_double(mean_queue_depth, 2) + "\n";
+  out += "mean queue depth:  " + fmt_double(mean_queue_depth, 2);
+  if (dropped_events > 0) {
+    // The buffer kept only a prefix of the run; say which one.
+    out += " (kept prefix only, t <= " + fmt_double(kept_until, 6) + " s)";
+  }
+  out += "\n";
   out += "osts touched:      " + fmt_int(static_cast<long long>(touched)) +
          " of " + fmt_int(static_cast<long long>(ost_bytes.size()));
   if (touched > 0) {

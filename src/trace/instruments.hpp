@@ -52,15 +52,9 @@ InstrumentSet ost_instruments(lustre::FileSystem& fs, lustre::OstIndex ost);
 /// Roll a finished run up into a RunSummary. Per-job bytes and the Jain
 /// index come straight from FileSystem::sched_* (so they match the
 /// scheduler's own accounting bit for bit); per-OST bytes from the disks;
-/// mean queue depth and event counts from the recorder when one is given
-/// (`rec` may be null: the summary then reports zero events).
+/// mean queue depth, event counts and the kept window from the recorder
+/// when one is given (`rec` may be null: the summary then reports zero
+/// events).
 RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec);
-
-/// Multi-recorder variant for sharded runs (one recorder per domain):
-/// event counts are summed, the mean queue depth integrates the merged
-/// time-ordered counter stream. Given one recorder it matches the
-/// single-recorder overload exactly.
-RunSummary collect_summary(lustre::FileSystem& fs,
-                           const std::vector<const Recorder*>& recs);
 
 }  // namespace pfsc::trace

@@ -1,6 +1,6 @@
 // Admission controller: the default stays bit-for-bit invisible, the
 // threshold/detune policies honour the Eq. 1-6 load prediction, and the
-// decisions are deterministic at any --sim_domains / --threads count.
+// decisions are deterministic at any --threads count.
 //
 // The golden tests replay the bundled Fig. 3 quartet and a 200-job
 // synthetic fleet under `always` and require byte-identical analytics
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "harness/admission.hpp"
+#include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "replay/analytics.hpp"
 #include "replay/fleet.hpp"
@@ -159,23 +160,28 @@ TEST(AdmissionPolicyTest, DetuneReducesStripesInsteadOfWaiting) {
   EXPECT_GT(detuned, 0u);
 }
 
-TEST(AdmissionPolicyTest, DecisionsIdenticalAcrossSimDomains) {
+TEST(AdmissionPolicyTest, DecisionsIdenticalAcrossRunnerThreads) {
   Scenario s = fleet_scenario(60, 5.0);
   s.admission.policy = AdmissionPolicy::threshold;
   s.admission.max_dload = 1.2;
-  Scenario sharded = s;
-  sharded.platform.sim_domains = 4;
-  const Observation a = run_scenario(s, 7);
-  const Observation b = run_scenario(sharded, 7);
-  const std::string ja = replay::analyze_fleet(a, s.platform).to_json();
-  const std::string jb = replay::analyze_fleet(b, sharded.platform).to_json();
-  EXPECT_EQ(ja, jb);
-  ASSERT_EQ(a.admissions.size(), b.admissions.size());
-  for (std::size_t i = 0; i < a.admissions.size(); ++i) {
-    EXPECT_EQ(a.admissions[i].job_id, b.admissions[i].job_id);
-    EXPECT_EQ(a.admissions[i].action, b.admissions[i].action);
-    EXPECT_EQ(a.admissions[i].released, b.admissions[i].released);
-    EXPECT_EQ(a.admissions[i].predicted_dload, b.admissions[i].predicted_dload);
+  harness::RunPlan plan;
+  plan.repetitions(2);
+  const harness::RunSet one = harness::ParallelRunner(1).run(s, plan);
+  const harness::RunSet four = harness::ParallelRunner(4).run(s, plan);
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    const Observation& a = one.point(0).reps[rep];
+    const Observation& b = four.point(0).reps[rep];
+    EXPECT_EQ(replay::analyze_fleet(a, s.platform).to_json(),
+              replay::analyze_fleet(b, s.platform).to_json());
+    ASSERT_FALSE(a.admissions.empty());
+    ASSERT_EQ(a.admissions.size(), b.admissions.size());
+    for (std::size_t i = 0; i < a.admissions.size(); ++i) {
+      EXPECT_EQ(a.admissions[i].job_id, b.admissions[i].job_id);
+      EXPECT_EQ(a.admissions[i].action, b.admissions[i].action);
+      EXPECT_EQ(a.admissions[i].released, b.admissions[i].released);
+      EXPECT_EQ(a.admissions[i].predicted_dload,
+                b.admissions[i].predicted_dload);
+    }
   }
 }
 

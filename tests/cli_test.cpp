@@ -311,38 +311,26 @@ TEST(CliEnumFlags, EventQueueParsesOrListsChoices) {
   EXPECT_EQ(scenario.platform.event_queue, sim::EventQueuePolicy::ladder);
 }
 
-TEST(CliEnumFlags, SimDomainsParsesStrictly) {
+TEST(CliEnumFlags, SimDomainsFlagIsRejectedAsUnknown) {
+  // --sim_domains and its dashed alias no longer exist: both spellings are
+  // rejected as unknown flags, never silently ignored.
   Scenario scenario;
   RunPlan plan;
   unsigned threads = 0;
   FlagTable table = scenario_flags(scenario, plan, threads);
-
-  EXPECT_EQ(scenario.platform.sim_domains, 1u);
-
-  std::vector<std::string> eight = {"prog", "--sim_domains", "8"};
-  auto argv1 = argv_of(eight);
-  table.parse(static_cast<int>(argv1.size()), argv1.data(), 1);
-  EXPECT_EQ(scenario.platform.sim_domains, 8u);
-
-  // 0 = auto (one domain per hardware thread), via the dashed alias.
-  std::vector<std::string> autod = {"prog", "--sim-domains", "0"};
-  auto argv2 = argv_of(autod);
-  table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
-  EXPECT_EQ(scenario.platform.sim_domains, 0u);
-
-  // Garbage, trailing junk, negatives and overflow are all errors — never
-  // a silent default.
-  for (const char* bad : {"many", "8x", "-2", "", "4294967296"}) {
-    std::vector<std::string> args = {"prog", "--sim_domains", bad};
-    auto argv3 = argv_of(args);
-    EXPECT_THROW(table.parse(static_cast<int>(argv3.size()), argv3.data(), 1),
-                 UsageError)
-        << bad;
+  for (const char* flag : {"--sim_domains", "--sim-domains"}) {
+    std::vector<std::string> args = {"prog", flag, "4"};
+    auto argv = argv_of(args);
+    try {
+      table.parse(static_cast<int>(argv.size()), argv.data(), 1);
+      FAIL() << "expected UsageError for " << flag;
+    } catch (const UsageError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown flag"), std::string::npos) << msg;
+    }
   }
-  EXPECT_EQ(scenario.platform.sim_domains, 0u);  // last good value sticks
-
-  // The flag is documented.
-  EXPECT_NE(table.usage().find("--sim_domains"), std::string::npos);
+  EXPECT_EQ(table.usage().find("sim_domains"), std::string::npos);
+  EXPECT_EQ(table.usage().find("sim-domains"), std::string::npos);
 }
 
 TEST(CliEnumFlags, SchedTuningFlagsDriveTheTuningStruct) {

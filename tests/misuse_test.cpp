@@ -2,6 +2,9 @@
 // must throw UsageError rather than corrupt simulation state.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "harness/run_plan.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
@@ -112,6 +115,24 @@ TEST(Misuse, ScenarioGuards) {
   harness::Scenario no_procs;
   no_procs.nprocs = 0;
   EXPECT_THROW(no_procs.validate(), UsageError);
+}
+
+TEST(Misuse, SimDomainsOtherThanOneNamesTheRemovedEngine) {
+  harness::Scenario one;
+  EXPECT_EQ(one.platform.sim_domains, 1u);
+  EXPECT_NO_THROW(one.validate());
+  for (const std::uint32_t domains : {0u, 2u, 8u}) {
+    harness::Scenario s;
+    s.platform.sim_domains = domains;
+    try {
+      s.validate();
+      FAIL() << "expected UsageError for sim_domains = " << domains;
+    } catch (const UsageError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("sim_domains"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("sharded"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(Misuse, RunPlanGuards) {

@@ -131,14 +131,42 @@ TEST(ChromeExport, WellFormedWithAllEventKinds) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"e\",\"id\":42"), std::string::npos);
+  // Async ids are renumbered by first appearance: 42 is the first, so 1.
+  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":1,"), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"e\",\"id\":1,"), std::string::npos);
+  EXPECT_EQ(json.find("42"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   // The quoted track name must be escaped in the thread_name metadata.
   EXPECT_NE(json.find("disk \\\"quoted\\\""), std::string::npos);
   // Counters are name-qualified by track to stay distinct in the viewer.
   EXPECT_NE(json.find("disk \\\"quoted\\\".queue"), std::string::npos);
+}
+
+TEST(ChromeExport, CanonicalTrackOrderAndAsyncIds) {
+  Recorder rec;
+  const TrackId zeta = rec.track("zeta");    // recorded id 0
+  const TrackId alpha = rec.track("alpha");  // recorded id 1
+  rec.begin(Cat::link, zeta, "z", 1.0, /*id=*/9);
+  rec.begin(Cat::link, alpha, "a", 1.0, /*id=*/5);
+  rec.end(Cat::link, zeta, "z", 2.0, /*id=*/9);
+  rec.end(Cat::link, alpha, "a", 2.0, /*id=*/5);
+  const std::string json = export_chrome_trace(rec);
+  // Tracks are numbered in name order, whatever order they were made in.
+  EXPECT_NE(json.find("\"tid\":0,\"args\":{\"name\":\"alpha\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tid\":1,\"args\":{\"name\":\"zeta\"}"),
+            std::string::npos);
+  // Same-instant events group by track name, and async ids count from 1
+  // in that order: alpha's span comes first and becomes id 1.
+  const std::size_t a = json.find("{\"name\":\"a\",");
+  const std::size_t z = json.find("{\"name\":\"z\",");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(z, std::string::npos);
+  EXPECT_LT(a, z);
+  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":1,", a), std::string::npos);
+  EXPECT_EQ(json.find("\"ph\":\"b\",\"id\":1,", z), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":2,", z), std::string::npos);
 }
 
 TEST(ChromeExport, AutoClosesDanglingSyncSpans) {
@@ -230,6 +258,28 @@ TEST(RunSummaryFormat, ReportsJobsAndDrops) {
   EXPECT_NE(text.find("0.8000"), std::string::npos);   // jain
   EXPECT_NE(text.find("2 of 4"), std::string::npos);   // osts touched
   EXPECT_NE(text.find("dropped 2"), std::string::npos);
+}
+
+TEST(RunSummaryFormat, QueueDepthLineNamesTheKeptPrefixWhenEventsDropped) {
+  RunSummary s;
+  s.mean_queue_depth = 1.5;
+  s.recorded_events = 100;
+  s.kept_until = 0.25;
+  s.dropped_events = 2;
+  EXPECT_NE(s.format().find(
+                "mean queue depth:  1.50 (kept prefix only, t <= 0.250000 s)\n"),
+            std::string::npos)
+      << s.format();
+}
+
+TEST(RunSummaryFormat, QueueDepthLineUnchangedWithoutDrops) {
+  RunSummary s;
+  s.mean_queue_depth = 1.5;
+  s.recorded_events = 100;
+  s.kept_until = 0.25;
+  EXPECT_NE(s.format().find("mean queue depth:  1.50\n"), std::string::npos)
+      << s.format();
+  EXPECT_EQ(s.format().find("kept prefix"), std::string::npos);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // and traced runs stay deterministic across ParallelRunner thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,6 +140,23 @@ TEST(TraceIntegration, SummaryMatchesSchedulerAccounting) {
   EXPECT_EQ(on_disks, 2 * expected);
 }
 
+TEST(TraceIntegration, SummaryNamesTheKeptPrefixWhenTheBufferFills) {
+  Scenario s = small_multi();
+  s.trace.mode = trace::TraceMode::full;
+  const Observation whole = run_scenario(s, /*seed=*/5);
+  ASSERT_EQ(whole.trace_summary.dropped_events, 0u);
+  s.trace.capacity = 64;
+  const Observation prefix = run_scenario(s, /*seed=*/5);
+  ASSERT_GT(prefix.trace_summary.dropped_events, 0u);
+  // The kept events end before the whole run's do.
+  EXPECT_GT(prefix.trace_summary.kept_until, 0.0);
+  EXPECT_LT(prefix.trace_summary.kept_until, whole.trace_summary.kept_until);
+  EXPECT_NE(prefix.trace_summary.format().find("kept prefix only"),
+            std::string::npos);
+  EXPECT_EQ(whole.trace_summary.format().find("kept prefix only"),
+            std::string::npos);
+}
+
 TEST(TraceIntegration, TracingOffIsInvisible) {
   const Scenario off = small_multi();
   Scenario full = small_multi();
@@ -177,27 +197,56 @@ TEST(TraceIntegration, TraceIdenticalAcrossRunnerThreadCounts) {
   }
 }
 
-TEST(TraceIntegration, ShardedFullTraceIsByteIdentical) {
-  // Same contract as TraceIdenticalAcrossRunnerThreadCounts, but for domain
-  // workers inside ONE run: recording onto per-domain recorders and merging
-  // at export must produce the very bytes the single recorder produced.
-  // Cat::engine is masked out — dispatch-batch spans are per-engine
-  // bookkeeping whose boundaries legitimately depend on the partition.
+TEST(TraceIntegration, CategoryMaskDropsOnlyTheMaskedLayer) {
+  // A category mask that leaves out Cat::engine records every other layer
+  // in full, with nothing dropped and no engine spans.
   Scenario s = small_multi();
   s.trace.mode = trace::TraceMode::full;
   s.trace.categories = trace::kAllCats & ~trace::cat_bit(trace::Cat::engine);
-  const Observation solo = run_scenario(s, /*seed=*/13);
-  s.platform.sim_domains = 2;
-  const Observation sharded = run_scenario(s, /*seed=*/13);
-  ASSERT_FALSE(solo.trace_json.empty());
-  EXPECT_EQ(solo.trace_json, sharded.trace_json);
-  EXPECT_EQ(solo.trace_summary.recorded_events,
-            sharded.trace_summary.recorded_events);
-  EXPECT_EQ(solo.trace_summary.dropped_events, 0u);
+  const Observation obs = run_scenario(s, /*seed=*/13);
+  ASSERT_FALSE(obs.trace_json.empty());
+  EXPECT_EQ(obs.trace_summary.dropped_events, 0u);
   for (const char* cat : {"\"cat\":\"link\"", "\"cat\":\"disk\"",
                           "\"cat\":\"client\"", "\"cat\":\"sched\""}) {
-    EXPECT_NE(sharded.trace_json.find(cat), std::string::npos) << cat;
+    EXPECT_NE(obs.trace_json.find(cat), std::string::npos) << cat;
   }
+  EXPECT_EQ(obs.trace_json.find("\"name\":\"dispatch\""), std::string::npos);
+}
+
+/// FNV-1a over the bytes, for pinning an exporter's output compactly.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(TraceIntegration, FullTraceBytesArePinned) {
+  // The exact bytes run_scenario exports for a small traced quartet-style
+  // run: name-sorted tracks, async ids numbered by first appearance, and
+  // the counters CSV written through --trace_out. Any change to the
+  // exporters or to what the layers record shows up here.
+  ior::Config cfg;
+  cfg.block_size = 2_MiB;
+  cfg.segment_count = 4;
+  cfg.hints.striping_factor = 4;
+  Scenario s = Scenario::multi(2, 16, cfg);
+  s.trace.mode = trace::TraceMode::full;
+  s.trace.interval = 0.01;
+  s.trace.out = ::testing::TempDir() + "trace_pin_{seed}.csv";
+  const Observation obs = run_scenario(s, /*seed=*/17);
+  std::ifstream in(trace::resolve_trace_path(s.trace.out, 17),
+                   std::ios::binary);
+  std::ostringstream csv;
+  csv << in.rdbuf();
+
+  EXPECT_EQ(obs.trace_summary.dropped_events, 0u);
+  EXPECT_EQ(obs.trace_json.size(), 930582u);
+  EXPECT_EQ(fnv1a(obs.trace_json), 12314053825395504786ull);
+  EXPECT_EQ(csv.str().size(), 143299u);
+  EXPECT_EQ(fnv1a(csv.str()), 2791614697388237533ull);
 }
 
 TEST(TraceIntegration, ValidateRejectsInconsistentTraceConfig) {

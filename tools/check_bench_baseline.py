@@ -12,8 +12,7 @@ entries:
     in the same process on the same machine is stable across runner
     hardware. An entry may carry `min_cpus`: when the report's
     context.num_cpus is below it the gate is skipped with a notice — used
-    for the sharded-engine speedup gates, which need real cores for the
-    domain worker threads before the ratio means anything.
+    for gates whose ratio is only meaningful with a core to spare.
   * "events_per_sec": absolute items_per_second floors, one per benchmark
     name. An entry whose value is the string "bootstrap" always passes and
     prints the measured number so a later run (or `--update`) can freeze
