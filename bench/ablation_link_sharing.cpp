@@ -44,15 +44,18 @@ hw::PlatformParams link_bound_platform(sim::LinkPolicy policy) {
 
 /// Mean per-process probe bandwidth with `writers` contenders on OST 0.
 double probe_mean_mbps(sim::LinkPolicy policy, std::uint32_t writers) {
-  sim::Engine eng;
-  lustre::FileSystem fs(eng, link_bound_platform(policy), /*seed=*/1);
-  mpi::Runtime rt(fs, static_cast<int>(writers), /*procs_per_node=*/1);
-  ior::ProbeConfig cfg;
-  cfg.num_writers = writers;
-  cfg.bytes_per_writer = 64_MiB;
-  cfg.transfer_size = 64_MiB;  // single buffered write per rank
-  cfg.target_ost = 0;
-  return ior::run_probe(rt, cfg).mean_mbps;
+  std::vector<harness::JobSpec> list(writers);
+  for (std::uint32_t w = 0; w < writers; ++w) {
+    list[w].kind = harness::JobKind::probe_writer;
+    list[w].job_id = w;
+    list[w].bytes = 64_MiB;
+    list[w].transfer_size = 64_MiB;  // single buffered write per rank
+    list[w].target_ost = 0;
+  }
+  harness::Scenario s = harness::Scenario::from_jobs(std::move(list));
+  s.platform = link_bound_platform(policy);
+  s.procs_per_node = 1;
+  return harness::run_scenario(s, /*seed=*/1).metric;
 }
 
 bool check(bool ok, const char* what) {

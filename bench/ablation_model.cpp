@@ -21,10 +21,12 @@ namespace {
 
 void ablation_alloc_policy() {
   std::printf("A. OST allocation policy (4 jobs x 256 procs, R=64)\n");
-  for (auto policy : {lustre::AllocPolicy::uniform_random,
-                      lustre::AllocPolicy::round_robin}) {
+  for (auto policy : {lustre::PlacementKind::uniform_random,
+                      lustre::PlacementKind::round_robin}) {
     sim::Engine eng;
-    lustre::FileSystem fs(eng, hw::cab_lscratchc(), 11, policy);
+    hw::PlatformParams params = hw::cab_lscratchc();
+    params.ost_placement = policy;
+    lustre::FileSystem fs(eng, params, 11);
     mpi::Runtime rt(fs, 4 * 256, 16);
     // Four jobs each create a file with R=64; no data needed for the census.
     std::vector<lustre::InodeId> files;
@@ -41,8 +43,8 @@ void ablation_alloc_policy() {
     const auto obs = core::observe(fs.ost_occupancy(files));
     std::printf("   %-15s Dinuse %5.0f  Dload %.3f  (Eq.2 predicts %.1f/%.2f "
                 "for random)\n",
-                policy == lustre::AllocPolicy::uniform_random ? "uniform_random"
-                                                              : "round_robin",
+                policy == lustre::PlacementKind::uniform_random ? "uniform_random"
+                                                                : "round_robin",
                 obs.d_inuse, obs.d_load, core::d_inuse_uniform(64, 4, 480),
                 core::d_load(64, 4, 480));
   }
@@ -90,8 +92,8 @@ void ablation_elevator_batch() {
     spec.writers = 8;
     spec.bytes_per_writer = 32_MiB;
     spec.platform.ost_disk.batch = batch;
-    const auto res = harness::run_scenario(spec, 31).probe;
-    std::printf("   batch %u: per-process %6.1f MB/s\n", batch, res.mean_mbps);
+    const double mean = harness::run_scenario(spec, 31).metric;
+    std::printf("   batch %u: per-process %6.1f MB/s\n", batch, mean);
   }
   std::printf("   -> batching amortises stream-switch seeks; real block\n"
               "      schedulers do the same.\n\n");

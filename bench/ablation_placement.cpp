@@ -150,8 +150,8 @@ struct FleetOutcome {
   double mean_slowdown = 0.0;
 };
 
-FleetOutcome run_fleet(harness::AdmissionPolicy policy, double limit,
-                       unsigned jobs) {
+FleetOutcome fleet_outcome(harness::AdmissionPolicy policy, double limit,
+                           unsigned jobs) {
   replay::FleetConfig cfg;
   cfg.jobs = jobs;
   cfg.seed = 11;
@@ -247,11 +247,11 @@ int main() {
               "policies at a %.1fx predicted-D_load limit:\n\n",
               fleet_jobs, limit);
   const FleetOutcome always =
-      run_fleet(harness::AdmissionPolicy::always, limit, fleet_jobs);
+      fleet_outcome(harness::AdmissionPolicy::always, limit, fleet_jobs);
   const FleetOutcome threshold =
-      run_fleet(harness::AdmissionPolicy::threshold, limit, fleet_jobs);
+      fleet_outcome(harness::AdmissionPolicy::threshold, limit, fleet_jobs);
   const FleetOutcome detune =
-      run_fleet(harness::AdmissionPolicy::detune, limit, fleet_jobs);
+      fleet_outcome(harness::AdmissionPolicy::detune, limit, fleet_jobs);
 
   TextTable adm({"admission", "mean slowdown", "jain", "delayed", "detuned",
                  "total wait (s)"});

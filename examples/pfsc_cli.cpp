@@ -54,8 +54,8 @@ void print_trace(const harness::Scenario& scenario,
   }
 }
 
-int run_ior_mode(const harness::Scenario& scenario, const harness::RunPlan& plan,
-                 unsigned threads) {
+int ior_mode(const harness::Scenario& scenario, const harness::RunPlan& plan,
+             unsigned threads) {
   const auto set = harness::ParallelRunner(threads).run(scenario, plan);
   const auto& point = set.point(0);
   TextTable table({"rep", "write MB/s", "verified", "time s"});
@@ -78,9 +78,9 @@ int run_ior_mode(const harness::Scenario& scenario, const harness::RunPlan& plan
   return 0;
 }
 
-int run_multi_mode(const harness::Scenario& scenario,
-                   const harness::RunPlan& plan, unsigned threads,
-                   unsigned dtotal) {
+int multi_mode(const harness::Scenario& scenario,
+               const harness::RunPlan& plan, unsigned threads,
+               unsigned dtotal) {
   const auto set = harness::ParallelRunner(threads).run(scenario, plan);
   const auto& res = set.point(0).reps.front();
   TextTable table({"job", "write MB/s"});
@@ -100,15 +100,15 @@ int run_multi_mode(const harness::Scenario& scenario,
   return 0;
 }
 
-int run_probe_mode(const harness::Scenario& scenario,
-                   const harness::RunPlan& plan, unsigned threads) {
+int probe_mode(const harness::Scenario& scenario,
+               const harness::RunPlan& plan, unsigned threads) {
   const auto set = harness::ParallelRunner(threads).run(scenario, plan);
   const auto& point = set.point(0);
-  const auto& res = point.reps.front().probe;
+  const auto& writers = point.reps.front().per_job;
   TextTable table({"writer", "MB/s"});
-  for (std::size_t w = 0; w < res.per_process_mbps.size(); ++w) {
+  for (std::size_t w = 0; w < writers.size(); ++w) {
     table.cell(fmt_int(static_cast<long long>(w)))
-        .cell(fmt_double(res.per_process_mbps[w], 1));
+        .cell(fmt_double(writers[w].write_mbps, 1));
     table.end_row();
   }
   table.print("Single-OST contention probe");
@@ -118,7 +118,7 @@ int run_probe_mode(const harness::Scenario& scenario,
   return 0;
 }
 
-int run_metrics_mode(const harness::Scenario& scenario, unsigned dtotal) {
+int metrics_mode(const harness::Scenario& scenario, unsigned dtotal) {
   const unsigned stripes = scenario.ior.hints.striping_factor;
   TextTable table({"jobs", "Dinuse", "Dreq", "Dload", "busiest OST",
                    "job slowdown"});
@@ -142,8 +142,8 @@ int run_metrics_mode(const harness::Scenario& scenario, unsigned dtotal) {
   return 0;
 }
 
-int run_health_mode(const harness::Scenario& scenario,
-                    const harness::RunPlan& plan) {
+int health_mode(const harness::Scenario& scenario,
+                const harness::RunPlan& plan) {
   // Run a contended layout, then print the operator's health report.
   sim::Engine eng;
   lustre::FileSystem fs(eng, scenario.platform, plan.seed());
@@ -165,10 +165,10 @@ int run_health_mode(const harness::Scenario& scenario,
 /// replay / fleet modes: run the job list once, analyse it, print the
 /// ranked per-application table, optionally write JSON (--report) and the
 /// canonical joblog (--emit_log, handy for turning a fleet into a fixture).
-int run_fleet_mode(const harness::Scenario& scenario,
-                   const harness::RunPlan& plan, unsigned threads,
-                   const std::string& report_path,
-                   const std::string& emit_path) {
+int fleet_mode(const harness::Scenario& scenario,
+               const harness::RunPlan& plan, unsigned threads,
+               const std::string& report_path,
+               const std::string& emit_path) {
   if (!emit_path.empty()) {
     std::ofstream out(emit_path, std::ios::binary | std::ios::trunc);
     PFSC_REQUIRE(out.good(), "cannot open --emit_log path " + emit_path);
@@ -192,8 +192,8 @@ int run_fleet_mode(const harness::Scenario& scenario,
   return 0;
 }
 
-int run_advise_mode(const harness::Scenario& scenario, unsigned dtotal,
-                    double budget) {
+int advise_mode(const harness::Scenario& scenario, unsigned dtotal,
+                double budget) {
   const auto jobs = static_cast<unsigned>(scenario.jobs);
   const auto advice = core::advise_stripe_count(dtotal, jobs, budget, 160);
   if (advice.recommended_stripes == 0) {
@@ -260,17 +260,17 @@ int main(int argc, char** argv) {
       }
       if (mode == "fleet") ropts.fleet_requested = true;
       ropts.apply(scenario);
-      return run_fleet_mode(scenario, plan, threads, report_path, emit_path);
+      return fleet_mode(scenario, plan, threads, report_path, emit_path);
     }
     ropts.apply(scenario);  // --replay/--fleet also compose with other modes
     if (mode == "ior" || mode == "plfs") {
-      return run_ior_mode(scenario, plan, threads);
+      return ior_mode(scenario, plan, threads);
     }
-    if (mode == "multi") return run_multi_mode(scenario, plan, threads, dtotal);
-    if (mode == "probe") return run_probe_mode(scenario, plan, threads);
-    if (mode == "metrics") return run_metrics_mode(scenario, dtotal);
-    if (mode == "advise") return run_advise_mode(scenario, dtotal, budget);
-    if (mode == "health") return run_health_mode(scenario, plan);
+    if (mode == "multi") return multi_mode(scenario, plan, threads, dtotal);
+    if (mode == "probe") return probe_mode(scenario, plan, threads);
+    if (mode == "metrics") return metrics_mode(scenario, dtotal);
+    if (mode == "advise") return advise_mode(scenario, dtotal, budget);
+    if (mode == "health") return health_mode(scenario, plan);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

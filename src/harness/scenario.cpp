@@ -7,6 +7,7 @@
 #include <string>
 
 #include "plfs/plfs.hpp"
+#include "support/stats.hpp"
 #include "trace/export.hpp"
 
 namespace pfsc::harness {
@@ -237,12 +238,6 @@ void Scenario::validate() const {
       break;
     case Workload::probe:
       PFSC_REQUIRE(writers >= 1, "Scenario: probe needs at least one writer");
-      PFSC_REQUIRE(telemetry_interval == 0.0,
-                   "Scenario: the probe workload does not support telemetry");
-      PFSC_REQUIRE(trace.interval == 0.0,
-                   "Scenario: the probe workload does not support a trace sampler");
-      PFSC_REQUIRE(ctrl.mode == ctrl::CtrlMode::off,
-                   "Scenario: the probe workload does not support --ctrl");
       break;
     case Workload::jobs:
       throw UsageError("Scenario: Workload::jobs needs a non-empty job_list");
@@ -267,9 +262,8 @@ sim::Task noise_writer(lustre::Client& client, std::string path,
 }
 
 /// Spawn one JobKind::noise entry (an independent client streaming a
-/// default-layout file). Naming matches the historical spawn_noise exactly:
-/// writer i (= job_id - kNoiseJobBase) is client "noise<i>" writing
-/// "/noise.<seed%1000>.<i>".
+/// default-layout file): writer i (= job_id - kNoiseJobBase) is client
+/// "noise<i>" writing "/noise.<seed%1000>.<i>".
 void spawn_noise_job(lustre::FileSystem& fs,
                      std::vector<std::unique_ptr<lustre::Client>>& clients,
                      const JobSpec& job, std::uint64_t seed) {
@@ -288,9 +282,9 @@ void spawn_noise_job(lustre::FileSystem& fs,
       settings, job.bytes, job.transfer_size, job.arrival));
 }
 
-/// Shared run state every workload branch builds: fresh engine, seeded
-/// file system, runtime, background noise jobs, optional telemetry
-/// sampler, optional event recorder (+ trace sampler mirroring into it).
+/// A run's shared state: fresh engine, seeded file system, runtime,
+/// background noise jobs, optional telemetry sampler, optional event
+/// recorder (+ trace sampler mirroring into it).
 struct Rig {
   sim::Engine eng;
   std::unique_ptr<trace::Recorder> recorder;  // scenario.trace.mode != off
@@ -375,7 +369,7 @@ struct Rig {
   }
 
   /// Roll the recorder up into the observation and write --trace_out.
-  /// Called after the run drains, from every workload branch.
+  /// Called after the run drains.
   void finish_trace(Observation& obs, const Scenario& s, std::uint64_t seed) {
     if (recorder == nullptr) return;
     obs.traced = true;
@@ -405,12 +399,15 @@ double headline_metric(const ior::Config& cfg, const ior::Result& res) {
 
 /// The desugared job list, partitioned into rank-carrying jobs (ior, plfs,
 /// probe writers — these occupy MPI world ranks in contiguous blocks, in
-/// list order) and background noise jobs (spawned outside the runtime).
+/// list order) and background noise jobs (spawned outside the runtime),
+/// with the rank-carrying jobs grouped into MPI applications.
 struct JobPlan {
   std::vector<JobSpec> all;                // spawn/report order
   std::vector<const JobSpec*> rank_jobs;   // pointers into `all`
   std::vector<const JobSpec*> noise_jobs;  // pointers into `all`
   std::vector<int> first_rank;             // per rank job: world-rank base
+  std::vector<int> app_of;                 // per rank job: its application
+  int apps = 0;
   int total_ranks = 0;
   bool synchronized = true;  // every rank job arrives at t = 0
 
@@ -425,22 +422,36 @@ struct JobPlan {
       total_ranks += j.nprocs;
       synchronized = synchronized && j.arrival == 0.0;
     }
+    // Every rank job is its own application, except that the probe
+    // writers of a synchronised list share one (the paper's Fig. 2 probe
+    // is a single MPI program whose ranks each write their own file).
+    int probe_app = -1;
+    for (const JobSpec* j : rank_jobs) {
+      if (synchronized && j->kind == JobKind::probe_writer) {
+        if (probe_app < 0) probe_app = apps++;
+        app_of.push_back(probe_app);
+      } else {
+        app_of.push_back(apps++);
+      }
+    }
   }
 
   /// Job index owning `world_rank` (blocks are contiguous and in order).
-  std::size_t color_of(int world_rank) const {
+  std::size_t job_of(int world_rank) const {
     auto it = std::upper_bound(first_rank.begin(), first_rank.end(), world_rank);
     return static_cast<std::size_t>(it - first_rank.begin()) - 1;
   }
 };
 
-/// Per-job run state for the fleet executor.
+/// Per-job run state.
 struct JobSlot {
   const JobSpec* spec = nullptr;
   int base = 0;  // first world rank
+  int app = 0;
   std::unique_ptr<ior::IorJob> job;
-  std::unique_ptr<sim::Event> ready;          // synchronized mode
-  std::unique_ptr<mpi::Communicator> comm;    // free-running mode
+  /// Releases the job's other ranks once its first rank has built `job`
+  /// or passed admission.
+  std::unique_ptr<sim::Event> ready;
   // probe_writer outcomes, one slot per writer rank.
   std::vector<double> writer_mbps;
   std::vector<Seconds> writer_time;
@@ -454,35 +465,79 @@ struct JobSlot {
   }
 };
 
-/// Fig. 2-style writer body, generalised to run inside any fleet: stream
-/// `spec.bytes` to one file pinned on the target OST via stripe_offset.
-sim::Co<void> probe_writer_body(Rig& rig, JobSlot& slot, int local_rank,
-                                lustre::Client& client, std::uint64_t seed) {
+/// Everything the ranks of one run share.
+struct Run {
+  Rig& rig;
+  const JobPlan& plan;
+  std::vector<JobSlot>& slots;
+  plfs::Plfs* plfs;
+  AdmissionController* admission;  // null: every job starts on arrival
+  sim::Event* setup_done;          // null: no parent directories to make
+  /// Split start: the world barriers and comm-splits by application.
+  /// Otherwise each application runs on its pre-built communicator.
+  bool split;
+  std::vector<std::unique_ptr<mpi::Communicator>> app_comm;
+  std::vector<int> app_base;  // first world rank of each application
+  std::uint64_t seed;
+};
+
+/// Build the slot's IorJob on `comm` (a plain function: keeping the
+/// ior::Config copy out of the rank-main coroutine keeps its frame small).
+void seat_job(Run& run, JobSlot& slot, mpi::Communicator& comm,
+              std::uint32_t detuned_stripes) {
+  ior::Config cfg = slot.spec->ior;
+  if (detuned_stripes != 0) cfg.hints.striping_factor = detuned_stripes;
+  slot.job = std::make_unique<ior::IorJob>(
+      comm, run.rig.fs, std::move(cfg),
+      slot.spec->ior.hints.driver == mpiio::Driver::ad_plfs ? run.plfs : nullptr);
+}
+
+/// Fig. 2 writer body: every writer makes the shared directory if it is
+/// missing, the application barriers, each writer creates its own file
+/// pinned to the target OST via stripe_offset, the application barriers
+/// again, and each writer streams `spec.bytes` with buffered writes
+/// fsync'd at the end (what the custom benchmark on Cab did).
+sim::Co<void> probe_writer_body(Run& run, JobSlot& slot, mpi::Communicator& comm,
+                                int rank, int writer, lustre::Client& client) {
   const JobSpec& spec = *slot.spec;
-  sim::Engine& eng = rig.eng;
+  lustre::FileSystem& fs = run.rig.fs;
   client.set_job(spec.job_id);
 
+  // Any OST works (the paper pins one via stripe_offset); deriving it from
+  // the seed lets background noise land on it in some repetitions, which is
+  // where the single-writer variance of Figure 2's band comes from.
   const auto target = static_cast<lustre::OstIndex>(
       spec.target_ost >= 0
-          ? static_cast<std::uint32_t>(spec.target_ost) %
-                rig.fs.params().ost_count
-          : seed % rig.fs.params().ost_count);
+          ? static_cast<std::uint32_t>(spec.target_ost) % fs.params().ost_count
+          : run.seed % fs.params().ost_count);
   const std::string dir = "/probe";
-  if (!rig.fs.exists(dir)) {
+  if (!fs.exists(dir)) {
     auto made = co_await client.mkdir(dir);
     PFSC_ASSERT(made.ok() || made.err == lustre::Errno::eexist);
   }
+  co_await comm.barrier(rank);
 
   lustre::StripeSettings settings;
   settings.stripe_count = 1;
   settings.stripe_size = 1_MiB;
   settings.stripe_offset = static_cast<std::int32_t>(target);
   const std::string path = dir + "/j" + std::to_string(spec.job_id) + "." +
-                           std::to_string(local_rank);
+                           std::to_string(writer);
   auto created = co_await client.create(path, settings);
   PFSC_ASSERT(created.ok());
+  co_await comm.barrier(rank);
 
-  const Seconds t0 = eng.now();
+  // Probe layouts are not stripe-tunable; admission can only delay them.
+  if (run.admission != nullptr) {
+    if (writer == 0) {
+      (void)co_await run.admission->admit(spec);
+      slot.ready->trigger();
+    } else if (!slot.ready->fired()) {
+      co_await slot.ready->wait();
+    }
+  }
+
+  const Seconds t0 = fs.engine().now();
   Bytes done = 0;
   while (done < spec.bytes) {
     const Bytes chunk = std::min<Bytes>(spec.transfer_size, spec.bytes - done);
@@ -492,16 +547,15 @@ sim::Co<void> probe_writer_body(Rig& rig, JobSlot& slot, int local_rank,
   }
   const lustre::Errno fe = co_await client.flush();
   PFSC_ASSERT(fe == lustre::Errno::ok);
-  const Seconds elapsed = eng.now() - t0;
-  slot.writer_time[static_cast<std::size_t>(local_rank)] = elapsed;
-  slot.writer_mbps[static_cast<std::size_t>(local_rank)] =
+  const Seconds elapsed = fs.engine().now() - t0;
+  slot.writer_time[static_cast<std::size_t>(writer)] = elapsed;
+  slot.writer_mbps[static_cast<std::size_t>(writer)] =
       bandwidth_mbps(spec.bytes, elapsed);
   ++slot.writers_done;
 }
 
 /// Create every missing parent directory of the job files, then release
-/// the ranks. Only spawned when some job writes outside "/" (legacy
-/// scenarios never do, so their event sequences carry no extra events).
+/// the ranks. Only spawned when some job writes outside "/".
 sim::Task make_dirs(lustre::Client& client, std::vector<std::string> dirs,
                     sim::Event& done) {
   for (const std::string& dir : dirs) {
@@ -522,99 +576,54 @@ void collect_parents(const std::string& path, std::vector<std::string>& out) {
   }
 }
 
-/// Synchronised-start rank main: the paper's simultaneous-submission
-/// design. All world ranks barrier, then carve the world into one
-/// sub-communicator per job — the historical multi workload's exact event
-/// sequence (pinned bit-for-bit by the golden tests), generalised to
-/// heterogeneous job lists.
-sim::Task fleet_rank_main_sync(Rig& rig, const JobPlan& plan,
-                               std::vector<JobSlot>& slots, int world_rank,
-                               plfs::Plfs* plfs, std::uint64_t seed,
-                               sim::Event* setup_done,
-                               AdmissionController* admission) {
-  mpi::Communicator& world = rig.rt.world();
-  const auto color = static_cast<int>(plan.color_of(world_rank));
-
-  if (setup_done != nullptr && !setup_done->fired()) {
-    co_await setup_done->wait();
+/// The rank main every world rank runs. A split start is the paper's
+/// simultaneous-submission design: all world ranks barrier, then carve the
+/// world into one sub-communicator per application. Otherwise the rank
+/// sleeps until its job's arrival and uses its application's pre-built
+/// communicator, so later jobs find the system in whatever state the
+/// earlier ones left it.
+sim::Task rank_main(Run& run, int world_rank) {
+  JobSlot& slot = run.slots[run.plan.job_of(world_rank)];
+  if (run.setup_done != nullptr && !run.setup_done->fired()) {
+    co_await run.setup_done->wait();
   }
-  co_await world.barrier(world_rank);
-  const auto sr = co_await world.split(world_rank, color, world_rank);
-  JobSlot& slot = slots[static_cast<std::size_t>(color)];
+  mpi::Communicator* comm = nullptr;
+  int rank = 0;
+  if (run.split) {
+    mpi::Communicator& world = run.rig.rt.world();
+    co_await world.barrier(world_rank);
+    const auto sr = co_await world.split(world_rank, slot.app, world_rank);
+    comm = sr.comm;
+    rank = sr.rank;
+  } else {
+    comm = run.app_comm[static_cast<std::size_t>(slot.app)].get();
+    rank = world_rank - run.app_base[static_cast<std::size_t>(slot.app)];
+    if (slot.spec->arrival > 0.0) co_await run.rig.eng.delay(slot.spec->arrival);
+  }
+  lustre::Client& client = run.rig.rt.client(world_rank);
   if (slot.spec->kind == JobKind::probe_writer) {
-    // Probe layouts are not stripe-tunable; admission can only delay them.
-    if (admission != nullptr) {
-      if (sr.rank == 0) {
-        (void)co_await admission->admit(*slot.spec);
+    co_await probe_writer_body(run, slot, *comm, rank, world_rank - slot.base,
+                               client);
+  } else {
+    // A job not built up front is built by its first rank once admission
+    // (which may detune its stripe hint) releases it.
+    if (slot.job == nullptr) {
+      if (rank == 0) {
+        std::uint32_t detuned = 0;
+        if (run.admission != nullptr) {
+          detuned = co_await run.admission->admit(*slot.spec);
+        }
+        seat_job(run, slot, *comm, detuned);
         slot.ready->trigger();
-      } else if (!slot.ready->fired()) {
+      } else {
         co_await slot.ready->wait();
       }
     }
-    co_await probe_writer_body(rig, slot, sr.rank, rig.rt.client(world_rank),
-                               seed);
-    if (admission != nullptr && slot.finished()) admission->finished(*slot.spec);
-    co_return;
+    co_await slot.job->run_rank(rank, client);
   }
-  if (sr.rank == 0) {
-    ior::Config cfg = slot.spec->ior;
-    if (admission != nullptr) {
-      const std::uint32_t detuned = co_await admission->admit(*slot.spec);
-      if (detuned != 0) cfg.hints.striping_factor = detuned;
-    }
-    slot.job = std::make_unique<ior::IorJob>(
-        *sr.comm, rig.fs, std::move(cfg),
-        slot.spec->kind == JobKind::plfs ? plfs : nullptr);
-    slot.ready->trigger();
-  } else if (!slot.ready->fired()) {
-    co_await slot.ready->wait();
+  if (run.admission != nullptr && slot.finished()) {
+    run.admission->finished(*slot.spec);
   }
-  co_await slot.job->run_rank(sr.rank, rig.rt.client(world_rank));
-  if (admission != nullptr && slot.finished()) admission->finished(*slot.spec);
-}
-
-/// Free-running rank main: any positive arrival disables the global
-/// barrier; each job sleeps until its own offset and runs on a pre-built
-/// per-job communicator (jobs arriving later genuinely find the system in
-/// whatever state the earlier ones left it).
-sim::Task fleet_rank_main_staggered(Rig& rig, std::vector<JobSlot>& slots,
-                                    std::size_t color, int local_rank,
-                                    int world_rank, plfs::Plfs* plfs,
-                                    std::uint64_t seed, sim::Event* setup_done,
-                                    AdmissionController* admission) {
-  JobSlot& slot = slots[color];
-  if (setup_done != nullptr && !setup_done->fired()) {
-    co_await setup_done->wait();
-  }
-  if (slot.spec->arrival > 0.0) {
-    co_await rig.eng.delay(slot.spec->arrival);
-  }
-  // Under admission control the job's IorJob is built lazily by local rank
-  // 0 once the controller releases it (the detuned stripe hint must be
-  // known first); without it the pre-built job is used untouched, keeping
-  // the historical event sequence bit for bit.
-  if (admission != nullptr) {
-    if (local_rank == 0) {
-      const std::uint32_t detuned = co_await admission->admit(*slot.spec);
-      if (slot.spec->kind != JobKind::probe_writer) {
-        ior::Config cfg = slot.spec->ior;
-        if (detuned != 0) cfg.hints.striping_factor = detuned;
-        slot.job = std::make_unique<ior::IorJob>(
-            *slot.comm, rig.fs, std::move(cfg),
-            slot.spec->kind == JobKind::plfs ? plfs : nullptr);
-      }
-      slot.ready->trigger();
-    } else if (!slot.ready->fired()) {
-      co_await slot.ready->wait();
-    }
-  }
-  if (slot.spec->kind == JobKind::probe_writer) {
-    co_await probe_writer_body(rig, slot, local_rank,
-                               rig.rt.client(world_rank), seed);
-  } else {
-    co_await slot.job->run_rank(local_rank, rig.rt.client(world_rank));
-  }
-  if (admission != nullptr && slot.finished()) admission->finished(*slot.spec);
 }
 
 /// Fold one probe job's per-writer outcomes into an ior::Result so fleet
@@ -630,13 +639,13 @@ ior::Result probe_slot_result(const JobSlot& slot) {
   return r;
 }
 
-/// The general executor: any job list with more than one rank-carrying job
-/// (or any staggered arrival / in-fleet probe writers).
-Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
+/// The one executor: runs any job list to completion.
+Observation run_jobs(const Scenario& s, const JobPlan& plan, std::uint64_t seed) {
   Rig rig(s, plan.total_ranks, seed, plan.noise_jobs);
   std::unique_ptr<plfs::Plfs> plfs;
   for (const JobSpec* spec : plan.rank_jobs) {
-    if (spec->kind == JobKind::plfs && !plfs) {
+    if (spec->kind != JobKind::probe_writer &&
+        spec->ior.hints.driver == mpiio::Driver::ad_plfs && !plfs) {
       plfs = std::make_unique<plfs::Plfs>(rig.fs);
     }
   }
@@ -648,34 +657,8 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
         rig.eng, s.admission, s.platform, rig.recorder.get());
   }
 
-  std::vector<JobSlot> slots(plan.rank_jobs.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i].spec = plan.rank_jobs[i];
-    slots[i].base = plan.first_rank[i];
-    if (slots[i].spec->kind == JobKind::probe_writer) {
-      slots[i].writer_mbps.assign(static_cast<std::size_t>(slots[i].spec->nprocs), 0.0);
-      slots[i].writer_time.assign(static_cast<std::size_t>(slots[i].spec->nprocs), 0.0);
-    } else if (plan.synchronized) {
-      slots[i].ready = std::make_unique<sim::Event>(rig.eng);
-    } else {
-      // Free-running jobs never comm_split, so each gets its own world.
-      slots[i].comm = std::make_unique<mpi::Communicator>(
-          rig.eng, slots[i].spec->nprocs);
-      if (admission == nullptr) {
-        slots[i].job = std::make_unique<ior::IorJob>(
-            *slots[i].comm, rig.fs, slots[i].spec->ior,
-            slots[i].spec->kind == JobKind::plfs ? plfs.get() : nullptr);
-      }
-    }
-    // Gated jobs release their ranks through a per-slot event.
-    if (admission != nullptr && slots[i].ready == nullptr) {
-      slots[i].ready = std::make_unique<sim::Event>(rig.eng);
-    }
-  }
-
   // Parent directories the job files need (outside "/": fleets often use
-  // "/fleet/<app>.<id>"). Created by a setup task the ranks wait on; empty
-  // for every legacy scenario, which therefore sees no extra events.
+  // "/fleet/<app>.<id>"), made by a setup task the ranks wait on.
   std::vector<std::string> dirs;
   for (const JobSpec* spec : plan.rank_jobs) {
     if (spec->kind != JobKind::probe_writer) {
@@ -684,11 +667,46 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
   }
   std::sort(dirs.begin(), dirs.end());
   dirs.erase(std::unique(dirs.begin(), dirs.end()), dirs.end());
+
+  std::vector<JobSlot> slots(plan.rank_jobs.size());
+  Run run{rig, plan, slots, plfs.get(), admission.get(), nullptr,
+          plan.synchronized && (plan.apps > 1 || !dirs.empty()),
+          {}, {}, seed};
+  if (!run.split) {
+    std::vector<int> app_size(static_cast<std::size_t>(plan.apps), 0);
+    run.app_base.assign(static_cast<std::size_t>(plan.apps), -1);
+    for (std::size_t i = 0; i < plan.rank_jobs.size(); ++i) {
+      const auto app = static_cast<std::size_t>(plan.app_of[i]);
+      app_size[app] += plan.rank_jobs[i]->nprocs;
+      if (run.app_base[app] < 0) run.app_base[app] = plan.first_rank[i];
+    }
+    for (const int size : app_size) {
+      run.app_comm.push_back(std::make_unique<mpi::Communicator>(rig.eng, size));
+    }
+  }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    JobSlot& slot = slots[i];
+    slot.spec = plan.rank_jobs[i];
+    slot.base = plan.first_rank[i];
+    slot.app = plan.app_of[i];
+    if (slot.spec->kind == JobKind::probe_writer) {
+      slot.writer_mbps.assign(static_cast<std::size_t>(slot.spec->nprocs), 0.0);
+      slot.writer_time.assign(static_cast<std::size_t>(slot.spec->nprocs), 0.0);
+    } else if (!run.split && admission == nullptr) {
+      seat_job(run, slot, *run.app_comm[static_cast<std::size_t>(slot.app)], 0);
+    }
+    if (slot.job == nullptr && (admission != nullptr ||
+                                slot.spec->kind != JobKind::probe_writer)) {
+      slot.ready = std::make_unique<sim::Event>(rig.eng);
+    }
+  }
+
   std::unique_ptr<lustre::Client> setup_client;
   std::unique_ptr<sim::Event> setup_done;
   if (!dirs.empty()) {
     setup_client = std::make_unique<lustre::Client>(rig.fs, "setup");
     setup_done = std::make_unique<sim::Event>(rig.eng);
+    run.setup_done = setup_done.get();
     rig.eng.spawn(make_dirs(*setup_client, std::move(dirs), *setup_done));
   }
 
@@ -696,51 +714,41 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
     return std::all_of(slots.begin(), slots.end(),
                        [](const JobSlot& slot) { return slot.finished(); });
   });
-  if (plan.synchronized) {
-    rig.rt.run_to_completion([&](int world_rank) -> sim::Task {
-      return fleet_rank_main_sync(rig, plan, slots, world_rank, plfs.get(),
-                                  seed, setup_done.get(), admission.get());
-    });
-  } else {
-    rig.rt.run_to_completion([&](int world_rank) -> sim::Task {
-      const std::size_t color = plan.color_of(world_rank);
-      return fleet_rank_main_staggered(rig, slots, color,
-                                       world_rank - slots[color].base,
-                                       world_rank, plfs.get(), seed,
-                                       setup_done.get(), admission.get());
-    });
-  }
+  rig.rt.run_to_completion(
+      [&run](int world_rank) -> sim::Task { return rank_main(run, world_rank); });
 
   Observation obs;
   std::vector<lustre::InodeId> files;
-  double mean = 0.0;
-  for (JobSlot& slot : slots) {
+  std::vector<double> headlines;
+  bool only_probes = true;
+  for (const JobSlot& slot : slots) {
     PFSC_ASSERT(slot.finished());
     if (slot.spec->kind == JobKind::probe_writer) {
       obs.per_job.push_back(probe_slot_result(slot));
-      mean += obs.per_job.back().write_mbps;
-      obs.total_mbps += obs.per_job.back().write_mbps;
+      headlines.push_back(obs.per_job.back().write_mbps);
+      obs.total_mbps += headlines.back();
       continue;
     }
+    only_probes = false;
     obs.per_job.push_back(slot.job->result());
-    const double headline = headline_metric(slot.spec->ior, obs.per_job.back());
-    mean += headline;
-    obs.total_mbps += headline;
-    if (slot.spec->kind == JobKind::plfs) {
-      for (const lustre::InodeId ino :
-           plfs->backend_data_files(slot.spec->ior.test_file)) {
-        files.push_back(ino);
-      }
-    } else {
-      for (const lustre::InodeId ino : slot.job->file_inos()) {
-        files.push_back(ino);
-      }
+    headlines.push_back(headline_metric(slot.spec->ior, obs.per_job.back()));
+    obs.total_mbps += headlines.back();
+    const std::vector<lustre::InodeId> inos =
+        slot.spec->ior.hints.driver == mpiio::Driver::ad_plfs
+            ? plfs->backend_data_files(slot.spec->ior.test_file)
+            : slot.job->file_inos();
+    // A file that was never opened (a read of a file nobody wrote) has no
+    // layout to count; the job reports its errno instead.
+    for (const lustre::InodeId ino : inos) {
+      if (ino != lustre::kNoInode) files.push_back(ino);
     }
   }
-  mean /= static_cast<double>(slots.size());
+  // The probe reports the Welford mean of its writers, as the Fig. 2
+  // goldens were pinned; every other list the plain per-job mean.
+  obs.metric = only_probes ? mean_of(headlines)
+                           : obs.total_mbps / static_cast<double>(slots.size());
   obs.ior = obs.per_job.front();
-  obs.ior.write_mbps = mean;
-  obs.metric = mean;
+  if (slots.size() > 1) obs.ior.write_mbps = obs.metric;
   obs.contention = core::observe(rig.fs.ost_occupancy(files));
   if (admission != nullptr) obs.admissions = admission->take_records();
   rig.finish_run(obs, setup_client.get());
@@ -748,96 +756,6 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
   rig.export_bandwidth(obs);
   rig.finish_trace(obs, s, seed);
   return obs;
-}
-
-/// Single ior/plfs job arriving at t = 0: the historical single-job data
-/// path, with no barrier/split latency (pinned by the Fig. 1 goldens).
-Observation run_single(const Scenario& s, const JobPlan& plan,
-                       std::uint64_t seed) {
-  const JobSpec& spec = *plan.rank_jobs.front();
-  Rig rig(s, spec.nprocs, seed, plan.noise_jobs);
-  std::unique_ptr<plfs::Plfs> plfs;
-  if (spec.ior.hints.driver == mpiio::Driver::ad_plfs) {
-    plfs = std::make_unique<plfs::Plfs>(rig.fs);
-  }
-  ior::IorJob job(rig.rt.world(), rig.fs, spec.ior, plfs.get());
-  rig.start_sampler([&job] { return job.finished(); });
-  rig.rt.run_to_completion([&](int rank) -> sim::Task {
-    return job.rank_main(rank, rig.rt.client(rank));
-  });
-
-  Observation obs;
-  obs.ior = job.result();
-  obs.metric = headline_metric(spec.ior, obs.ior);
-  obs.per_job.push_back(obs.ior);
-  obs.total_mbps = obs.metric;
-  if (spec.kind == JobKind::plfs) {
-    const auto data_files = plfs->backend_data_files(spec.ior.test_file);
-    obs.contention = core::observe(rig.fs.ost_occupancy(data_files));
-  }
-  rig.finish_run(obs);
-  rig.finish_ctrl(obs, s);
-  rig.export_bandwidth(obs);
-  rig.finish_trace(obs, s, seed);
-  return obs;
-}
-
-/// All-probe job list with a synchronised start: the historical Fig. 2
-/// probe benchmark (shared directory, world barrier, one target OST).
-Observation run_probe(const Scenario& s, const JobPlan& plan,
-                      std::uint64_t seed) {
-  Rig rig(s, plan.total_ranks, seed, plan.noise_jobs);
-  const JobSpec& first = *plan.rank_jobs.front();
-  ior::ProbeConfig cfg;
-  cfg.num_writers = static_cast<std::uint32_t>(plan.total_ranks);
-  cfg.bytes_per_writer = first.bytes;
-  cfg.transfer_size = first.transfer_size;
-  // Any OST works (the paper pins one via stripe_offset); randomising the
-  // pick per repetition lets background noise land on it sometimes, which
-  // is where the single-writer variance of Figure 2's band comes from.
-  cfg.target_ost = static_cast<lustre::OstIndex>(
-      first.target_ost >= 0
-          ? static_cast<std::uint32_t>(first.target_ost) %
-                rig.fs.params().ost_count
-          : seed % rig.fs.params().ost_count);
-
-  Observation obs;
-  obs.probe = ior::run_probe(rig.rt, cfg);
-  obs.metric = obs.probe.mean_mbps;
-  for (const double mbps : obs.probe.per_process_mbps) {
-    ior::Result r;
-    r.write_mbps = mbps;
-    r.total_bytes = cfg.bytes_per_writer;
-    r.write_time =
-        mbps > 0.0 ? static_cast<double>(cfg.bytes_per_writer) / (mbps * 1.0e6)
-                   : 0.0;
-    r.verified = true;
-    obs.per_job.push_back(r);
-    obs.total_mbps += mbps;
-  }
-  rig.finish_run(obs);
-  rig.finish_trace(obs, s, seed);
-  return obs;
-}
-
-/// True when the job list is the historical probe benchmark's shape: all
-/// probe writers, synchronised start, one writer per job with consecutive
-/// ids from 0, uniform payload, and one shared (or seed-derived) target.
-bool is_legacy_probe(const JobPlan& plan, const Scenario& s) {
-  if (plan.rank_jobs.empty() || !plan.synchronized) return false;
-  if (s.telemetry_interval > 0.0 || s.trace.interval > 0.0) return false;
-  if (s.ctrl.mode != ctrl::CtrlMode::off) return false;
-  const JobSpec& first = *plan.rank_jobs.front();
-  for (std::size_t i = 0; i < plan.rank_jobs.size(); ++i) {
-    const JobSpec& j = *plan.rank_jobs[i];
-    if (j.kind != JobKind::probe_writer || j.nprocs != 1) return false;
-    if (j.job_id != static_cast<lustre::sched::JobId>(i)) return false;
-    if (j.bytes != first.bytes || j.transfer_size != first.transfer_size ||
-        j.target_ost != first.target_ost) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// PFSC_TRACE / PFSC_TRACE_OUT / PFSC_TRACE_INTERVAL environment override,
@@ -856,8 +774,7 @@ void apply_trace_env(Scenario& s) {
     s.trace.out = out;
   }
   if (const char* interval = std::getenv("PFSC_TRACE_INTERVAL");
-      interval != nullptr && *interval != '\0' &&
-      !(s.job_list.empty() && s.workload == Workload::probe)) {
+      interval != nullptr && *interval != '\0') {
     char* end = nullptr;
     s.trace.interval = std::strtod(interval, &end);
     PFSC_REQUIRE(end != interval && *end == '\0' && s.trace.interval >= 0.0,
@@ -866,21 +783,6 @@ void apply_trace_env(Scenario& s) {
 }
 
 }  // namespace
-
-void spawn_noise(lustre::FileSystem& fs,
-                 std::vector<std::unique_ptr<lustre::Client>>& clients,
-                 const NoiseSpec& noise, std::uint64_t seed) {
-  for (unsigned w = 0; w < noise.writers; ++w) {
-    JobSpec j;
-    j.kind = JobKind::noise;
-    j.job_id = lustre::sched::kNoiseJobBase + w;
-    j.bytes = noise.bytes_per_writer;
-    j.transfer_size = noise.transfer_size;
-    j.stripes = noise.stripes;
-    j.stripe_size = noise.stripe_size;
-    spawn_noise_job(fs, clients, j, seed);
-  }
-}
 
 Observation run_scenario(const Scenario& scenario, std::uint64_t seed) {
   Scenario effective = scenario;
@@ -892,22 +794,10 @@ Observation run_scenario(const Scenario& scenario, std::uint64_t seed) {
   PFSC_REQUIRE(!plan.rank_jobs.empty(),
                "Scenario: needs at least one non-noise job");
 
-  Observation obs;
-  const JobSpec& first = *plan.rank_jobs.front();
-  const bool single_at_root =
-      plan.rank_jobs.size() == 1 && plan.synchronized &&
-      first.kind != JobKind::probe_writer &&
-      first.ior.test_file.find('/', 1) == std::string::npos;
-  if (is_legacy_probe(plan, s)) {
-    obs = run_probe(s, plan, seed);
-  } else if (single_at_root) {
-    obs = run_single(s, plan, seed);
-  } else {
-    obs = run_fleet(s, std::move(plan), seed);
-  }
+  Observation obs = run_jobs(s, plan, seed);
   obs.workload = scenario.job_list.empty() ? scenario.workload : Workload::jobs;
   obs.seed = seed;
-  if (obs.jobs.empty()) obs.jobs = s.jobs_desugared();
+  obs.jobs = std::move(plan.all);
   return obs;
 }
 

@@ -1,24 +1,34 @@
 // Unified scenario description for the experiment harness.
 //
-// A Scenario says *what to run*. Since PR 6 the primitive is the **job
-// list**: a Scenario is a vector of JobSpec — each an independent
-// application (an IOR job, a PLFS-backed IOR job, a single-OST probe
-// writer, or a background noise writer) with its own JobId, configuration
-// and arrival offset. `run_scenario(scenario, seed)` builds a fresh engine
-// + file system + runtime from the seed, runs every job to completion, and
-// returns an Observation. Fresh-state-per-run keeps repetitions
-// independent, exactly like resubmitting a batch job — and is what lets
-// ParallelRunner execute plan points on concurrent threads with
-// bit-identical per-seed results.
+// A Scenario says *what to run*. The primitive is the **job list**: a
+// Scenario is a vector of JobSpec — each an application (an IOR job, a
+// PLFS-backed IOR job, a single-OST probe writer, or a background noise
+// writer) with its own JobId, configuration and arrival offset.
+// `run_scenario(scenario, seed)` builds a fresh engine + file system +
+// runtime from the seed, runs every job to completion, and returns an
+// Observation. Fresh-state-per-run keeps repetitions independent, exactly
+// like resubmitting a batch job — and is what lets ParallelRunner execute
+// plan points on concurrent threads with bit-identical per-seed results.
 //
-// The pre-PR-6 closed `Workload` enum survives as sugar: the enum plus the
-// single-job fields describe the four historical shapes, and `jobs()`
-// desugars them into the equivalent job list. The factory helpers
-// (`Scenario::single_ior`, `::plfs_ior`, `::multi`, `::probe`) construct
-// those shapes; `Scenario::from_jobs` builds an explicit job-list scenario
-// (what `replay::to_scenario` and the fleet generator produce). Execution
-// is always job-list driven — desugared legacy shapes reproduce the
-// historical event sequences bit for bit (pinned by the golden tests).
+// The closed `Workload` enum survives as sugar: the enum plus the
+// single-job fields describe the four historical shapes, and
+// `jobs_desugared()` turns them into the equivalent job list. The factory
+// helpers (`Scenario::single_ior`, `::plfs_ior`, `::multi`, `::probe`)
+// construct those shapes; `Scenario::from_jobs` builds an explicit
+// job-list scenario (what `replay::to_scenario` and the fleet generator
+// produce).
+//
+// Every list runs through one executor (DESIGN.md §11). How a run starts
+// follows from the list alone:
+//   - each rank-carrying job is its own MPI application, except that the
+//     probe writers of a synchronised list (all arrivals 0) form one;
+//   - a synchronised list with more than one application, or whose job
+//     files need parent directories made first, barriers the world and
+//     comm-splits it by application (the paper's simultaneous submission);
+//   - otherwise each application runs on its own communicator, starting
+//     after its arrival offset.
+// Desugared legacy shapes therefore replay their historical event
+// sequences bit for bit (pinned by the golden and trace-pin tests).
 //
 // Sweeps and repetitions over a Scenario are described by harness::RunPlan
 // (run_plan.hpp) and executed by harness::ParallelRunner (runner.hpp).
@@ -33,7 +43,6 @@
 #include "harness/admission.hpp"
 #include "hw/platform.hpp"
 #include "ior/ior.hpp"
-#include "ior/probe.hpp"
 #include "trace/telemetry.hpp"
 
 namespace pfsc::harness {
@@ -60,10 +69,10 @@ struct JobSpec {
   /// Empty: the kind name.
   std::string app;
   /// Simulated-time offset at which the job starts. All-zero arrivals mean
-  /// a synchronised start (the paper's simultaneous-submission design: a
-  /// world barrier before the jobs split off); any positive arrival makes
-  /// the whole scenario free-running — each job begins at its own offset
-  /// with no cross-job barrier.
+  /// a synchronised start (the paper's simultaneous-submission design; see
+  /// the header comment for when the world barriers and splits); any
+  /// positive arrival makes the whole scenario free-running — each job
+  /// begins at its own offset with no cross-job barrier.
   Seconds arrival = 0.0;
 
   // -- ior / plfs --------------------------------------------------------
@@ -90,12 +99,10 @@ struct JobSpec {
 };
 
 // ---------------------------------------------------------------------------
-// Background noise (deprecated alias).
+// Background noise (alias).
 //
-// Noise writers are ordinary background jobs since PR 6: a NoiseSpec with
-// `writers == n` desugars to n JobKind::noise entries with JobIds
-// kNoiseJobBase + i appended to the job list (see Scenario::jobs()). The
-// struct and `spawn_noise` remain for source compatibility.
+// A NoiseSpec with `writers == n` desugars to n JobKind::noise entries with
+// JobIds kNoiseJobBase + i appended to the job list (see jobs_desugared()).
 // ---------------------------------------------------------------------------
 struct NoiseSpec {
   unsigned writers = 0;
@@ -104,15 +111,6 @@ struct NoiseSpec {
   std::uint32_t stripes = 2;  // background users rarely tune
   Bytes stripe_size = 1_MiB;
 };
-
-/// Spawn the background writers on `fs` (each an independent client with a
-/// default-layout file, started immediately). The engine owns the spawned
-/// processes; `clients` receives ownership of the Client objects and must
-/// outlive the run. Deprecated: prefer JobKind::noise entries in the job
-/// list, which run_scenario spawns itself (with arrival-offset support).
-void spawn_noise(lustre::FileSystem& fs,
-                 std::vector<std::unique_ptr<lustre::Client>>& clients,
-                 const NoiseSpec& noise, std::uint64_t seed);
 
 // ---------------------------------------------------------------------------
 // Scenario: what to run.
@@ -134,7 +132,7 @@ struct Scenario {
   Workload workload = Workload::ior;
 
   /// The job list. Empty: desugared from the legacy fields below by
-  /// `jobs()`. Non-empty: authoritative (the legacy single-job fields are
+  /// `jobs_desugared()`. Non-empty: authoritative (the legacy single-job fields are
   /// ignored, except `noise`, which appends background jobs).
   std::vector<JobSpec> job_list;
 
@@ -152,13 +150,12 @@ struct Scenario {
 
   // -- environment ---------------------------------------------------------
   hw::PlatformParams platform = hw::cab_lscratchc();
-  /// Deprecated alias: desugars to JobKind::noise entries (see jobs()).
+  /// Alias: desugars to JobKind::noise entries (see jobs_desugared()).
   NoiseSpec noise;  // writers == 0: quiet system
 
-  /// Model-driven admission control for fleet runs (admission.hpp). The
-  /// default `always` is bit-for-bit invisible: no controller is built and
-  /// jobs start exactly as before. Only the fleet route consults this;
-  /// single-job and probe scenarios ignore it.
+  /// Model-driven admission control (admission.hpp). The default `always`
+  /// is bit-for-bit invisible: no controller is built and jobs start
+  /// exactly as before.
   AdmissionConfig admission;
 
   /// Online adaptive tuning (ctrl/controller.hpp). The default mode `off`
@@ -195,7 +192,7 @@ struct Scenario {
 
   /// The scenario's job list: `job_list` when non-empty, else the legacy
   /// fields desugared (ior/plfs/multi/probe -> the equivalent JobSpecs).
-  /// Noise writers from the deprecated `noise` field are appended as
+  /// Noise writers from the `noise` field are appended as
   /// JobKind::noise entries in either case.
   std::vector<JobSpec> jobs_desugared() const;
 
@@ -216,21 +213,18 @@ struct Observation {
   /// analytics joins per_job results against.
   std::vector<JobSpec> jobs;
 
-  /// ior/plfs: the job's result. multi/jobs: aggregate with write_mbps set
-  /// to the per-job mean. probe: unused.
+  /// One rank-carrying job: that job's result, unmodified. More than one:
+  /// the first job's result with write_mbps set to `metric`.
   ior::Result ior;
   /// One result per rank-carrying job (ior/plfs/probe_writer), in job-list
-  /// order — populated for every workload since PR 6 (a single IOR run is
-  /// a one-entry fleet; probe writers report per-writer aggregates).
+  /// order (a single IOR run is a one-entry list; a probe job reports the
+  /// sum of its writers' MB/s and the slowest writer's time).
   std::vector<ior::Result> per_job;
-  /// Sum of the per-job headline metrics. Populated for every workload
-  /// since PR 6 (fleet aggregation needs no per-kind special cases).
+  /// Sum of the per-job headline metrics.
   double total_mbps = 0.0;
-  /// plfs: per-OST data-file occupancy census. multi/jobs: cross-job OST
-  /// census over every job's files.
+  /// Per-OST occupancy census over every ior/plfs job's data files (PLFS
+  /// jobs count their backend data files; probe writers none).
   core::ObservedContention contention;
-  /// probe only.
-  ior::ProbeResult probe;
   /// Aggregate-bandwidth timeline when telemetry_interval > 0.
   trace::Series bandwidth;
 
@@ -253,9 +247,10 @@ struct Observation {
   /// Chrome trace_event JSON (full mode only; empty otherwise).
   std::string trace_json;
 
-  /// The scenario's headline number: write (or read-only) MB/s for
-  /// ior/plfs, mean per-job write MB/s for multi/jobs, mean per-process
-  /// MB/s for the probe.
+  /// The scenario's headline number: the mean over jobs of each job's write
+  /// (or, for a read-only job, read) MB/s. A list of only probe writers
+  /// reports the Welford mean (support/stats.hpp mean_of) the Fig. 2
+  /// goldens were pinned with; every other list sum / n.
   double metric = 0.0;
 
   /// The most coroutine frames live at once (FrameArena high-water mark):

@@ -20,16 +20,10 @@ std::vector<std::string_view> split_path(std::string_view path) {
 }
 
 FileSystem::FileSystem(sim::Engine& eng, hw::PlatformParams params,
-                       std::uint64_t seed, AllocPolicy policy)
+                       std::uint64_t seed)
     : eng_(&eng),
       params_(std::move(params)),
-      placement_(make_placement(
-          // The legacy ctor argument keeps working, but an explicit
-          // params.ost_placement wins (the CLI sets only the latter).
-          params_.ost_placement == PlacementKind::uniform_random &&
-                  policy == AllocPolicy::round_robin
-              ? PlacementKind::round_robin
-              : params_.ost_placement)),
+      placement_(make_placement(params_.ost_placement)),
       rng_(seed),
       mds_slots_(eng, params_.mds_parallelism) {
   PFSC_REQUIRE(params_.ost_count > 0 && params_.oss_count > 0,

@@ -8,9 +8,9 @@
 //
 // OST assignment follows the paper's description of lscratchc: "targets
 // assigned at random (based on current usage, to maintain an approximately
-// even capacity)". AllocPolicy::uniform_random reproduces that (and the
-// binomial occupancy statistics of Eq. 1-6); round_robin exists as an
-// ablation.
+// even capacity)". PlacementKind::uniform_random (placement.hpp, selected
+// by params.ost_placement) reproduces that and the binomial occupancy
+// statistics of Eq. 1-6; the other placement kinds are ablations.
 #pragma once
 
 #include <cstdint>
@@ -58,19 +58,9 @@ struct Inode {
   bool has_dir_default = false;
 };
 
-/// Legacy allocator selector, kept for source compatibility: it maps onto
-/// lustre::PlacementKind (placement.hpp), which is the full policy surface
-/// (params.ost_placement). A non-default `ost_placement` wins over the
-/// ctor argument.
-enum class AllocPolicy {
-  uniform_random,  // paper's lscratchc behaviour
-  round_robin,     // ablation: perfectly even assignment
-};
-
 class FileSystem {
  public:
-  FileSystem(sim::Engine& eng, hw::PlatformParams params, std::uint64_t seed,
-             AllocPolicy policy = AllocPolicy::uniform_random);
+  FileSystem(sim::Engine& eng, hw::PlatformParams params, std::uint64_t seed);
 
   FileSystem(const FileSystem&) = delete;
   FileSystem& operator=(const FileSystem&) = delete;

@@ -39,9 +39,8 @@ class UniformRandomPlacement final : public PlacementPolicy {
   }
 };
 
-/// The historical AllocPolicy::round_robin: a cursor striding over all
-/// OSTs, skipping failed ones (the cursor still advances past them, like
-/// the old FileSystem counter did).
+/// A cursor striding over all OSTs, skipping failed ones (the cursor
+/// still advances past them).
 class RoundRobinPlacement final : public PlacementPolicy {
  public:
   PlacementKind kind() const override { return PlacementKind::round_robin; }

@@ -8,8 +8,7 @@
 // on the contention model instead of merely feeding it:
 //
 //   round_robin    a striding cursor over all OSTs (perfectly even
-//                  assignment; the historical AllocPolicy::round_robin
-//                  ablation, bit-for-bit).
+//                  assignment; an ablation).
 //   load_aware     pick the `want` least-demanded healthy OSTs, where
 //                  demand is the MDS's live allocated-object count per
 //                  OST. Minimises the predicted per-OST overlap (Eq. 1-4:

@@ -397,12 +397,15 @@ TEST(CtrlScenario, ValidateRejectsDegenerateSchedTuning) {
   EXPECT_THROW(s.validate(), UsageError);
 }
 
-TEST(CtrlScenario, ProbeWorkloadRejectsController) {
-  harness::Scenario s;
-  s.workload = harness::Workload::probe;
-  s.writers = 2;
-  s.ctrl.mode = ctrl::CtrlMode::pfl;
-  EXPECT_THROW(s.validate(), UsageError);
+TEST(CtrlScenario, ProbeWorkloadRunsUnderController) {
+  harness::Scenario s = harness::Scenario::probe(2, 8_MiB);
+  s.platform = hw::tiny_test_platform();
+  s.ctrl.mode = ctrl::CtrlMode::full;
+  s.ctrl.interval = 0.01;
+  const harness::Observation obs = harness::run_scenario(s, 4);
+  EXPECT_EQ(obs.ctrl_mode, ctrl::CtrlMode::full);
+  ASSERT_EQ(obs.per_job.size(), 2u);
+  for (const ior::Result& r : obs.per_job) EXPECT_GT(r.write_mbps, 0.0);
 }
 
 }  // namespace

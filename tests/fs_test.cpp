@@ -221,7 +221,9 @@ TEST_F(FsFixture, RandomAllocationBalancesOverManyFiles) {
 
 TEST_F(FsFixture, RoundRobinPolicyIsPerfectlyEven) {
   sim::Engine eng2;
-  FileSystem rr(eng2, hw::tiny_test_platform(), 1, AllocPolicy::round_robin);
+  hw::PlatformParams params = hw::tiny_test_platform();
+  params.ost_placement = PlacementKind::round_robin;
+  FileSystem rr(eng2, params, 1);
   auto run2 = [&](auto op) {
     Result<InodeId> out{};
     eng2.spawn([](decltype(op) o, Result<InodeId>& res) -> sim::Task {

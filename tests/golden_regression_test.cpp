@@ -98,7 +98,7 @@ TEST(GoldenFifo, Fig2ContentionCurve) {
     const auto obs = harness::run_scenario(s, 0xF2D0);
     char what[64];
     std::snprintf(what, sizeof(what), "fig2[%zu]", i);
-    check(what, obs.probe.mean_mbps, golden[i]);
+    check(what, obs.metric, golden[i]);
   }
 }
 
@@ -153,7 +153,7 @@ TEST(GoldenFifo, SchedFifoPreservesEveryFigure) {
     s.writers = 8;
     s.bytes_per_writer = 16_MiB;
     const auto obs = harness::run_scenario(s, 0xF2D0);
-    check("sched_fifo.fig2[3]", obs.probe.mean_mbps, 21.318108696473729);
+    check("sched_fifo.fig2[3]", obs.metric, 21.318108696473729);
   }
   {
     harness::Scenario s;

@@ -117,16 +117,18 @@ TEST(Noise, BackgroundWritersConsumeBandwidth) {
 }
 
 TEST(Noise, WritersActuallyWriteData) {
-  sim::Engine eng;
-  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 5);
-  std::vector<std::unique_ptr<lustre::Client>> clients;
-  harness::NoiseSpec noise;
-  noise.writers = 3;
-  noise.bytes_per_writer = 8_MiB;
-  harness::spawn_noise(fs, clients, noise, 1);
-  eng.run();
-  EXPECT_EQ(fs.total_bytes_written(), 3u * 8_MiB);
-  EXPECT_EQ(clients.size(), 3u);
+  harness::Scenario s = harness::Scenario::probe(1, 1_MiB);
+  s.platform = hw::tiny_test_platform();
+  s.noise.writers = 3;
+  s.noise.bytes_per_writer = 8_MiB;
+  s.trace.mode = trace::TraceMode::summary;
+  const auto obs = harness::run_scenario(s, 5);
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    const auto it =
+        obs.trace_summary.job_bytes.find(lustre::sched::kNoiseJobBase + w);
+    ASSERT_NE(it, obs.trace_summary.job_bytes.end()) << "noise writer " << w;
+    EXPECT_EQ(it->second, 8_MiB) << "noise writer " << w;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "ior/ior.hpp"
-#include "ior/probe.hpp"
 #include "plfs/plfs.hpp"
 
 namespace pfsc::ior {
@@ -110,9 +111,21 @@ TEST(Probe, SingleWriterBaseline) {
   spec.platform = hw::tiny_test_platform();
   spec.writers = 1;
   spec.bytes_per_writer = 16_MiB;
-  const auto res = harness::run_scenario(spec, 3).probe;
-  ASSERT_EQ(res.per_process_mbps.size(), 1u);
-  EXPECT_GT(res.mean_mbps, 0.0);
+  const auto obs = harness::run_scenario(spec, 3);
+  ASSERT_EQ(obs.per_job.size(), 1u);
+  EXPECT_GT(obs.metric, 0.0);
+  EXPECT_EQ(obs.metric, obs.per_job.front().write_mbps);
+}
+
+TEST(Probe, TelemetryReturnsBandwidthTimeline) {
+  harness::Scenario spec = harness::Scenario::probe(2, 16_MiB);
+  spec.platform = hw::tiny_test_platform();
+  spec.telemetry_interval = 0.01;
+  const auto obs = harness::run_scenario(spec, 3);
+  ASSERT_GT(obs.bandwidth.size(), 0u);
+  EXPECT_GT(*std::max_element(obs.bandwidth.value.begin(),
+                              obs.bandwidth.value.end()),
+            0.0);
 }
 
 TEST(Probe, ContentionDegradesPerProcessBandwidth) {
@@ -122,7 +135,7 @@ TEST(Probe, ContentionDegradesPerProcessBandwidth) {
     spec.platform = hw::tiny_test_platform();
     spec.writers = writers;
     spec.bytes_per_writer = 64_MiB;  // long enough to reach steady state
-    return harness::run_scenario(spec, 3).probe.mean_mbps;
+    return harness::run_scenario(spec, 3).metric;
   };
   const double bw1 = mean_bw(1);
   const double bw4 = mean_bw(4);

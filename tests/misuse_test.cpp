@@ -8,7 +8,6 @@
 #include "harness/run_plan.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
-#include "ior/probe.hpp"
 #include "mpi/runtime.hpp"
 #include "trace/telemetry.hpp"
 
@@ -79,15 +78,6 @@ TEST(Misuse, FileSystemGuards) {
   EXPECT_THROW(lustre::FileSystem(eng, bad_params, 1), UsageError);
 }
 
-TEST(Misuse, ProbeRequiresMatchingRuntime) {
-  sim::Engine eng;
-  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 1);
-  mpi::Runtime rt(fs, 4, 4);
-  ior::ProbeConfig cfg;
-  cfg.num_writers = 8;  // != runtime size
-  EXPECT_THROW(ior::run_probe(rt, cfg), UsageError);
-}
-
 TEST(Misuse, SamplerGuards) {
   sim::Engine eng;
   EXPECT_THROW(trace::Sampler(eng, 0.0), UsageError);
@@ -107,10 +97,10 @@ TEST(Misuse, ScenarioGuards) {
   plfs_spec.workload = harness::Workload::plfs;
   EXPECT_THROW(plfs_spec.validate(), UsageError);
 
-  harness::Scenario probe_telemetry;  // probe does not support telemetry
-  probe_telemetry.workload = harness::Workload::probe;
-  probe_telemetry.telemetry_interval = 1.0;
-  EXPECT_THROW(probe_telemetry.validate(), UsageError);
+  harness::Scenario no_writers;
+  no_writers.workload = harness::Workload::probe;
+  no_writers.writers = 0;
+  EXPECT_THROW(no_writers.validate(), UsageError);
 
   harness::Scenario no_procs;
   no_procs.nprocs = 0;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "harness/scenario.hpp"
 #include "replay/log.hpp"
@@ -390,6 +391,43 @@ TEST(JobListExec, ValidatesJobLists) {
     j.ior.hints.driver = mpiio::Driver::ad_plfs;
     EXPECT_THROW(harness::run_scenario(Scenario::from_jobs({j}), 1),
                  UsageError);
+  }
+}
+
+TEST(JobListExec, ReadOfAFileNobodyWroteReportsEnoent) {
+  // A read-only job of a missing file reports ENOENT and the run finishes:
+  // alone at "/", in a subdirectory (a setup task makes the parents), and
+  // beside a writer in a free-running two-job fleet.
+  auto reader = [](lustre::sched::JobId id, std::string path) {
+    JobSpec j;
+    j.job_id = id;
+    j.nprocs = 4;
+    j.ior.segment_count = 2;
+    j.ior.write_file = false;
+    j.ior.read_file = true;
+    j.ior.test_file = std::move(path);
+    return j;
+  };
+  JobSpec writer = reader(2, "/fleet/written.dat");
+  writer.ior.write_file = true;
+  writer.ior.read_file = false;
+  writer.arrival = 0.5;
+  const std::vector<std::vector<JobSpec>> lists = {
+      {reader(1, "/missing.dat")},
+      {reader(1, "/sub/dir/missing.dat")},
+      {reader(1, "/fleet/missing.dat"), writer},
+  };
+  for (const auto& list : lists) {
+    Scenario s = Scenario::from_jobs(list);
+    s.platform = hw::tiny_test_platform();
+    const auto obs = harness::run_scenario(s, 9);
+    ASSERT_EQ(obs.per_job.size(), list.size());
+    EXPECT_EQ(obs.per_job[0].err, lustre::Errno::enoent)
+        << list[0].ior.test_file;
+    if (list.size() > 1) {
+      EXPECT_EQ(obs.per_job[1].err, lustre::Errno::ok);
+      EXPECT_GT(obs.contention.d_inuse, 0.0);
+    }
   }
 }
 

@@ -249,16 +249,67 @@ TEST(TraceIntegration, FullTraceBytesArePinned) {
   EXPECT_EQ(fnv1a(csv.str()), 2791614697388237533ull);
 }
 
+// The three legacy single-route shapes, pinned the same way: a Fig. 2
+// probe with background noise, one IOR job at "/" with noise, and one
+// ad_plfs job. Their exported bytes depend on every event each run makes,
+// so any change to how a lone job or the probe is started shows up here.
+struct TracePin {
+  std::size_t size;
+  std::uint64_t hash;
+};
+
+TracePin full_trace_pin(Scenario s, std::uint64_t seed) {
+  s.trace.mode = trace::TraceMode::full;
+  const Observation obs = run_scenario(s, seed);
+  EXPECT_EQ(obs.trace_summary.dropped_events, 0u);
+  return {obs.trace_json.size(), fnv1a(obs.trace_json)};
+}
+
+TEST(TraceIntegration, ProbeTraceBytesArePinned) {
+  Scenario s = Scenario::probe(4, 4_MiB);
+  s.noise.writers = 2;
+  s.noise.bytes_per_writer = 16_MiB;
+  const TracePin pin = full_trace_pin(s, /*seed=*/23);
+  EXPECT_EQ(pin.size, 154804u);
+  EXPECT_EQ(pin.hash, 15874259520775555259ull);
+}
+
+TEST(TraceIntegration, SingleJobTraceBytesArePinned) {
+  ior::Config cfg;
+  cfg.segment_count = 2;
+  cfg.hints.striping_factor = 8;
+  Scenario s = Scenario::single_ior(cfg);
+  s.nprocs = 16;
+  s.noise.writers = 3;
+  s.noise.bytes_per_writer = 16_MiB;
+  s.trace.interval = 0.01;
+  const TracePin pin = full_trace_pin(s, /*seed=*/29);
+  EXPECT_EQ(pin.size, 628813u);
+  EXPECT_EQ(pin.hash, 10635939910084507276ull);
+}
+
+TEST(TraceIntegration, PlfsJobTraceBytesArePinned) {
+  ior::Config cfg;
+  cfg.segment_count = 2;
+  Scenario s = Scenario::plfs_ior(cfg);
+  s.nprocs = 16;
+  s.trace.interval = 0.01;
+  const TracePin pin = full_trace_pin(s, /*seed=*/31);
+  EXPECT_EQ(pin.size, 573020u);
+  EXPECT_EQ(pin.hash, 9082173965740537563ull);
+}
+
 TEST(TraceIntegration, ValidateRejectsInconsistentTraceConfig) {
   Scenario s = small_multi();
   s.trace.out = "trace.json";  // out without a mode
   EXPECT_THROW(s.validate(), UsageError);
 
-  Scenario p;
-  p.workload = Workload::probe;
+  Scenario p = Scenario::probe(2, 4_MiB);
   p.trace.mode = trace::TraceMode::full;
-  p.trace.interval = 1.0;  // probe cannot host the trace sampler
-  EXPECT_THROW(p.validate(), UsageError);
+  p.trace.interval = 0.01;  // the probe hosts the trace sampler too
+  EXPECT_NO_THROW(p.validate());
+  const Observation probe = run_scenario(p, 3);
+  EXPECT_NE(probe.trace_json.find("fabric_util"), std::string::npos);
 
   Scenario neg = small_multi();
   neg.trace.mode = trace::TraceMode::full;
