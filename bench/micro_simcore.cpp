@@ -42,39 +42,40 @@ BENCHMARK(BM_EngineEventDispatch)->Arg(1000)->Arg(100000);
 // The classic DES "hold model": a steady-state population of N pending
 // events; each step pops the minimum and schedules a replacement a random
 // increment into the future. This isolates the queue from coroutine cost
-// and is the ≥1.5x events/sec gate in .github/bench-baseline.json (the
-// heap pays O(log n) comparisons per operation, the ladder O(1)).
-void BM_EventQueueHold(benchmark::State& state, sim::EventQueuePolicy policy) {
+// and carries the ladder/heap ratio gates in .github/bench-baseline.json
+// (the heap pays O(log n) comparisons per operation, the ladder O(1)).
+template <typename Queue>
+void BM_EventQueueHold(benchmark::State& state) {
   const int population = static_cast<int>(state.range(0));
-  auto q = sim::make_event_queue(policy);
+  Queue q;
   Rng rng(0xB0DE);
   std::uint64_t seq = 1;
   for (int i = 0; i < population; ++i) {
-    q->push({rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
+    q.push({rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
   }
   for (auto _ : state) {
-    const sim::ScheduledEvent ev = q->pop();
-    q->push({ev.t + rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
+    const sim::ScheduledEvent ev = q.pop();
+    q.push({ev.t + rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
     benchmark::DoNotOptimize(seq);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_EventQueueHold, binary_heap,
-                  sim::EventQueuePolicy::binary_heap)
+BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::BinaryHeapQueue)
+    ->Name("BM_EventQueueHold/binary_heap")
     ->Arg(1024)
     ->Arg(65536);
-BENCHMARK_CAPTURE(BM_EventQueueHold, ladder, sim::EventQueuePolicy::ladder)
+BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::LadderQueue)
+    ->Name("BM_EventQueueHold/ladder")
     ->Arg(1024)
     ->Arg(65536);
 
 // End-to-end engine dispatch with a large concurrent timer population —
 // the queue-bound regime a 4,096-rank run puts the engine in.
-void BM_EngineManyTimers(benchmark::State& state,
-                         sim::EventQueuePolicy policy) {
+void BM_EngineManyTimers(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
   constexpr int kHops = 64;
   for (auto _ : state) {
-    sim::Engine eng(policy);
+    sim::Engine eng;
     for (int i = 0; i < tasks; ++i) {
       eng.spawn(delay_loop(eng, kHops));
     }
@@ -83,11 +84,7 @@ void BM_EngineManyTimers(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * tasks * kHops);
 }
-BENCHMARK_CAPTURE(BM_EngineManyTimers, binary_heap,
-                  sim::EventQueuePolicy::binary_heap)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_EngineManyTimers, ladder, sim::EventQueuePolicy::ladder)
-    ->Arg(4096);
+BENCHMARK(BM_EngineManyTimers)->Arg(4096);
 
 // -- coroutine frame churn ---------------------------------------------------
 
@@ -126,35 +123,25 @@ BENCHMARK(BM_FrameChurn);
 // One full Fig. 3 four-job contention run (4 x 1,024 processes, tuned
 // 160 x 128 MiB layout) per iteration: the end-to-end number the ISSUE's
 // "measurable Fig. 3 wall-clock improvement" criterion refers to. One
-// iteration is seconds of work, so the perf job runs exactly one per
-// policy.
-void BM_Fig3FourJobs(benchmark::State& state, sim::EventQueuePolicy policy) {
+// iteration is seconds of work, so the perf job runs exactly one.
+void BM_Fig3FourJobs(benchmark::State& state) {
   harness::Scenario s = harness::Scenario::multi(4, 1024);
   s.ior.hints.driver = mpiio::Driver::ad_lustre;
   s.ior.hints.striping_factor = 160;
   s.ior.hints.striping_unit = 128_MiB;
-  s.platform.event_queue = policy;
   for (auto _ : state) {
     const auto obs = harness::run_scenario(s, 0xF3F3);
     benchmark::DoNotOptimize(obs.total_mbps);
   }
-  // One item = one full Fig. 3 run, so items_per_second is 1/wall-clock and
-  // the ladder/heap ratio in bench-baseline.json reads as the end-to-end
-  // speedup.
+  // One item = one full Fig. 3 run, so items_per_second is 1/wall-clock.
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_Fig3FourJobs, binary_heap,
-                  sim::EventQueuePolicy::binary_heap)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Fig3FourJobs, ladder, sim::EventQueuePolicy::ladder)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+BENCHMARK(BM_Fig3FourJobs)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // The same Fig. 3 quartet with the adaptive controller dialled in. The
-// ctrl_off capture is the exact BM_Fig3FourJobs/ladder scenario spelled
+// ctrl_off capture is the exact BM_Fig3FourJobs scenario spelled
 // through the ctrl config (mode off constructs no controller and adds no
-// engine events), so its ratio against BM_Fig3FourJobs/ladder in
+// engine events), so its ratio against BM_Fig3FourJobs in
 // bench-baseline.json is the "a disabled control plane costs nothing"
 // gate. The ctrl_pfl capture prices the active controller: a 10 ms tick
 // loop plus the layout retunes it decides on.
@@ -163,7 +150,6 @@ void BM_AdaptiveQuartet(benchmark::State& state, ctrl::CtrlMode mode) {
   s.ior.hints.driver = mpiio::Driver::ad_lustre;
   s.ior.hints.striping_factor = 160;
   s.ior.hints.striping_unit = 128_MiB;
-  s.platform.event_queue = sim::EventQueuePolicy::ladder;
   s.ctrl.mode = mode;
   s.ctrl.interval = 0.01;
   s.ctrl.cooldown = 0.02;

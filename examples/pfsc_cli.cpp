@@ -1,21 +1,21 @@
 // pfsc_cli — a command-line driver for the simulator, so experiments can be
 // scripted without writing C++. Hints travel in MPI_Info textual form.
 //
-//   pfsc_cli ior    --nprocs 1024 --hints "driver=ad_lustre;striping_factor=160;striping_unit=134217728" --reps 3
-//   pfsc_cli multi  --jobs 4 --nprocs 1024 --stripes 64
+//   pfsc_cli ior    --nprocs 1024 --hints "driver=ad_lustre;striping_factor=160;striping_unit=134217728" --repetitions 3
+//   pfsc_cli multi  --jobs 4 --nprocs 1024 --striping_factor 64
 //   pfsc_cli probe  --writers 8
 //   pfsc_cli plfs   --nprocs 512
-//   pfsc_cli metrics --dtotal 480 --stripes 160 --jobs 10
+//   pfsc_cli metrics --dtotal 480 --striping_factor 160 --jobs 10
 //   pfsc_cli advise --dtotal 480 --jobs 4 --budget 1.25
-//   pfsc_cli health --jobs 4 --stripes 64    (run jobs, then report)
+//   pfsc_cli health --jobs 4 --striping_factor 64    (run jobs, then report)
 //   pfsc_cli replay --replay data/fig3_quartet.joblog --report report.json
 //   pfsc_cli fleet  --fleet 200 --fleet_mix ior:4,checkpoint:2 --fleet_seed 7
 //
 // The flag surface is the Scenario/RunPlan field set itself (see
 // harness::cli::scenario_flags): each flag is named after the field it
-// sets, the old spellings remain as aliases, and every value is parsed
-// strictly — garbage input is an error, never a silent zero. --threads
-// runs repetitions across a worker pool without changing any result.
+// sets, and every value is parsed strictly — garbage input is an error,
+// never a silent zero. --threads runs repetitions across a worker pool
+// without changing any result.
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -3,7 +3,7 @@
 # micro_simcore additionally emits BENCH_simcore.json (Google Benchmark
 # JSON), the machine-readable record the CI perf gate checks with
 # tools/check_bench_baseline.py.
-cd /root/repo
+cd "$(dirname "$0")" || exit 1
 
 # A debug-build capture is not a perf reference: refuse outright rather
 # than silently committing numbers that are 10-50x off. (Google Benchmark

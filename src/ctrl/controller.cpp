@@ -109,7 +109,7 @@ void Controller::stop() {
 }
 
 sim::Task Controller::run() {
-  for (; ticks_ < cfg_.max_ticks && !stopped_; ++ticks_) {
+  for (; !stopped_; ++ticks_) {
     co_await TickWait{this};
     if (stopped_) break;
     tick();

@@ -3,8 +3,8 @@
 // mid-run through the TuningBus.
 //
 // The Controller is a periodic simulation process (same shape as
-// trace::Sampler: a tick loop with a cancellable between-ticks wake, a
-// watch predicate, and a max-tick bound). Every tick it reads
+// trace::Sampler: a tick loop with a cancellable between-ticks wake and a
+// watch predicate that ends it with the run). Every tick it reads
 // instantaneous, side-effect-free signals — scheduler queue depth,
 // per-job served-byte deltas, Jain fairness, per-OST object counts — and
 // applies whichever rules the mode enables:
@@ -80,9 +80,6 @@ struct CtrlConfig {
   /// OST), swap back below imbalance_low.
   double imbalance_high = 2.0;
   double imbalance_low = 1.25;
-  /// Lifetime bound, like trace::Sampler's (a watch predicate is the
-  /// usual stop condition; this is the backstop).
-  std::size_t max_ticks = 100000;
 };
 
 /// One controller decision, in simulated time.

@@ -44,13 +44,6 @@ lustre::sched::SchedPolicy parse_sched_policy(std::string_view flag,
   bad_value(flag, text, "expected one of: fifo, job_fair, token_bucket");
 }
 
-sim::EventQueuePolicy parse_event_queue_policy(std::string_view flag,
-                                               std::string_view text) {
-  if (text == "binary_heap") return sim::EventQueuePolicy::binary_heap;
-  if (text == "ladder") return sim::EventQueuePolicy::ladder;
-  bad_value(flag, text, "expected one of: binary_heap, ladder");
-}
-
 trace::TraceMode parse_trace_mode(std::string_view flag, std::string_view text) {
   trace::TraceMode mode = trace::TraceMode::off;
   if (!trace::parse_trace_mode(text, mode)) {
@@ -188,19 +181,9 @@ Flag& FlagTable::bind_bytes(std::string name, Bytes& target, std::string help) {
              });
 }
 
-FlagTable& FlagTable::alias(std::string name) {
-  PFSC_REQUIRE(!flags_.empty(), "FlagTable: alias() needs a preceding flag");
-  PFSC_REQUIRE(find(name) == nullptr, "FlagTable: duplicate flag " + name);
-  flags_.back().aliases.push_back(std::move(name));
-  return *this;
-}
-
 const Flag* FlagTable::find(std::string_view name) const {
   for (const auto& flag : flags_) {
     if (flag.name == name) return &flag;
-    for (const auto& alias : flag.aliases) {
-      if (alias == name) return &flag;
-    }
   }
   return nullptr;
 }
@@ -222,9 +205,8 @@ void FlagTable::parse(int argc, char** argv, int from) const {
 std::string FlagTable::usage() const {
   std::string out;
   for (const auto& flag : flags_) {
-    out += "  " + flag.name + " " + flag.value_name;
-    for (const auto& alias : flag.aliases) out += " (alias " + alias + ")";
-    out += "\n      " + flag.help + "\n";
+    out += "  " + flag.name + " " + flag.value_name + "\n      " + flag.help +
+           "\n";
   }
   return out;
 }
@@ -236,7 +218,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   // spelling *is* the field name.
   PFSC_FLAG(table, scenario, nprocs, "ranks per job");
   PFSC_FLAG(table, scenario, procs_per_node, "ranks per simulated node");
-  table.alias("--ppn");
   PFSC_FLAG(table, scenario, jobs, "contending jobs (multi workload)");
   PFSC_FLAG(table, scenario, writers, "probe writers on one OST");
   PFSC_FLAG_BYTES(table, scenario, bytes_per_writer,
@@ -257,7 +238,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
 
   PFSC_FLAG(table, scenario.ior.hints, striping_factor,
             "Lustre stripe count hint");
-  table.alias("--stripes");
   PFSC_FLAG_BYTES(table, scenario.ior.hints, striping_unit,
                   "Lustre stripe size hint");
   // scenario.noise.writers would collide with the probe's --writers, so the
@@ -276,14 +256,12 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
               scenario.platform.link_policy =
                   parse_link_policy("--link_policy", text);
             });
-  table.alias("--link-policy");
   table.add("--sched_policy", "POLICY",
             "OSS request scheduler: fifo | job_fair | token_bucket",
             [&scenario](std::string_view text) {
               scenario.platform.oss_sched_policy =
                   parse_sched_policy("--sched_policy", text);
             });
-  table.alias("--sched-policy").alias("--oss_sched_policy");
   table.add("--placement", "KIND",
             "MDS OST placement: uniform_random | round_robin | load_aware "
             "| node_affine",
@@ -291,7 +269,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
               scenario.platform.ost_placement =
                   parse_placement_kind("--placement", text);
             });
-  table.alias("--ost_placement");
   table.add("--admission", "POLICY",
             "fleet admission control: always | threshold | detune",
             [&scenario](std::string_view text) {
@@ -313,13 +290,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
               }
               scenario.admission.min_stripes = static_cast<std::uint32_t>(v);
             });
-  table.add("--event_queue", "POLICY",
-            "engine pending-event queue: binary_heap | ladder",
-            [&scenario](std::string_view text) {
-              scenario.platform.event_queue =
-                  parse_event_queue_policy("--event_queue", text);
-            });
-  table.alias("--event-queue");
   // Degenerate SchedTuning values are rejected right here so the error
   // names the flag (Scenario::validate would only name the field).
   table.add("--sched_quantum", "BYTES",
@@ -397,12 +367,10 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
               plan.repetitions(
                   static_cast<unsigned>(parse_uint("--repetitions", text)));
             });
-  table.alias("--reps");
   table.add("--base_seed", "N", "base seed for per-repetition seed derivation",
             [&plan](std::string_view text) {
               plan.base_seed(parse_uint("--base_seed", text));
             });
-  table.alias("--seed");
 
   // ParallelRunner.
   table.bind("--threads", threads,

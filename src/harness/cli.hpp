@@ -4,7 +4,7 @@
 // flag is declared once, *named after the field it sets* (via PFSC_FLAG,
 // which stringises the member name), with strict value parsing — a
 // non-numeric or trailing-garbage value is a UsageError, never a silent
-// std::atoi zero. Old pfsc_cli spellings stay alive as aliases.
+// std::atoi zero.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,6 @@ Bytes parse_bytes(std::string_view flag, std::string_view text);
 sim::LinkPolicy parse_link_policy(std::string_view flag, std::string_view text);
 lustre::sched::SchedPolicy parse_sched_policy(std::string_view flag,
                                               std::string_view text);
-sim::EventQueuePolicy parse_event_queue_policy(std::string_view flag,
-                                               std::string_view text);
 trace::TraceMode parse_trace_mode(std::string_view flag, std::string_view text);
 lustre::PlacementKind parse_placement_kind(std::string_view flag,
                                            std::string_view text);
@@ -47,13 +45,12 @@ struct Flag {
   std::string name;        // canonical spelling: "--" + field name
   std::string value_name;  // e.g. "N", "BYTES", "X"
   std::string help;
-  std::vector<std::string> aliases;
   std::function<void(std::string_view)> set;
 };
 
 class FlagTable {
  public:
-  /// Declare a flag with a custom setter. Returns it for .alias() chaining.
+  /// Declare a flag with a custom setter.
   Flag& add(std::string name, std::string value_name, std::string help,
             std::function<void(std::string_view)> set);
 
@@ -67,14 +64,11 @@ class FlagTable {
   /// this needs its own spelling rather than an overload.)
   Flag& bind_bytes(std::string name, Bytes& target, std::string help);
 
-  /// Add an extra accepted spelling to the most recently declared flag.
-  FlagTable& alias(std::string name);
-
   /// Parse `argv[from..argc)` as "--flag value" pairs. Throws UsageError on
   /// an unknown flag, a missing value, or a value that fails to parse.
   void parse(int argc, char** argv, int from) const;
 
-  /// One "  --flag VALUE  help" line per flag (aliases listed inline).
+  /// One "  --flag VALUE  help" line per flag.
   std::string usage() const;
 
   const std::vector<Flag>& flags() const { return flags_; }
@@ -85,8 +79,7 @@ class FlagTable {
 };
 
 /// The standard Scenario/RunPlan surface: one flag per sweepable field,
-/// named after the field, plus --threads for the ParallelRunner. Old
-/// pfsc_cli spellings (--stripes, --seed, ...) are registered as aliases.
+/// named after the field, plus --threads for the ParallelRunner.
 FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads);
 
 }  // namespace pfsc::harness::cli

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -295,10 +296,14 @@ struct Rig {
   std::unique_ptr<trace::Sampler> trace_sampler;
   std::unique_ptr<ctrl::Controller> controller;  // scenario.ctrl.mode != off
 
+  // The samplers stop through start_sampler's watch once the jobs finish;
+  // a tick cap could only cut a long run's timeline short.
+  static constexpr std::size_t kUncapped =
+      std::numeric_limits<std::size_t>::max();
+
   Rig(const Scenario& s, int nprocs, std::uint64_t seed,
       const std::vector<const JobSpec*>& noise_jobs)
-      : eng(s.platform.event_queue),
-        fs(eng, s.platform, seed),
+      : fs(eng, s.platform, seed),
         rt(fs, nprocs, s.procs_per_node) {
     if (s.trace.mode != trace::TraceMode::off) {
       recorder = std::make_unique<trace::Recorder>(s.trace);
@@ -308,7 +313,8 @@ struct Rig {
       spawn_noise_job(fs, noise_clients, *job, seed);
     }
     if (s.telemetry_interval > 0.0) {
-      sampler = std::make_unique<trace::Sampler>(eng, s.telemetry_interval);
+      sampler = std::make_unique<trace::Sampler>(eng, s.telemetry_interval,
+                                                 kUncapped);
       sampler->add_total_bytes_probe(fs);
     }
     // `off` builds no controller at all: zero engine events, goldens
@@ -318,7 +324,8 @@ struct Rig {
                                                       recorder.get());
     }
     if (recorder && s.trace.interval > 0.0) {
-      trace_sampler = std::make_unique<trace::Sampler>(eng, s.trace.interval);
+      trace_sampler =
+          std::make_unique<trace::Sampler>(eng, s.trace.interval, kUncapped);
       trace_sampler->add_instruments(trace::link_instruments("fabric", fs.fabric()),
                                      fs.liveness());
       trace_sampler->add_instruments(trace::sched_instruments(fs), fs.liveness());

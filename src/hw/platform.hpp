@@ -14,7 +14,6 @@
 #include "hw/disk.hpp"
 #include "lustre/placement.hpp"
 #include "lustre/sched/policy.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/link.hpp"
 #include "support/units.hpp"
 
@@ -44,14 +43,6 @@ struct PlatformParams {
   /// where n concurrent flows each see rate/n simultaneously. See
   /// sim/link.hpp and DESIGN.md for when each is appropriate.
   sim::LinkPolicy link_policy = sim::LinkPolicy::fifo;
-
-  // -- event queue --------------------------------------------------------
-  /// Pending-event queue backing the simulation engine. Purely a
-  /// performance knob: both queues dispatch the identical (time, seq)
-  /// order, pinned by the golden regression tests and the heap-vs-ladder
-  /// property test. `ladder` (amortised O(1)) is the default; `binary_heap`
-  /// is the O(log n) reference. See sim/event_queue.hpp and DESIGN.md §10.
-  sim::EventQueuePolicy event_queue = sim::EventQueuePolicy::ladder;
 
   // -- OSS request scheduling ---------------------------------------------
   /// Server-side (NRS-style) request scheduling on each OSS: how the OSS

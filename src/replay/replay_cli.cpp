@@ -22,7 +22,6 @@ void ReplayOptions::apply(harness::Scenario& scenario) const {
 void add_replay_flags(harness::cli::FlagTable& table, ReplayOptions& opts) {
   table.bind("--replay", opts.replay_log,
              "replay a PFSC joblog (path; see DESIGN.md §11)");
-  table.alias("--replay_log");
   table.add("--fleet", "N", "generate a synthetic fleet of N jobs",
             [&opts](std::string_view text) {
               opts.fleet.jobs = static_cast<unsigned>(
@@ -32,7 +31,6 @@ void add_replay_flags(harness::cli::FlagTable& table, ReplayOptions& opts) {
               }
               opts.fleet_requested = true;
             });
-  table.alias("--fleet_jobs");
   table.add("--fleet_mix", "MIX",
             "weighted fleet templates (" + fleet_template_names() +
                 "), e.g. ior:4,checkpoint:2",
@@ -42,12 +40,10 @@ void add_replay_flags(harness::cli::FlagTable& table, ReplayOptions& opts) {
               (void)parse_fleet_mix("--fleet_mix", text);
               opts.fleet.mix = std::string(text);
             });
-  table.alias("--fleet-mix");
   table.bind("--fleet_seed", opts.fleet.seed,
              "fleet generator seed (independent of --base_seed)");
   table.bind("--fleet_span", opts.fleet.span,
              "fleet arrival window in simulated seconds (0: all at t=0)");
-  table.alias("--fleet-span");
 }
 
 }  // namespace pfsc::replay

@@ -28,8 +28,7 @@ struct ReplayOptions {
   void apply(harness::Scenario& scenario) const;
 };
 
-/// Register --replay (alias --replay_log), --fleet (alias --fleet_jobs),
-/// --fleet_mix (alias --fleet-mix), --fleet_seed and --fleet_span.
+/// Register --replay, --fleet, --fleet_mix, --fleet_seed and --fleet_span.
 void add_replay_flags(harness::cli::FlagTable& table, ReplayOptions& opts);
 
 }  // namespace pfsc::replay

@@ -5,9 +5,7 @@
 
 namespace pfsc::sim {
 
-Engine::Engine(EventQueuePolicy policy)
-    : prev_arena_(FrameArena::exchange_current(&arena_)),
-      queue_(make_event_queue(policy)) {
+Engine::Engine() : prev_arena_(FrameArena::exchange_current(&arena_)) {
   live_roots_.reserve(64);
 }
 
@@ -25,8 +23,7 @@ WakeToken Engine::schedule(Wakeup w, Seconds t) {
   PFSC_ASSERT(w && !w.done());
   PFSC_ASSERT(t >= now_);
   const std::uint64_t seq = ++seq_;  // 1-based: token 0 stays null
-  queue_->push(ScheduledEvent{t, seq, w});
-  ++pending_;
+  queue_.push(ScheduledEvent{t, seq, w});
   return WakeToken{seq};
 }
 
@@ -57,8 +54,7 @@ void Engine::note_root_done(std::size_t live_index) {
 }
 
 void Engine::dispatch_one() {
-  const ScheduledEvent ev = queue_->pop();
-  --pending_;
+  const ScheduledEvent ev = queue_.pop();
   if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
     // Lazily-skipped cancellation: neither time nor the event count moves,
     // so cancelling is invisible to everything still scheduled.
@@ -72,12 +68,11 @@ void Engine::dispatch_one() {
 }
 
 const ScheduledEvent* Engine::drain_cancelled_front() {
-  const ScheduledEvent* top = queue_->peek();
+  const ScheduledEvent* top = queue_.peek();
   while (top != nullptr && !cancelled_.empty() &&
          cancelled_.erase(top->seq) > 0) {
-    queue_->pop();
-    --pending_;
-    top = queue_->peek();
+    queue_.pop();
+    top = queue_.peek();
   }
   return top;
 }
@@ -111,7 +106,7 @@ void Engine::rethrow_pending() {
 }
 
 void Engine::run() {
-  while (pending_ != 0) {
+  while (!queue_.empty()) {
     dispatch_one();
     rethrow_pending();
   }

@@ -7,17 +7,14 @@
 // Queued work that needs no stack of its own can instead be a Wakeable
 // record (event_queue.hpp), which an event wakes exactly like a coroutine.
 //
-// The pending-event set is a pluggable sim::EventQueue (event_queue.hpp):
-// a calendar/ladder queue by default, the reference binary heap on
-// request. Both pop the minimal (time, seq) event, so the choice
-// cannot change simulation results — only wall-clock speed. The engine
-// also owns a FrameArena (arena.hpp) that recycles coroutine-frame
-// allocations for every Task/Co created while it is alive.
+// The pending-event set is a LadderQueue (event_queue.hpp) held by value;
+// it pops the minimal (time, seq) event. The engine also owns a
+// FrameArena (arena.hpp) that recycles coroutine-frame allocations for
+// every Task/Co created while it is alive.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -46,7 +43,7 @@ struct WakeToken {
 
 class Engine {
  public:
-  explicit Engine(EventQueuePolicy policy = EventQueuePolicy::ladder);
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -59,10 +56,7 @@ class Engine {
 
   /// Entries currently in the pending-event queue, including tombstones of
   /// cancelled wakeups that have not yet been skipped.
-  std::size_t pending_events() const { return pending_; }
-
-  /// Which pending-event queue this engine runs on.
-  EventQueuePolicy event_queue_policy() const { return queue_->policy(); }
+  std::size_t pending_events() const { return queue_.size(); }
 
   /// The engine's coroutine-frame arena (statistics for tests/benchmarks).
   const FrameArena& frame_arena() const { return arena_; }
@@ -153,10 +147,7 @@ class Engine {
   Seconds now_ = 0.0;
   std::uint64_t seq_ = 0;  // last issued sequence number; tokens start at 1
   std::uint64_t executed_ = 0;
-  // Mirrors queue_->size(); lets run()'s loop condition skip a virtual
-  // call per dispatched event.
-  std::size_t pending_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  LadderQueue queue_;
   std::vector<std::coroutine_handle<>> live_roots_;  // unfinished root frames
   std::exception_ptr pending_exception_;
   std::unordered_set<std::uint64_t> cancelled_;  // seqs to skip lazily

@@ -17,14 +17,6 @@ constexpr double kMinWidth = 1.0e-12;
 
 }  // namespace
 
-const char* event_queue_policy_name(EventQueuePolicy policy) {
-  switch (policy) {
-    case EventQueuePolicy::binary_heap: return "binary_heap";
-    case EventQueuePolicy::ladder: return "ladder";
-  }
-  return "?";
-}
-
 ScheduledEvent BinaryHeapQueue::pop() {
   PFSC_ASSERT(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
@@ -191,17 +183,6 @@ void LadderQueue::rebuild(std::size_t nbuckets) {
   }
   for (Bucket& b : buckets_) std::make_heap(b.begin(), b.end(), EventLater{});
   cache_valid_ = false;
-}
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueuePolicy policy) {
-  switch (policy) {
-    case EventQueuePolicy::binary_heap:
-      return std::make_unique<BinaryHeapQueue>();
-    case EventQueuePolicy::ladder:
-      return std::make_unique<LadderQueue>();
-  }
-  PFSC_REQUIRE(false, "make_event_queue: unknown EventQueuePolicy");
-  return nullptr;
 }
 
 }  // namespace pfsc::sim

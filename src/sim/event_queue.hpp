@@ -1,13 +1,13 @@
-// Pluggable pending-event queues for the simulation engine.
+// The simulation engine's pending-event queue.
 //
 // The engine dispatches the minimal (t, seq) event on every step (see
-// ScheduledEvent for the key), so any queue that pops in that order is
-// bit-for-bit interchangeable with any other — the implementations below
-// differ only in cost:
+// ScheduledEvent for the key). It holds one LadderQueue by value; the
+// BinaryHeapQueue below pops in the same order and stays as the reference
+// that tests and the hold-model benchmark compare the ladder against:
 //
-//  * BinaryHeapQueue — std::priority_queue over the key: O(log n) per
-//    push/pop. The reference implementation; simple, and what the engine
-//    shipped with historically.
+//  * BinaryHeapQueue — a binary heap over the key: O(log n) per push/pop.
+//    The reference implementation; simple, and what the engine shipped
+//    with historically.
 //  * LadderQueue     — calendar queue (Brown '88) of min-heap buckets with
 //    lazy resizing: events hash into `buckets` of `width` simulated
 //    seconds each by floor(t / width), a cursor walks the buckets in year
@@ -20,15 +20,14 @@
 //    This is the queue the DES literature recommends once event counts
 //    reach the tens of millions a 4,096-rank PLFS run executes.
 //
-// Determinism: pop() always returns the minimal (t, seq) pending event, so
-// every implementation yields the same dispatch sequence; the golden
-// regression tests and the heap-vs-ladder property test pin this.
+// Determinism: pop() always returns the minimal (t, seq) pending event.
+// The heap-vs-ladder property test pins that on random op streams, and
+// the engine-level property test checks the dispatch order it implies.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "support/units.hpp"
@@ -104,49 +103,25 @@ struct EventLater {
   }
 };
 
-enum class EventQueuePolicy {
-  binary_heap,  // reference O(log n) heap
-  ladder,       // calendar/ladder queue, amortised O(1) (default)
-};
-
-const char* event_queue_policy_name(EventQueuePolicy policy);
-
-/// Interface for the engine's pending-event set, ordered by the (t, seq)
-/// key.
-class EventQueue {
+/// Reference implementation: a binary heap over (t, seq). Both queues
+/// share the member names below, so tests and benchmarks template over
+/// them.
+class BinaryHeapQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  virtual void push(const ScheduledEvent& ev) = 0;
-  /// The minimal pending event, or nullptr when empty. The pointer is
-  /// valid until the next push/pop. Non-const: implementations may advance
-  /// internal cursors while locating the minimum.
-  virtual const ScheduledEvent* peek() = 0;
-  /// Remove and return the minimal pending event. Requires !empty().
-  virtual ScheduledEvent pop() = 0;
-
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
-  virtual EventQueuePolicy policy() const = 0;
-};
-
-/// Reference implementation: a binary heap over (t, seq).
-class BinaryHeapQueue final : public EventQueue {
- public:
-  void push(const ScheduledEvent& ev) override {
+  void push(const ScheduledEvent& ev) {
     heap_.push_back(ev);
     std::push_heap(heap_.begin(), heap_.end(), EventLater{});
   }
-  const ScheduledEvent* peek() override {
+  /// The minimal pending event, or nullptr when empty. The pointer is
+  /// valid until the next push/pop.
+  const ScheduledEvent* peek() {
     return heap_.empty() ? nullptr : &heap_.front();
   }
-  ScheduledEvent pop() override;
+  /// Remove and return the minimal pending event. Requires !empty().
+  ScheduledEvent pop();
 
-  bool empty() const override { return heap_.empty(); }
-  std::size_t size() const override { return heap_.size(); }
-  EventQueuePolicy policy() const override {
-    return EventQueuePolicy::binary_heap;
-  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
  private:
   std::vector<ScheduledEvent> heap_;
@@ -155,17 +130,17 @@ class BinaryHeapQueue final : public EventQueue {
 /// Calendar queue of min-heap buckets; see file header. All operations are
 /// amortised O(1) when the bucket width matches the event-time spread,
 /// which the lazy resize maintains.
-class LadderQueue final : public EventQueue {
+class LadderQueue {
  public:
   LadderQueue();
 
-  void push(const ScheduledEvent& ev) override;
-  const ScheduledEvent* peek() override;
-  ScheduledEvent pop() override;
+  void push(const ScheduledEvent& ev);
+  /// Non-const: locating the minimum may advance the bucket cursor.
+  const ScheduledEvent* peek();
+  ScheduledEvent pop();
 
-  bool empty() const override { return size_ == 0; }
-  std::size_t size() const override { return size_; }
-  EventQueuePolicy policy() const override { return EventQueuePolicy::ladder; }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   // -- introspection (tests/benchmarks) ---------------------------------
   std::size_t bucket_count() const { return buckets_.size(); }
@@ -217,7 +192,5 @@ class LadderQueue final : public EventQueue {
   std::size_t today_head_ = 0;
   double t_floor_ = 0.0;  // time of the last popped event (monotone)
 };
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueuePolicy policy);
 
 }  // namespace pfsc::sim

@@ -1,6 +1,7 @@
 // FlagTable / strict-parsing behaviour: bad values must throw UsageError
-// (never the silent std::atoi zero the old CLI had), aliases must resolve,
-// and the scenario flag table must actually drive Scenario/RunPlan fields.
+// (never the silent std::atoi zero the old CLI had), every flag has exactly
+// one spelling, and the scenario flag table must actually drive
+// Scenario/RunPlan fields.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,15 +52,14 @@ TEST(CliParse, ByteSuffixes) {
   EXPECT_THROW(parse_bytes("--x", ""), UsageError);
 }
 
-TEST(CliTable, BindsAndAliases) {
+TEST(CliTable, BindsTypedTargets) {
   int count = 0;
   Bytes size = 0;
   FlagTable table;
   table.bind("--count", count, "how many");
-  table.alias("--n");
   table.bind_bytes("--size", size, "how big");
 
-  std::vector<std::string> args = {"prog", "--n", "3", "--size", "2M"};
+  std::vector<std::string> args = {"prog", "--count", "3", "--size", "2M"};
   auto argv = argv_of(args);
   table.parse(static_cast<int>(argv.size()), argv.data(), 1);
   EXPECT_EQ(count, 3);
@@ -94,7 +94,6 @@ TEST(CliTable, DuplicateFlagRejected) {
   FlagTable table;
   table.bind("--x", a, "first");
   EXPECT_THROW(table.bind("--x", b, "second"), UsageError);
-  EXPECT_THROW(table.alias("--x"), UsageError);
 }
 
 TEST(CliScenarioFlags, DrivesScenarioAndPlan) {
@@ -104,10 +103,15 @@ TEST(CliScenarioFlags, DrivesScenarioAndPlan) {
   FlagTable table = scenario_flags(scenario, plan, threads);
 
   std::vector<std::string> args = {
-      "prog",          "--nprocs",  "256",   "--ppn",    "8",
-      "--stripes",     "16",        "--striping_unit",   "4M",
-      "--noise_writers", "6",       "--reps", "5",
-      "--seed",        "99",        "--threads", "4"};
+      "prog",
+      "--nprocs",          "256",
+      "--procs_per_node",  "8",
+      "--striping_factor", "16",
+      "--striping_unit",   "4M",
+      "--noise_writers",   "6",
+      "--repetitions",     "5",
+      "--base_seed",       "99",
+      "--threads",         "4"};
   auto argv = argv_of(args);
   table.parse(static_cast<int>(argv.size()), argv.data(), 1);
 
@@ -150,8 +154,8 @@ TEST(CliEnumFlags, LinkPolicyParsesOrListsChoices) {
   table.parse(static_cast<int>(argv1.size()), argv1.data(), 1);
   EXPECT_EQ(scenario.platform.link_policy, sim::LinkPolicy::fair_share);
 
-  std::vector<std::string> dashed = {"prog", "--link-policy", "fifo"};
-  auto argv2 = argv_of(dashed);
+  std::vector<std::string> back = {"prog", "--link_policy", "fifo"};
+  auto argv2 = argv_of(back);
   table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
   EXPECT_EQ(scenario.platform.link_policy, sim::LinkPolicy::fifo);
 
@@ -183,14 +187,11 @@ TEST(CliEnumFlags, SchedPolicyParsesOrListsChoices) {
   table.parse(static_cast<int>(argv1.size()), argv1.data(), 1);
   EXPECT_EQ(scenario.platform.oss_sched_policy, SchedPolicy::job_fair);
 
-  for (const char* alias : {"--sched-policy", "--oss_sched_policy"}) {
-    std::vector<std::string> via = {"prog", alias, "token_bucket"};
-    auto argv2 = argv_of(via);
-    table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
-    EXPECT_EQ(scenario.platform.oss_sched_policy, SchedPolicy::token_bucket)
-        << alias;
-    scenario.platform.oss_sched_policy = SchedPolicy::fifo;
-  }
+  std::vector<std::string> bucket = {"prog", "--sched_policy", "token_bucket"};
+  auto argv2 = argv_of(bucket);
+  table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
+  EXPECT_EQ(scenario.platform.oss_sched_policy, SchedPolicy::token_bucket);
+  scenario.platform.oss_sched_policy = SchedPolicy::fifo;
 
   std::vector<std::string> bad = {"prog", "--sched_policy", "drr"};
   auto argv3 = argv_of(bad);
@@ -218,7 +219,7 @@ TEST(CliEnumFlags, PlacementParsesOrListsChoices) {
   table.parse(static_cast<int>(argv1.size()), argv1.data(), 1);
   EXPECT_EQ(scenario.platform.ost_placement, PlacementKind::load_aware);
 
-  std::vector<std::string> via = {"prog", "--ost_placement", "node_affine"};
+  std::vector<std::string> via = {"prog", "--placement", "node_affine"};
   auto argv2 = argv_of(via);
   table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
   EXPECT_EQ(scenario.platform.ost_placement, PlacementKind::node_affine);
@@ -279,36 +280,24 @@ TEST(CliEnumFlags, AdmissionFlagsParseStrictly) {
       UsageError);
 }
 
-TEST(CliEnumFlags, EventQueueParsesOrListsChoices) {
+TEST(CliEnumFlags, EventQueueFlagIsRejectedAsUnknown) {
+  // The engine runs one queue; the old queue-policy flag and its dashed
+  // spelling are rejected as unknown flags, never silently ignored.
   Scenario scenario;
   RunPlan plan;
   unsigned threads = 0;
   FlagTable table = scenario_flags(scenario, plan, threads);
-
-  EXPECT_EQ(scenario.platform.event_queue, sim::EventQueuePolicy::ladder);
-
-  std::vector<std::string> good = {"prog", "--event_queue", "binary_heap"};
-  auto argv1 = argv_of(good);
-  table.parse(static_cast<int>(argv1.size()), argv1.data(), 1);
-  EXPECT_EQ(scenario.platform.event_queue, sim::EventQueuePolicy::binary_heap);
-
-  std::vector<std::string> dashed = {"prog", "--event-queue", "ladder"};
-  auto argv2 = argv_of(dashed);
-  table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
-  EXPECT_EQ(scenario.platform.event_queue, sim::EventQueuePolicy::ladder);
-
-  std::vector<std::string> bad = {"prog", "--event_queue", "splay"};
-  auto argv3 = argv_of(bad);
-  try {
-    table.parse(static_cast<int>(argv3.size()), argv3.data(), 1);
-    FAIL() << "expected UsageError";
-  } catch (const UsageError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("binary_heap"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("ladder"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("splay"), std::string::npos) << msg;
+  for (const char* flag : {"--event_queue", "--event-queue"}) {
+    std::vector<std::string> args = {"prog", flag, "ladder"};
+    auto argv = argv_of(args);
+    try {
+      table.parse(static_cast<int>(argv.size()), argv.data(), 1);
+      FAIL() << "expected UsageError for " << flag;
+    } catch (const UsageError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown flag"), std::string::npos) << msg;
+    }
   }
-  EXPECT_EQ(scenario.platform.event_queue, sim::EventQueuePolicy::ladder);
 }
 
 TEST(CliEnumFlags, SimDomainsFlagIsRejectedAsUnknown) {
@@ -493,14 +482,14 @@ FlagTable replay_table(Scenario& scenario, RunPlan& plan, unsigned& threads,
   return table;
 }
 
-TEST(CliReplayFlags, ParseWithDeprecatedSpellings) {
+TEST(CliReplayFlags, ParseFieldNamedSpellings) {
   Scenario scenario;
   RunPlan plan;
   unsigned threads = 0;
   replay::ReplayOptions opts;
   FlagTable table = replay_table(scenario, plan, threads, opts);
 
-  std::vector<std::string> args = {"prog", "--replay_log", "day.joblog"};
+  std::vector<std::string> args = {"prog", "--replay", "day.joblog"};
   auto argv = argv_of(args);
   table.parse(static_cast<int>(argv.size()), argv.data(), 1);
   EXPECT_EQ(opts.replay_log, "day.joblog");
@@ -511,8 +500,8 @@ TEST(CliReplayFlags, ParseWithDeprecatedSpellings) {
   RunPlan p2;
   FlagTable table2 = replay_table(s2, p2, threads, fleet_opts);
   std::vector<std::string> fleet_args = {
-      "prog",        "--fleet_jobs", "12",          "--fleet-mix",
-      "ior:2,plfs",  "--fleet_seed", "9",           "--fleet-span",
+      "prog",        "--fleet",      "12",          "--fleet_mix",
+      "ior:2,plfs",  "--fleet_seed", "9",           "--fleet_span",
       "30"};
   auto argv2 = argv_of(fleet_args);
   table2.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
@@ -521,6 +510,32 @@ TEST(CliReplayFlags, ParseWithDeprecatedSpellings) {
   EXPECT_EQ(fleet_opts.fleet.mix, "ior:2,plfs");
   EXPECT_EQ(fleet_opts.fleet.seed, 9u);
   EXPECT_DOUBLE_EQ(fleet_opts.fleet.span, 30.0);
+}
+
+TEST(CliReplayFlags, RemovedSpellingsAreRejectedAsUnknown) {
+  // Every flag has one spelling, named after its field: the old
+  // alternatives fail as unknown flags instead of resolving.
+  Scenario scenario;
+  RunPlan plan;
+  unsigned threads = 0;
+  replay::ReplayOptions opts;
+  FlagTable table = replay_table(scenario, plan, threads, opts);
+  for (const char* flag :
+       {"--ppn", "--stripes", "--link-policy", "--sched-policy",
+        "--oss_sched_policy", "--ost_placement", "--reps", "--seed",
+        "--replay_log", "--fleet_jobs", "--fleet-mix", "--fleet-span"}) {
+    std::vector<std::string> args = {"prog", flag, "1"};
+    auto argv = argv_of(args);
+    try {
+      table.parse(static_cast<int>(argv.size()), argv.data(), 1);
+      FAIL() << "expected UsageError for " << flag;
+    } catch (const UsageError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown flag"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(table.usage().find(std::string(flag) + " "), std::string::npos)
+        << flag;
+  }
 }
 
 TEST(CliReplayFlags, FleetParsesStrictly) {
@@ -616,7 +631,7 @@ TEST(CliReplayFlags, UsageListsReplayFlags) {
   EXPECT_NE(usage.find("checkpoint"), std::string::npos);  // template names
 }
 
-TEST(CliScenarioFlags, UsageListsFieldNamesAndAliases) {
+TEST(CliScenarioFlags, UsageListsFieldNames) {
   Scenario scenario;
   RunPlan plan;
   unsigned threads = 0;
@@ -624,7 +639,7 @@ TEST(CliScenarioFlags, UsageListsFieldNamesAndAliases) {
   const std::string usage = table.usage();
   EXPECT_NE(usage.find("--nprocs"), std::string::npos);
   EXPECT_NE(usage.find("--striping_factor"), std::string::npos);
-  EXPECT_NE(usage.find("--stripes"), std::string::npos);  // alias survives
+  EXPECT_EQ(usage.find("alias"), std::string::npos);
   EXPECT_NE(usage.find("--threads"), std::string::npos);
 }
 

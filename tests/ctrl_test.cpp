@@ -16,6 +16,7 @@
 #include "lustre/fs.hpp"
 #include "lustre/pfl.hpp"
 #include "replay/analytics.hpp"
+#include "sim/task.hpp"
 
 namespace pfsc {
 namespace {
@@ -230,6 +231,31 @@ TEST(Controller, ExposesAllEndpoints) {
   EXPECT_EQ(controller.bus().endpoints(),
             (std::vector<std::string>{"dir_default", "oss_sched", "pfl",
                                       "placement"}));
+}
+
+sim::Task finish_at(sim::Engine& eng, Seconds t, bool* done) {
+  co_await eng.delay(t);
+  *done = true;
+}
+
+TEST(Controller, TicksUntilTheRunEndsPastAHundredThousandTicks) {
+  // The watch predicate is the controller's only stop condition: a run
+  // needing 150,000 ticks gets all of them, not a truncated prefix.
+  sim::Engine eng;
+  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 1);
+  ctrl::CtrlConfig cfg;
+  cfg.mode = ctrl::CtrlMode::qos;
+  cfg.interval = 1.0e-6;
+  ctrl::Controller controller(eng, cfg, fs);
+  bool done = false;
+  eng.spawn(finish_at(eng, 0.15, &done));
+  controller.watch([&done] { return !done; });
+  controller.start();
+  eng.run();
+  EXPECT_TRUE(done);
+  EXPECT_GT(controller.ticks(), 100000u);
+  EXPECT_GE(static_cast<double>(controller.ticks() + 1) * cfg.interval,
+            0.15 - 1.0e-9);
 }
 
 TEST(Controller, RejectsBadConfig) {

@@ -1,11 +1,14 @@
-// Unit tests for the pluggable pending-event queues (sim/event_queue.hpp),
-// the token-based cancellation API, and the coroutine-frame arena.
+// Unit tests for the pending-event queues (sim/event_queue.hpp): the
+// engine's ladder queue and the reference heap, the token-based
+// cancellation API, and the coroutine-frame arena.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -23,7 +26,8 @@ std::coroutine_handle<> dummy_handle() {
   return std::noop_coroutine();
 }
 
-std::vector<ScheduledEvent> drain(EventQueue& q) {
+template <typename Queue>
+std::vector<ScheduledEvent> drain(Queue& q) {
   std::vector<ScheduledEvent> out;
   while (!q.empty()) out.push_back(q.pop());
   return out;
@@ -41,64 +45,67 @@ bool ordered(const std::vector<ScheduledEvent>& evs) {
 // Queue-level ordering
 // ---------------------------------------------------------------------------
 
-class EveryQueue : public ::testing::TestWithParam<EventQueuePolicy> {};
+template <typename Queue>
+class EveryQueue : public ::testing::Test {};
 
-INSTANTIATE_TEST_SUITE_P(Policies, EveryQueue,
-                         ::testing::Values(EventQueuePolicy::binary_heap,
-                                           EventQueuePolicy::ladder),
-                         [](const auto& info) {
-                           return event_queue_policy_name(info.param);
-                         });
+struct QueueName {
+  template <typename Queue>
+  static std::string GetName(int) {
+    return std::is_same_v<Queue, LadderQueue> ? "ladder" : "binary_heap";
+  }
+};
+using Queues = ::testing::Types<BinaryHeapQueue, LadderQueue>;
+TYPED_TEST_SUITE(EveryQueue, Queues, QueueName);
 
-TEST_P(EveryQueue, PopsInTimeThenSeqOrder) {
-  auto q = make_event_queue(GetParam());
+TYPED_TEST(EveryQueue, PopsInTimeThenSeqOrder) {
+  TypeParam q;
   Rng rng(0xE001);
   std::uint64_t seq = 1;
   for (int i = 0; i < 1000; ++i) {
-    q->push({rng.uniform_double(0.0, 50.0), seq++, dummy_handle()});
+    q.push({rng.uniform_double(0.0, 50.0), seq++, dummy_handle()});
   }
-  EXPECT_EQ(q->size(), 1000u);
-  auto evs = drain(*q);
+  EXPECT_EQ(q.size(), 1000u);
+  auto evs = drain(q);
   ASSERT_EQ(evs.size(), 1000u);
   EXPECT_TRUE(ordered(evs));
 }
 
-TEST_P(EveryQueue, SameTimestampIsFifoBySeq) {
-  auto q = make_event_queue(GetParam());
+TYPED_TEST(EveryQueue, SameTimestampIsFifoBySeq) {
+  TypeParam q;
   // All at the same instant: pop order must be schedule order, exactly.
   for (std::uint64_t seq = 1; seq <= 256; ++seq) {
-    q->push({3.25, seq, dummy_handle()});
+    q.push({3.25, seq, dummy_handle()});
   }
-  auto evs = drain(*q);
+  auto evs = drain(q);
   ASSERT_EQ(evs.size(), 256u);
   for (std::uint64_t i = 0; i < 256; ++i) EXPECT_EQ(evs[i].seq, i + 1);
 }
 
-TEST_P(EveryQueue, PeekMatchesPopAndInterleavesWithPush) {
-  auto q = make_event_queue(GetParam());
+TYPED_TEST(EveryQueue, PeekMatchesPopAndInterleavesWithPush) {
+  TypeParam q;
   Rng rng(0xE002);
   std::uint64_t seq = 1;
   double now = 0.0;
   std::vector<ScheduledEvent> popped;
   for (int round = 0; round < 2000; ++round) {
-    if (q->empty() || rng.uniform(3) != 0) {
+    if (q.empty() || rng.uniform(3) != 0) {
       // Engine invariant: never schedule before the current time.
-      q->push({now + rng.uniform_double(0.0, 10.0), seq++, dummy_handle()});
+      q.push({now + rng.uniform_double(0.0, 10.0), seq++, dummy_handle()});
     } else {
-      const ScheduledEvent* top = q->peek();
+      const ScheduledEvent* top = q.peek();
       ASSERT_NE(top, nullptr);
       const ScheduledEvent peeked = *top;  // pop() invalidates the pointer
-      const ScheduledEvent ev = q->pop();
+      const ScheduledEvent ev = q.pop();
       EXPECT_EQ(ev.t, peeked.t);
       EXPECT_EQ(ev.seq, peeked.seq);
       now = ev.t;
       popped.push_back(ev);
     }
   }
-  auto rest = drain(*q);
+  auto rest = drain(q);
   popped.insert(popped.end(), rest.begin(), rest.end());
   EXPECT_TRUE(ordered(popped));
-  EXPECT_EQ(q->peek(), nullptr);
+  EXPECT_EQ(q.peek(), nullptr);
 }
 
 TEST(LadderQueue, GrowsAndShrinksWithPopulation) {
@@ -163,22 +170,13 @@ Task suspend_once_then_count(std::coroutine_handle<>* slot, int* fired) {
   ++*fired;
 }
 
-class EveryEngine : public ::testing::TestWithParam<EventQueuePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Policies, EveryEngine,
-                         ::testing::Values(EventQueuePolicy::binary_heap,
-                                           EventQueuePolicy::ladder),
-                         [](const auto& info) {
-                           return event_queue_policy_name(info.param);
-                         });
-
-TEST_P(EveryEngine, CancelThenRescheduleStillFires) {
+TEST(EngineCancel, CancelThenRescheduleStillFires) {
   // Regression for the address-keyed cancellation bug: cancelling one
   // wakeup of a frame and then legitimately re-scheduling the same frame
   // must not swallow the new wakeup. The address-keyed implementation
   // matched the tombstone against the *frame*, so the reschedule was
   // skipped and `fired` stayed 0.
-  Engine eng(GetParam());
+  Engine eng;
   std::coroutine_handle<> h;
   int fired = 0;
   eng.spawn(suspend_once_then_count(&h, &fired));
@@ -193,8 +191,8 @@ TEST_P(EveryEngine, CancelThenRescheduleStillFires) {
   EXPECT_EQ(eng.now(), 2.0);  // the cancelled 1 s wakeup never advanced time
 }
 
-TEST_P(EveryEngine, CancelledWakeupNeitherAdvancesTimeNorCounts) {
-  Engine eng(GetParam());
+TEST(EngineCancel, CancelledWakeupNeitherAdvancesTimeNorCounts) {
+  Engine eng;
   std::coroutine_handle<> h;
   int fired = 0;
   eng.spawn(suspend_once_then_count(&h, &fired));
@@ -216,10 +214,10 @@ TEST_P(EveryEngine, CancelledWakeupNeitherAdvancesTimeNorCounts) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_P(EveryEngine, RunUntilDrainsLeadingTombstonesBeforeDeciding) {
+TEST(EngineCancel, RunUntilDrainsLeadingTombstonesBeforeDeciding) {
   // A cancelled wakeup behind a live one: run_until must pop the live
   // event, then treat the remaining tombstone as empty.
-  Engine eng(GetParam());
+  Engine eng;
   std::coroutine_handle<> h;
   int fired = 0;
   eng.spawn(suspend_once_then_count(&h, &fired));
@@ -244,13 +242,6 @@ TEST(EngineCancel, NullTokenIsIgnored) {
   eng.schedule_after(h, 1.0);
   eng.run();
   EXPECT_EQ(fired, 1);
-}
-
-TEST(EnginePolicy, ReportsItsQueuePolicy) {
-  Engine heap(EventQueuePolicy::binary_heap);
-  EXPECT_EQ(heap.event_queue_policy(), EventQueuePolicy::binary_heap);
-  Engine ladder;
-  EXPECT_EQ(ladder.event_queue_policy(), EventQueuePolicy::ladder);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,6 +128,20 @@ TEST(Probe, TelemetryReturnsBandwidthTimeline) {
             0.0);
 }
 
+TEST(Probe, TelemetryTimelineCoversTheWholeRun) {
+  // More ticks than the sampler's default cap: the harness sampler stops
+  // with the job, not at a tick budget, so the timeline reaches the end.
+  harness::Scenario spec = harness::Scenario::probe(2, 16_MiB);
+  spec.platform = hw::tiny_test_platform();
+  const Seconds write_time =
+      harness::run_scenario(spec, 3).per_job.front().write_time;
+  ASSERT_GT(write_time, 0.0);
+  spec.telemetry_interval = write_time / 300000.0;
+  const auto obs = harness::run_scenario(spec, 3);
+  ASSERT_GT(obs.bandwidth.size(), 0u);
+  EXPECT_GE(obs.bandwidth.at.back(), write_time);
+}
+
 TEST(Probe, ContentionDegradesPerProcessBandwidth) {
   auto mean_bw = [](std::uint32_t writers) {
     harness::Scenario spec;
