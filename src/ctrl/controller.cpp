@@ -7,7 +7,6 @@ namespace pfsc::ctrl {
 
 using lustre::PflSpec;
 using lustre::PlacementKind;
-using lustre::StripeSettings;
 using lustre::sched::SchedTuning;
 
 const char* ctrl_mode_name(CtrlMode mode) {
@@ -32,33 +31,6 @@ Controller::Controller(sim::Engine& eng, CtrlConfig cfg,
                "Controller: construct only for an active mode");
   PFSC_REQUIRE(cfg_.interval > 0.0, "Controller: interval must be positive");
   PFSC_REQUIRE(cfg_.cooldown >= 0.0, "Controller: cooldown must be >= 0");
-
-  // The standard endpoints, wrapping the plain setters the tunable
-  // layers expose (they never see the bus; see retunable.hpp).
-  auto add = [this](const char* name, auto&& endpoint) {
-    endpoints_.push_back(
-        std::forward<decltype(endpoint)>(endpoint));
-    bus_.attach(name, *endpoints_.back());
-  };
-  add("oss_sched", std::make_unique<Endpoint<SchedTuning>>(
-                       "oss_sched", [&fs](const SchedTuning& t) {
-                         const std::uint32_t n = fs.params().oss_count;
-                         for (std::uint32_t oss = 0; oss < n; ++oss) {
-                           fs.oss_sched(oss).set_tuning(t);
-                         }
-                       }));
-  add("placement", std::make_unique<Endpoint<PlacementKind>>(
-                       "placement",
-                       [&fs](const PlacementKind& k) { fs.set_placement(k); }));
-  add("pfl", std::make_unique<Endpoint<PflSpec>>(
-                 "pfl", [&fs](const PflSpec& spec) { fs.set_pfl(spec); }));
-  add("dir_default",
-      std::make_unique<Endpoint<StripeSettings>>(
-          "dir_default", [&fs](const StripeSettings& s) {
-            const lustre::Errno err = fs.set_dir_stripe_now("/", s);
-            PFSC_REQUIRE(err == lustre::Errno::ok,
-                         "ctrl: set_dir_stripe_now(/) failed");
-          }));
 }
 
 PflSpec Controller::calm_spec() const {
@@ -94,8 +66,7 @@ void Controller::start() {
   // Arm the baseline before the first event runs, so files created at
   // t=0 already land in the controlled regime.
   if (cfg_.mode == CtrlMode::pfl || cfg_.mode == CtrlMode::full) {
-    act("pfl", "pfl", "pfl_calm", "wide layouts for new files",
-        TuneValue(calm_spec()));
+    set_pfl("pfl_calm", "wide layouts for new files", calm_spec());
   }
   eng_->spawn(run());
 }
@@ -165,7 +136,7 @@ void Controller::rule_pfl() {
     std::ostringstream detail;
     detail << "narrow layouts: " << spec.wide << " stripes for "
            << active << " writers";
-    act("pfl", "pfl", "pfl_storm", detail.str(), TuneValue(spec));
+    set_pfl("pfl_storm", detail.str(), spec);
     return;
   }
   if (storm_ && active + 1 <= cfg_.storm_jobs) {
@@ -177,8 +148,7 @@ void Controller::rule_pfl() {
     if (in_cooldown("pfl")) return;
     storm_ = false;
     storm_width_ = 0;
-    act("pfl", "pfl", "pfl_calm", "wide layouts for new files",
-        TuneValue(calm_spec()));
+    set_pfl("pfl_calm", "wide layouts for new files", calm_spec());
     return;
   }
   if (storm_) {
@@ -189,7 +159,7 @@ void Controller::rule_pfl() {
       std::ostringstream detail;
       detail << "re-divided: " << spec.wide << " stripes for " << active
              << " writers";
-      act("pfl", "pfl", "pfl_storm", detail.str(), TuneValue(spec));
+      set_pfl("pfl_storm", detail.str(), spec);
     }
   }
 }
@@ -210,7 +180,7 @@ void Controller::rule_qos() {
     tight.bucket_depth = std::max<Bytes>(1, sched_baseline_.bucket_depth / 2);
     std::ostringstream detail;
     detail << "tightened: jain " << jain << " < " << cfg_.jain_low;
-    act("oss_sched", "qos", "qos_tighten", detail.str(), TuneValue(tight));
+    set_oss_tuning("qos_tighten", detail.str(), tight);
     return;
   }
   if (tightened_ && jain > cfg_.jain_high) {
@@ -218,8 +188,7 @@ void Controller::rule_qos() {
     tightened_ = false;
     std::ostringstream detail;
     detail << "restored baseline: jain " << jain << " > " << cfg_.jain_high;
-    act("oss_sched", "qos", "qos_restore", detail.str(),
-        TuneValue(sched_baseline_));
+    set_oss_tuning("qos_restore", detail.str(), sched_baseline_);
   }
 }
 
@@ -240,8 +209,7 @@ void Controller::rule_placement() {
     rebalancing_ = true;
     std::ostringstream detail;
     detail << "load_aware placement: imbalance " << imbalance;
-    act("placement", "placement", "rebalance", detail.str(),
-        TuneValue(PlacementKind::load_aware));
+    set_placement("rebalance", detail.str(), PlacementKind::load_aware);
     return;
   }
   if (rebalancing_ && imbalance < cfg_.imbalance_low) {
@@ -250,8 +218,7 @@ void Controller::rule_placement() {
     std::ostringstream detail;
     detail << "restored " << lustre::placement_kind_name(placement_baseline_)
            << ": imbalance " << imbalance;
-    act("placement", "placement", "restore", detail.str(),
-        TuneValue(placement_baseline_));
+    set_placement("restore", detail.str(), placement_baseline_);
   }
 }
 
@@ -261,10 +228,27 @@ bool Controller::in_cooldown(const char* family) const {
   return eng_->now() - it->second < cfg_.cooldown;
 }
 
-void Controller::act(const char* endpoint, const char* family,
-                     const char* rule, std::string detail,
-                     const TuneValue& value) {
-  bus_.apply(endpoint, value);
+void Controller::set_pfl(const char* rule, std::string detail, PflSpec spec) {
+  fs_->set_pfl(std::move(spec));
+  record("pfl", "pfl", rule, std::move(detail));
+}
+
+void Controller::set_oss_tuning(const char* rule, std::string detail,
+                                const SchedTuning& tuning) {
+  for (std::uint32_t oss = 0; oss < fs_->params().oss_count; ++oss) {
+    fs_->oss_sched(oss).set_tuning(tuning);
+  }
+  record("oss_sched", "qos", rule, std::move(detail));
+}
+
+void Controller::set_placement(const char* rule, std::string detail,
+                               PlacementKind kind) {
+  fs_->set_placement(kind);
+  record("placement", "placement", rule, std::move(detail));
+}
+
+void Controller::record(const char* endpoint, const char* family,
+                        const char* rule, std::string detail) {
   const Seconds now = eng_->now();
   last_action_[family] = now;
   actions_.push_back(CtrlAction{now, endpoint, rule, std::move(detail)});

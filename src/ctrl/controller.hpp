@@ -1,6 +1,7 @@
-// The first consumer of the control plane: a rule-based feedback
-// controller that samples the live instruments and retunes the I/O path
-// mid-run through the TuningBus.
+// The control plane: a rule-based feedback controller that samples the
+// live instruments and retunes the I/O path mid-run by calling the plain
+// setters the tunable layers expose (FileSystem::set_pfl,
+// FileSystem::set_placement, Scheduler::set_tuning on every OSS).
 //
 // The Controller is a periodic simulation process (same shape as
 // trace::Sampler: a tick loop with a cancellable between-ticks wake and a
@@ -39,11 +40,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ctrl/retunable.hpp"
 #include "lustre/fs.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
@@ -85,7 +84,7 @@ struct CtrlConfig {
 /// One controller decision, in simulated time.
 struct CtrlAction {
   Seconds at = 0.0;
-  std::string endpoint;  // TuningBus endpoint the value went to
+  std::string endpoint;  // what was retuned: pfl, oss_sched or placement
   std::string rule;      // which rule fired (pfl_calm, qos_tighten, ...)
   std::string detail;    // human-readable value summary
 };
@@ -111,10 +110,6 @@ class Controller {
   /// controller does not keep the engine alive.
   void stop();
 
-  /// The endpoint registry (exposed so tests and future policies can
-  /// apply values by name themselves).
-  TuningBus& bus() { return bus_; }
-
   const std::vector<CtrlAction>& actions() const { return actions_; }
   std::vector<CtrlAction> take_actions() { return std::move(actions_); }
   const CtrlConfig& config() const { return cfg_; }
@@ -135,12 +130,19 @@ class Controller {
   void rule_pfl();
   void rule_qos();
   void rule_placement();
-  /// Apply `value` to `endpoint` and record the decision. `family` is the
+  /// Install `spec` / `tuning` (on every OSS) / `kind` and record the
+  /// decision.
+  void set_pfl(const char* rule, std::string detail, lustre::PflSpec spec);
+  void set_oss_tuning(const char* rule, std::string detail,
+                      const lustre::sched::SchedTuning& tuning);
+  void set_placement(const char* rule, std::string detail,
+                     lustre::PlacementKind kind);
+  /// Record a decision just applied to `endpoint`. `family` is the
   /// rule-family key the cooldown is tracked under ("pfl", "qos",
   /// "placement" — the same key in_cooldown queries); `rule` is the
   /// per-action name kept for traces and CtrlAction rows.
-  void act(const char* endpoint, const char* family, const char* rule,
-           std::string detail, const TuneValue& value);
+  void record(const char* endpoint, const char* family, const char* rule,
+              std::string detail);
   bool in_cooldown(const char* family) const;
   /// Jobs whose served bytes grew since the previous tick.
   std::size_t active_jobs();
@@ -152,9 +154,6 @@ class Controller {
   lustre::FileSystem* fs_;
   trace::Recorder* recorder_;
   trace::TrackHandle track_;
-
-  TuningBus bus_;
-  std::vector<std::unique_ptr<Retunable>> endpoints_;
 
   std::function<bool()> active_;
   bool started_ = false;

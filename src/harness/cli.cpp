@@ -223,7 +223,8 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   PFSC_FLAG_BYTES(table, scenario, bytes_per_writer,
                   "bytes each probe writer streams");
   PFSC_FLAG(table, scenario, telemetry_interval,
-            "sampling interval in simulated seconds (0: off)");
+            "sampling interval in simulated seconds (0: off); a traced "
+            "run mirrors the samples into the trace");
 
   // Event tracing (see trace/recorder.hpp).
   table.add("--trace", "MODE", "event tracing: off | summary | full",
@@ -233,8 +234,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   table.bind("--trace_out", scenario.trace.out,
              "trace output path ({seed} expands; .csv: counters CSV, "
              "else Chrome JSON / summary table)");
-  table.bind("--trace_interval", scenario.trace.interval,
-             "trace sampler interval in simulated seconds (0: off)");
 
   PFSC_FLAG(table, scenario.ior.hints, striping_factor,
             "Lustre stripe count hint");

@@ -179,8 +179,6 @@ void Scenario::validate() const {
   PFSC_REQUIRE(procs_per_node >= 1, "Scenario: procs_per_node must be positive");
   PFSC_REQUIRE(telemetry_interval >= 0.0,
                "Scenario: telemetry_interval must be non-negative");
-  PFSC_REQUIRE(trace.interval >= 0.0,
-               "Scenario: trace.interval must be non-negative");
   PFSC_REQUIRE(trace.out.empty() || trace.mode != trace::TraceMode::off,
                "Scenario: trace.out requires trace.mode != off");
   PFSC_REQUIRE(platform.sim_domains == 1,
@@ -284,19 +282,18 @@ void spawn_noise_job(lustre::FileSystem& fs,
 }
 
 /// A run's shared state: fresh engine, seeded file system, runtime,
-/// background noise jobs, optional telemetry sampler, optional event
-/// recorder (+ trace sampler mirroring into it).
+/// background noise jobs, optional sampler, optional event recorder.
 struct Rig {
   sim::Engine eng;
   std::unique_ptr<trace::Recorder> recorder;  // scenario.trace.mode != off
   lustre::FileSystem fs;
   mpi::Runtime rt;
   std::vector<std::unique_ptr<lustre::Client>> noise_clients;
-  std::unique_ptr<trace::Sampler> sampler;
-  std::unique_ptr<trace::Sampler> trace_sampler;
+  std::unique_ptr<trace::Sampler> sampler;  // scenario.telemetry_interval > 0
+  std::size_t total_bytes_series = 0;
   std::unique_ptr<ctrl::Controller> controller;  // scenario.ctrl.mode != off
 
-  // The samplers stop through start_sampler's watch once the jobs finish;
+  // The sampler stops through start_sampler's watch once the jobs finish;
   // a tick cap could only cut a long run's timeline short.
   static constexpr std::size_t kUncapped =
       std::numeric_limits<std::size_t>::max();
@@ -315,7 +312,16 @@ struct Rig {
     if (s.telemetry_interval > 0.0) {
       sampler = std::make_unique<trace::Sampler>(eng, s.telemetry_interval,
                                                  kUncapped);
-      sampler->add_total_bytes_probe(fs);
+      // A traced run also mirrors the fabric and scheduler views into the
+      // trace, registered ahead of total_bytes (the column order the
+      // pinned trace bytes hold).
+      if (recorder) {
+        sampler->add_instruments(trace::link_instruments("fabric", fs.fabric()),
+                                 fs.liveness());
+        sampler->add_instruments(trace::sched_instruments(fs), fs.liveness());
+      }
+      total_bytes_series = sampler->add_instruments(
+          trace::total_bytes_instruments(fs), fs.liveness());
     }
     // `off` builds no controller at all: zero engine events, goldens
     // bit-for-bit (the same null pattern as admission control).
@@ -323,20 +329,11 @@ struct Rig {
       controller = std::make_unique<ctrl::Controller>(eng, s.ctrl, fs,
                                                       recorder.get());
     }
-    if (recorder && s.trace.interval > 0.0) {
-      trace_sampler =
-          std::make_unique<trace::Sampler>(eng, s.trace.interval, kUncapped);
-      trace_sampler->add_instruments(trace::link_instruments("fabric", fs.fabric()),
-                                     fs.liveness());
-      trace_sampler->add_instruments(trace::sched_instruments(fs), fs.liveness());
-      trace_sampler->add_instruments(trace::total_bytes_instruments(fs),
-                                     fs.liveness());
-    }
   }
 
-  /// Start sampling, stopping once `done()` first returns true (so the
-  /// periodic samplers cannot keep the drained engine alive).
-  void start_sampler(std::function<bool()> done) {
+  /// Start the sampler and the controller, stopping each once `done()`
+  /// first returns true (so neither can keep the drained engine alive).
+  void start_sampler(const std::function<bool()>& done) {
     if (sampler) {
       sampler->watch([done] { return !done(); });
       sampler->start();
@@ -344,10 +341,6 @@ struct Rig {
     if (controller) {
       controller->watch([done] { return !done(); });
       controller->start();
-    }
-    if (trace_sampler) {
-      trace_sampler->watch([done = std::move(done)] { return !done(); });
-      trace_sampler->start();
     }
   }
 
@@ -372,7 +365,8 @@ struct Rig {
 
   void export_bandwidth(Observation& obs) const {
     if (!sampler) return;
-    obs.bandwidth = trace::Sampler::bandwidth_timeline(sampler->series(0));
+    obs.bandwidth =
+        trace::Sampler::bandwidth_timeline(sampler->series(total_bytes_series));
   }
 
   /// Roll the recorder up into the observation and write --trace_out.
@@ -768,7 +762,8 @@ Observation run_jobs(const Scenario& s, const JobPlan& plan, std::uint64_t seed)
 /// PFSC_TRACE / PFSC_TRACE_OUT / PFSC_TRACE_INTERVAL environment override,
 /// consulted only when the scenario itself leaves tracing off (so a
 /// scenario that explicitly configures tracing wins over the environment,
-/// and OUT/INTERVAL alone cannot switch tracing on).
+/// and OUT/INTERVAL alone cannot switch tracing on). PFSC_TRACE_INTERVAL
+/// sets telemetry_interval unless the scenario already set it.
 void apply_trace_env(Scenario& s) {
   if (s.trace.mode != trace::TraceMode::off) return;
   const char* mode = std::getenv("PFSC_TRACE");
@@ -781,10 +776,10 @@ void apply_trace_env(Scenario& s) {
     s.trace.out = out;
   }
   if (const char* interval = std::getenv("PFSC_TRACE_INTERVAL");
-      interval != nullptr && *interval != '\0') {
+      interval != nullptr && *interval != '\0' && s.telemetry_interval == 0.0) {
     char* end = nullptr;
-    s.trace.interval = std::strtod(interval, &end);
-    PFSC_REQUIRE(end != interval && *end == '\0' && s.trace.interval >= 0.0,
+    s.telemetry_interval = std::strtod(interval, &end);
+    PFSC_REQUIRE(end != interval && *end == '\0' && s.telemetry_interval >= 0.0,
                  "PFSC_TRACE_INTERVAL: expected a non-negative number");
   }
 }

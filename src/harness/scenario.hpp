@@ -163,18 +163,20 @@ struct Scenario {
   /// engine events are added.
   ctrl::CtrlConfig ctrl;
 
-  /// > 0: attach a telemetry sampler at this interval and return the
-  /// aggregate-bandwidth timeline in Observation::bandwidth.
+  /// > 0: attach the run's one trace::Sampler at this interval and return
+  /// the aggregate-bandwidth timeline in Observation::bandwidth. A traced
+  /// run also samples the fabric and scheduler instrument packs, and the
+  /// sampler mirrors every tick into the trace.
   Seconds telemetry_interval = 0.0;
 
   /// Event tracing (trace::Recorder attached to the run's engine).
   /// mode off (the default) is bit-for-bit invisible: no recorder exists
   /// and every instrumentation hook is a single null-pointer test.
-  /// `trace.interval` > 0 additionally attaches a periodic sampler
-  /// mirroring the standard fabric/scheduler/total-bytes instrument packs
-  /// into the trace. Overridable per run through the PFSC_TRACE,
-  /// PFSC_TRACE_OUT and PFSC_TRACE_INTERVAL environment variables (only
-  /// consulted when this field is off, so code wins over environment).
+  /// Overridable per run through the PFSC_TRACE and PFSC_TRACE_OUT
+  /// environment variables, and PFSC_TRACE_INTERVAL sets
+  /// telemetry_interval (all only consulted when this field is off, and
+  /// the interval only when telemetry_interval is 0, so code wins over
+  /// environment).
   trace::TraceConfig trace;
 
   // -- factories (the four historical enum shapes + explicit lists) ------

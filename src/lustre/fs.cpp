@@ -163,16 +163,6 @@ void FileSystem::set_pfl(PflSpec spec) {
   pfl_ = std::move(spec);
 }
 
-Errno FileSystem::set_dir_stripe_now(std::string_view path,
-                                     StripeSettings settings) {
-  Inode* node = find(path);
-  if (node == nullptr) return Errno::enoent;
-  if (!node->is_dir) return Errno::enotdir;
-  node->dir_default = settings;
-  node->has_dir_default = true;
-  return Errno::ok;
-}
-
 Errno FileSystem::pool_new(const std::string& name) {
   if (name.empty()) return Errno::einval;
   auto [it, inserted] = pools_.try_emplace(name);
@@ -402,6 +392,22 @@ std::size_t FileSystem::sched_in_service() const {
   std::size_t n = 0;
   for (const auto& s : oss_scheds_) n += s->in_service();
   return n;
+}
+
+double FileSystem::sched_mean_queue_depth() const {
+  double area = 0.0;
+  Seconds first = 0.0;
+  Seconds last = 0.0;
+  bool seen = false;
+  for (const auto& s : oss_scheds_) {
+    const sched::Scheduler::QueueArea& q = s->queue_area();
+    if (!q.seen) continue;
+    area += q.area;
+    first = seen ? std::min(first, q.first) : q.first;
+    last = seen ? std::max(last, q.last) : q.last;
+    seen = true;
+  }
+  return last > first ? area / (last - first) : 0.0;
 }
 
 std::map<sched::JobId, Bytes> FileSystem::sched_served_by_job() const {

@@ -116,6 +116,11 @@ class FileSystem {
   std::size_t sched_queue_depth() const;
   /// Granted-but-uncompleted requests summed over all OSS schedulers.
   std::size_t sched_in_service() const;
+  /// Time-weighted mean of sched_queue_depth() from the first queue change
+  /// on any OSS to the last (0 when the queues never changed over a
+  /// nonzero span). Exact over the whole run: each scheduler integrates
+  /// its own depth as it changes.
+  double sched_mean_queue_depth() const;
   /// Served bytes per job, merged across all OSS schedulers.
   std::map<sched::JobId, Bytes> sched_served_by_job() const;
   /// Jain fairness index over the merged per-job served bytes.
@@ -139,8 +144,8 @@ class FileSystem {
   bool ost_failed(OstIndex ost) const;
   std::uint32_t healthy_ost_count() const;
 
-  // -- runtime-retunable endpoints (control plane; ctrl/ wraps these) ----
-  // All three are instantaneous administrative actions: they schedule no
+  // -- runtime setters (called by ctrl::Controller) ----------------------
+  // Both are instantaneous administrative actions: they schedule no
   // engine events and only affect files created afterwards, so a run that
   // never calls them is bit-for-bit unchanged.
   /// Swap the placement policy allocating new-file OST sets.
@@ -150,11 +155,6 @@ class FileSystem {
   /// stripe count and carry a size_hint.
   void set_pfl(PflSpec spec);
   const PflSpec& pfl() const { return pfl_; }
-  /// set_dir_stripe without the simulated MDS round trip: the control
-  /// plane's administrative default-layout change (a controller decision
-  /// must not perturb MDS queueing, or `--ctrl` runs would diverge from
-  /// their goldens in ways unrelated to the tuning itself).
-  Errno set_dir_stripe_now(std::string_view path, StripeSettings settings);
 
   // -- statistics ---------------------------------------------------------
   /// The effective placement policy allocating new-file OST sets.

@@ -18,13 +18,24 @@ const char* sched_policy_name(SchedPolicy policy) {
   return "?";
 }
 
+void Scheduler::advance_queue_area(Seconds now) {
+  QueueArea& q = queue_area_;
+  if (!q.seen) {
+    q.seen = true;
+    q.first = now;
+  }
+  q.area += static_cast<double>(queued_) * (now - q.last);
+  q.last = now;
+}
+
 std::uint64_t Scheduler::note_submitted(JobId job, Bytes bytes) {
+  const Seconds now = eng_->now();
+  advance_queue_area(now);
   ++queued_;
   submitted_bytes_ += bytes;
   auto* rec = eng_->recorder();
   if (rec == nullptr || !rec->enabled(trace::Cat::sched)) return 0;
   const trace::TrackId track = track_.get(*rec, trace_label_);
-  const Seconds now = eng_->now();
   const std::uint64_t id = rec->next_id();
   // The async "wait" span brackets submission -> grant; note_granted ends
   // it, so an instantly-granting policy records a zero-length wait.
@@ -37,13 +48,14 @@ std::uint64_t Scheduler::note_submitted(JobId job, Bytes bytes) {
 
 void Scheduler::note_granted(std::uint64_t trace_id, JobId job, Bytes bytes) {
   PFSC_ASSERT(queued_ > 0);
+  const Seconds now = eng_->now();
+  advance_queue_area(now);
   --queued_;
   ++in_service_;
   admitted_bytes_ += bytes;
   auto* rec = eng_->recorder();
   if (rec == nullptr || !rec->enabled(trace::Cat::sched)) return;
   const trace::TrackId track = track_.get(*rec, trace_label_);
-  const Seconds now = eng_->now();
   rec->end(trace::Cat::sched, track, "wait", now, trace_id,
            static_cast<std::int64_t>(job), static_cast<std::int64_t>(bytes));
   rec->counter(trace::Cat::sched, track, "queue", now,

@@ -76,6 +76,17 @@ class Scheduler {
   /// Requests granted but not yet completed.
   std::size_t in_service() const { return in_service_; }
 
+  /// Time-weighted integral of queue_depth(), kept exactly as the queue
+  /// changes, between its first and its last change (`seen` false: no
+  /// request ever arrived).
+  struct QueueArea {
+    double area = 0.0;  // request-seconds
+    Seconds first = 0.0;
+    Seconds last = 0.0;
+    bool seen = false;
+  };
+  const QueueArea& queue_area() const { return queue_area_; }
+
   // -- byte accounting ---------------------------------------------------
   Bytes submitted_bytes() const { return submitted_bytes_; }
   Bytes admitted_bytes() const { return admitted_bytes_; }
@@ -120,6 +131,8 @@ class Scheduler {
   /// in_service() already reflects the grant when the next decision runs.
   /// `trace_id` is the matching note_submitted return value.
   void note_granted(std::uint64_t trace_id, JobId job, Bytes bytes);
+  /// Advance queue_area_ to now; call just before queued_ changes.
+  void advance_queue_area(Seconds now);
   /// Policy hook run after complete()'s accounting (e.g. to grant the
   /// next queued request into the freed service slot).
   virtual void on_complete() {}
@@ -135,6 +148,7 @@ class Scheduler {
  private:
   std::size_t queued_ = 0;
   std::size_t in_service_ = 0;
+  QueueArea queue_area_;
   Bytes submitted_bytes_ = 0;
   Bytes admitted_bytes_ = 0;
   Bytes served_bytes_ = 0;

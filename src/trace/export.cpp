@@ -207,35 +207,6 @@ std::string export_counters_csv(const Recorder& rec) {
   return out;
 }
 
-double mean_counter_sum(const Recorder& rec, Cat cat, const char* name) {
-  const std::string_view wanted = name;
-  std::vector<double> last(rec.tracks().size(), 0.0);
-  double sum = 0.0;
-  double integral = 0.0;
-  Seconds prev = 0.0;
-  Seconds start = 0.0;
-  bool seen = false;
-  for (const Event* e : canonical_view(rec).events) {
-    if (e->kind != EventKind::counter || e->cat != cat || wanted != e->name) {
-      continue;
-    }
-    if (!seen) {
-      seen = true;
-      start = prev = e->t;
-    }
-    integral += sum * (e->t - prev);
-    prev = e->t;
-    double& value = last[e->track];
-    sum += e->value - value;
-    value = e->value;
-  }
-  if (!seen) return 0.0;
-  const Seconds span = prev - start;
-  // A single sampling instant has no extent to average over; report the
-  // instantaneous sum instead of 0/0.
-  return span > 0.0 ? integral / span : sum;
-}
-
 std::string RunSummary::format() const {
   std::string out;
   Bytes total = 0;
@@ -265,12 +236,7 @@ std::string RunSummary::format() const {
     }
   }
   out += "jain index:        " + fmt_double(jain, 4) + "\n";
-  out += "mean queue depth:  " + fmt_double(mean_queue_depth, 2);
-  if (dropped_events > 0) {
-    // The buffer kept only a prefix of the run; say which one.
-    out += " (kept prefix only, t <= " + fmt_double(kept_until, 6) + " s)";
-  }
-  out += "\n";
+  out += "mean queue depth:  " + fmt_double(mean_queue_depth, 2) + "\n";
   out += "osts touched:      " + fmt_int(static_cast<long long>(touched)) +
          " of " + fmt_int(static_cast<long long>(ost_bytes.size()));
   if (touched > 0) {

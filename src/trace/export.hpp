@@ -16,7 +16,8 @@
 //    per-job and per-OST served bytes, mean scheduler queue depth, and
 //    the Jain fairness index (built by trace::collect_summary, which
 //    reads the numbers straight from FileSystem::sched_* so they agree
-//    with every other consumer of those counters).
+//    with every other consumer of those counters and cover the whole
+//    run, however few events the buffer kept).
 #pragma once
 
 #include <cstdint>
@@ -32,11 +33,6 @@ namespace pfsc::trace {
 std::string export_chrome_trace(const Recorder& rec);
 std::string export_counters_csv(const Recorder& rec);
 
-/// Time-weighted mean of the sum, across tracks, of the counter `name`
-/// restricted to category `cat` (0 when no such counter was recorded).
-/// Each track contributes its last-seen value between updates.
-double mean_counter_sum(const Recorder& rec, Cat cat, const char* name);
-
 struct RunSummary {
   std::map<std::uint32_t, Bytes> job_bytes;  // served per JobId
   std::vector<Bytes> ost_bytes;              // serviced per OST disk
@@ -44,9 +40,6 @@ struct RunSummary {
   double mean_queue_depth = 0.0;
   std::uint64_t recorded_events = 0;
   std::uint64_t dropped_events = 0;
-  /// Time of the last kept event. When events were dropped, the recorded
-  /// counters (and so mean_queue_depth) cover only [0, kept_until].
-  Seconds kept_until = 0.0;
 
   /// Human-readable summary table (per-job rows + roll-up lines).
   std::string format() const;

@@ -1,7 +1,5 @@
 #include "trace/instruments.hpp"
 
-#include <algorithm>
-
 namespace pfsc::trace {
 
 InstrumentSet link_instruments(const std::string& prefix,
@@ -68,13 +66,10 @@ RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec) {
   for (std::uint32_t ost = 0; ost < fs.params().ost_count; ++ost) {
     s.ost_bytes.push_back(fs.ost_disk(ost).bytes_serviced());
   }
+  s.mean_queue_depth = fs.sched_mean_queue_depth();
   if (rec != nullptr) {
-    s.mean_queue_depth = mean_counter_sum(*rec, Cat::sched, "queue");
     s.recorded_events = rec->events().size();
     s.dropped_events = rec->dropped();
-    for (const Event& e : rec->events()) {
-      s.kept_until = std::max(s.kept_until, e.t);
-    }
   }
   return s;
 }

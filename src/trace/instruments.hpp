@@ -5,8 +5,7 @@
 //
 // An Instrument reads one number instantaneously and must be cheap and
 // side-effect free. The builders below assemble the standard packs the
-// harness and tests use; Sampler's add_*_probe members are thin wrappers
-// over them, so both consumers stay in lockstep.
+// harness and tests register through Sampler::add_instruments.
 //
 // Lifetime rule: an instrument captures a reference to the device it
 // reads. It must not outlive that device — register instruments through
@@ -49,12 +48,12 @@ InstrumentSet total_bytes_instruments(lustre::FileSystem& fs);
 /// (instantaneous queue depth).
 InstrumentSet ost_instruments(lustre::FileSystem& fs, lustre::OstIndex ost);
 
-/// Roll a finished run up into a RunSummary. Per-job bytes and the Jain
-/// index come straight from FileSystem::sched_* (so they match the
-/// scheduler's own accounting bit for bit); per-OST bytes from the disks;
-/// mean queue depth, event counts and the kept window from the recorder
-/// when one is given (`rec` may be null: the summary then reports zero
-/// events).
+/// Roll a finished run up into a RunSummary. Per-job bytes, the Jain
+/// index and the mean queue depth come straight from FileSystem::sched_*
+/// (so they match the schedulers' own accounting bit for bit and cover
+/// the whole run); per-OST bytes from the disks; event counts from the
+/// recorder when one is given (`rec` may be null: the summary then
+/// reports zero events).
 RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec);
 
 }  // namespace pfsc::trace

@@ -88,8 +88,9 @@ unsigned trace_categories(TraceMode mode);
 bool parse_trace_mode(std::string_view name, TraceMode& out);
 
 /// How a run is traced; carried by harness::Scenario so every bench and
-/// example can emit traces without code changes (--trace / --trace_out /
-/// --trace_interval, or the PFSC_TRACE* environment knobs).
+/// example can emit traces without code changes (--trace / --trace_out,
+/// or the PFSC_TRACE* environment knobs). Periodic sampling into the trace
+/// is the run's one sampler, at Scenario::telemetry_interval.
 struct TraceConfig {
   TraceMode mode = TraceMode::off;
   /// Output path ("" = keep in memory only). "{seed}" is replaced by the
@@ -97,9 +98,6 @@ struct TraceConfig {
   /// clobbering each other. ".csv" writes the counter CSV; any other
   /// suffix writes Chrome trace_event JSON (full) or the summary table.
   std::string out;
-  /// > 0: attach a periodic sampler mirroring its series into the
-  /// recorder as Cat::sampler counters.
-  Seconds interval = 0.0;
   /// Event-buffer bound; see the overflow policy in the file header.
   std::size_t capacity = std::size_t{1} << 20;
   /// Engine dispatch spans are batched: one span per this many dispatched

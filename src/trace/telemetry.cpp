@@ -43,41 +43,6 @@ std::size_t Sampler::add_instruments(InstrumentSet set,
   return first;
 }
 
-std::size_t Sampler::add_total_bytes_probe(lustre::FileSystem& fs) {
-  return add_instruments(total_bytes_instruments(fs), fs.liveness());
-}
-
-std::size_t Sampler::add_ost_busy_probe(lustre::FileSystem& fs,
-                                        lustre::OstIndex ost) {
-  InstrumentSet set = ost_instruments(fs, ost);
-  set.resize(1);  // busy only; add_ost_queue_probe registers the other half
-  return add_instruments(std::move(set), fs.liveness());
-}
-
-std::size_t Sampler::add_ost_queue_probe(lustre::FileSystem& fs,
-                                         lustre::OstIndex ost) {
-  InstrumentSet set = ost_instruments(fs, ost);
-  set.erase(set.begin());
-  return add_instruments(std::move(set), fs.liveness());
-}
-
-std::size_t Sampler::add_fabric_probe(lustre::FileSystem& fs) {
-  return add_instruments(link_instruments("fabric", fs.fabric()),
-                         fs.liveness());
-}
-
-std::size_t Sampler::add_oss_probe(lustre::FileSystem& fs, std::uint32_t oss) {
-  return add_instruments(
-      link_instruments("oss" + std::to_string(oss), fs.oss_pipe(oss)),
-      fs.liveness());
-}
-
-std::size_t Sampler::add_sched_probe(lustre::FileSystem& fs,
-                                     std::vector<lustre::sched::JobId> jobs) {
-  return add_instruments(sched_instruments(fs, std::move(jobs)),
-                         fs.liveness());
-}
-
 void Sampler::start() {
   PFSC_REQUIRE(!started_, "Sampler: already started");
   started_ = true;

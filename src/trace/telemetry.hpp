@@ -4,8 +4,10 @@
 // A Sampler is a simulation process that wakes every `interval` seconds
 // and snapshots a set of registered probes (fabric bytes, per-OST bytes
 // and busy time, client counters, ...). Probes are registered either
-// directly (add_probe) or as trace::Instrument packs (add_instruments,
-// which also guards against probes outliving the devices they read).
+// directly (add_probe) or as trace::Instrument packs (add_instruments
+// with one of the trace/instruments.hpp builders, which also guards
+// against probes outliving the devices they read). A harness run builds
+// at most one Sampler, at Scenario::telemetry_interval.
 // Series are exportable as CSV for offline plotting; `bandwidth_timeline`
 // post-processes cumulative byte counters into per-interval MB/s.
 //
@@ -15,9 +17,8 @@
 //
 // Lifetime rule: probes read live simulator objects by reference, so a
 // probe must not outlive the object it reads. Register probes through
-// add_instruments with FileSystem::liveness() (the convenience packs
-// below do) and a stale read trips an assertion instead of undefined
-// behaviour.
+// add_instruments with FileSystem::liveness() and a stale read trips an
+// assertion instead of undefined behaviour.
 #pragma once
 
 #include <coroutine>
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "lustre/fs.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "support/units.hpp"
@@ -70,28 +70,6 @@ class Sampler {
   /// not expired, catching probes that outlive their FileSystem.
   std::size_t add_instruments(InstrumentSet set,
                               std::weak_ptr<const void> alive = {});
-
-  // -- convenience probe packs (instrument builders + liveness guard) ----
-  /// Cumulative bytes written to all OSTs of `fs`.
-  std::size_t add_total_bytes_probe(lustre::FileSystem& fs);
-  /// Cumulative busy seconds of one OST.
-  std::size_t add_ost_busy_probe(lustre::FileSystem& fs, lustre::OstIndex ost);
-  /// Instantaneous queue depth of one OST.
-  std::size_t add_ost_queue_probe(lustre::FileSystem& fs, lustre::OstIndex ost);
-  /// Link-level view of the shared fabric: registers three series
-  /// (`fabric_flows`, `fabric_flow_mbps`, `fabric_util`) for the
-  /// instantaneous flow count, per-flow rate, and cumulative utilisation.
-  /// Works for both link policies; returns the index of the first series.
-  std::size_t add_fabric_probe(lustre::FileSystem& fs);
-  /// Same three series for one OSS front-end link (`ossN_flows`, ...).
-  std::size_t add_oss_probe(lustre::FileSystem& fs, std::uint32_t oss);
-  /// Scheduler view, aggregated over all OSS schedulers: registers
-  /// `sched_queue` (pending requests), `sched_inflight` (granted, not yet
-  /// completed), `sched_jain` (Jain fairness index over per-job served
-  /// bytes) plus one `jobJ_bytes` cumulative-served series per requested
-  /// job. Works for every policy; returns the index of the first series.
-  std::size_t add_sched_probe(lustre::FileSystem& fs,
-                              std::vector<lustre::sched::JobId> jobs = {});
 
   /// Start sampling (spawns the sampler process). Sampling ends when the
   /// engine drains or `stop()` is called.

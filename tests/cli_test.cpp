@@ -440,12 +440,12 @@ TEST(CliTraceFlags, ParseStrictlyAndDriveTraceConfig) {
 
   std::vector<std::string> args = {"prog",        "--trace",          "full",
                                    "--trace_out", "run.{seed}.json",
-                                   "--trace_interval", "0.25"};
+                                   "--telemetry_interval", "0.25"};
   auto argv = argv_of(args);
   table.parse(static_cast<int>(argv.size()), argv.data(), 1);
   EXPECT_EQ(scenario.trace.mode, trace::TraceMode::full);
   EXPECT_EQ(scenario.trace.out, "run.{seed}.json");
-  EXPECT_DOUBLE_EQ(scenario.trace.interval, 0.25);
+  EXPECT_DOUBLE_EQ(scenario.telemetry_interval, 0.25);
 
   std::vector<std::string> summary = {"prog", "--trace", "summary"};
   auto argv2 = argv_of(summary);
@@ -467,10 +467,29 @@ TEST(CliTraceFlags, ParseStrictlyAndDriveTraceConfig) {
   EXPECT_EQ(scenario.trace.mode, trace::TraceMode::summary);
 
   // A garbage interval is an error too (never a silent zero).
-  std::vector<std::string> bad2 = {"prog", "--trace_interval", "fast"};
+  std::vector<std::string> bad2 = {"prog", "--telemetry_interval", "fast"};
   auto argv4 = argv_of(bad2);
   EXPECT_THROW(table.parse(static_cast<int>(argv4.size()), argv4.data(), 1),
                UsageError);
+}
+
+TEST(CliTraceFlags, TraceIntervalFlagIsRejectedAsUnknown) {
+  // A run has one sampler, set by --telemetry_interval: the old trace
+  // sampler's flag fails as an unknown flag, never silently ignored.
+  Scenario scenario;
+  RunPlan plan;
+  unsigned threads = 0;
+  FlagTable table = scenario_flags(scenario, plan, threads);
+  std::vector<std::string> args = {"prog", "--trace_interval", "0.01"};
+  auto argv = argv_of(args);
+  try {
+    table.parse(static_cast<int>(argv.size()), argv.data(), 1);
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown flag"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(table.usage().find("trace_interval"), std::string::npos);
 }
 
 // --replay / --fleet flags register on top of scenario_flags (the pfsc_cli

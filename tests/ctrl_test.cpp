@@ -1,8 +1,8 @@
-// Control-plane tests: the TuningBus endpoint registry, PFL size-class
-// layouts, the runtime setters they drive (set_pfl / set_placement /
-// set_dir_stripe_now), the t=0 create-burst demand fix, and the adaptive
-// Controller end-to-end through the harness — including the contract that
-// --ctrl off constructs nothing and leaves every report untouched.
+// Control-plane tests: PFL size-class layouts, the runtime setters the
+// controller calls (set_pfl / set_placement / Scheduler::set_tuning), the
+// t=0 create-burst demand fix, and the adaptive Controller end-to-end
+// through the harness — including the contract that --ctrl off constructs
+// nothing and leaves every report untouched.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "ctrl/controller.hpp"
-#include "ctrl/retunable.hpp"
 #include "harness/scenario.hpp"
 #include "lustre/client.hpp"
 #include "lustre/fs.hpp"
@@ -20,62 +19,6 @@
 
 namespace pfsc {
 namespace {
-
-// -- TuningBus ---------------------------------------------------------------
-
-TEST(TuningBus, AttachFindApplyDetach) {
-  ctrl::TuningBus bus;
-  lustre::PlacementKind got = lustre::PlacementKind::uniform_random;
-  ctrl::Endpoint<lustre::PlacementKind> ep(
-      "placement", [&](const lustre::PlacementKind& k) { got = k; });
-  bus.attach("placement", ep);
-  EXPECT_EQ(bus.size(), 1u);
-  EXPECT_EQ(bus.find("placement"), &ep);
-  EXPECT_EQ(bus.find("nope"), nullptr);
-
-  bus.apply("placement", ctrl::TuneValue(lustre::PlacementKind::load_aware));
-  EXPECT_EQ(got, lustre::PlacementKind::load_aware);
-
-  bus.detach("placement");
-  EXPECT_EQ(bus.size(), 0u);
-  EXPECT_EQ(bus.find("placement"), nullptr);
-}
-
-TEST(TuningBus, DuplicateNameRejected) {
-  ctrl::TuningBus bus;
-  ctrl::Endpoint<lustre::PlacementKind> a("p", [](const auto&) {});
-  ctrl::Endpoint<lustre::PlacementKind> b("p", [](const auto&) {});
-  bus.attach("p", a);
-  EXPECT_THROW(bus.attach("p", b), UsageError);
-}
-
-TEST(TuningBus, UnknownEndpointRejected) {
-  ctrl::TuningBus bus;
-  EXPECT_THROW(
-      bus.apply("ghost", ctrl::TuneValue(lustre::PlacementKind::load_aware)),
-      UsageError);
-}
-
-TEST(TuningBus, WrongValueTypeRejectedWithoutSideEffects) {
-  ctrl::TuningBus bus;
-  int applies = 0;
-  ctrl::Endpoint<lustre::PlacementKind> ep(
-      "placement", [&](const lustre::PlacementKind&) { ++applies; });
-  bus.attach("placement", ep);
-  EXPECT_THROW(
-      bus.apply("placement", ctrl::TuneValue(lustre::sched::SchedTuning{})),
-      UsageError);
-  EXPECT_EQ(applies, 0);
-}
-
-TEST(TuningBus, EndpointNamesSorted) {
-  ctrl::TuningBus bus;
-  ctrl::Endpoint<lustre::PlacementKind> a("z", [](const auto&) {});
-  ctrl::Endpoint<lustre::PlacementKind> b("a", [](const auto&) {});
-  bus.attach("z", a);
-  bus.attach("a", b);
-  EXPECT_EQ(bus.endpoints(), (std::vector<std::string>{"a", "z"}));
-}
 
 // -- PflSpec -----------------------------------------------------------------
 
@@ -157,29 +100,6 @@ TEST(CtrlFs, SetPflValidates) {
   EXPECT_THROW(fs.set_pfl(bad), UsageError);
 }
 
-TEST(CtrlFs, SetDirStripeNow) {
-  sim::Engine eng;
-  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 1);
-  lustre::Client client(fs, "c");
-  eng.spawn([](lustre::FileSystem& fs, lustre::Client& c) -> sim::Task {
-    auto d = co_await c.mkdir("/wide");
-    PFSC_ASSERT(d.ok());
-    EXPECT_EQ(fs.set_dir_stripe_now("/wide", lustre::StripeSettings{4, 1_MiB}),
-              lustre::Errno::ok);
-    auto f = co_await c.create("/wide/f", lustre::StripeSettings{});
-    PFSC_ASSERT(f.ok());
-    EXPECT_EQ(fs.inode(f.value).layout.stripe_count(), 4u);
-
-    EXPECT_EQ(fs.set_dir_stripe_now("/missing",
-                                    lustre::StripeSettings{1, 1_MiB}),
-              lustre::Errno::enoent);
-    EXPECT_EQ(fs.set_dir_stripe_now("/wide/f",
-                                    lustre::StripeSettings{1, 1_MiB}),
-              lustre::Errno::enotdir);
-  }(fs, client));
-  eng.run();
-}
-
 TEST(CtrlFs, SetPlacementAffectsLaterAllocations) {
   sim::Engine eng;
   lustre::FileSystem fs(eng, hw::tiny_test_platform(), 7);
@@ -222,17 +142,6 @@ TEST(CtrlFs, SimultaneousCreatesSeeEachOthersDemand) {
 
 // -- Controller --------------------------------------------------------------
 
-TEST(Controller, ExposesAllEndpoints) {
-  sim::Engine eng;
-  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 1);
-  ctrl::CtrlConfig cfg;
-  cfg.mode = ctrl::CtrlMode::full;
-  ctrl::Controller controller(eng, cfg, fs);
-  EXPECT_EQ(controller.bus().endpoints(),
-            (std::vector<std::string>{"dir_default", "oss_sched", "pfl",
-                                      "placement"}));
-}
-
 sim::Task finish_at(sim::Engine& eng, Seconds t, bool* done) {
   co_await eng.delay(t);
   *done = true;
@@ -269,19 +178,34 @@ TEST(Controller, RejectsBadConfig) {
   EXPECT_THROW(ctrl::Controller(eng, cfg, fs), UsageError);
 }
 
-TEST(Controller, BusAppliesSchedTuningToEveryOss) {
+TEST(Controller, QosTightenHalvesEveryOssTuning) {
+  // A jain_low above the index's maximum of 1.0 reads every tick as
+  // unfair, so the first tick tightens and nothing restores.
   sim::Engine eng;
-  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 1);
+  hw::PlatformParams p = hw::tiny_test_platform();
+  p.oss_sched_policy = lustre::sched::SchedPolicy::job_fair;
+  lustre::FileSystem fs(eng, p, 1);
   ctrl::CtrlConfig cfg;
   cfg.mode = ctrl::CtrlMode::qos;
+  cfg.interval = 0.001;
+  cfg.jain_low = 1.01;
+  cfg.jain_high = 1.01;
   ctrl::Controller controller(eng, cfg, fs);
-  lustre::sched::SchedTuning t;
-  t.quantum = 1_MiB;
-  t.service_slots = 3;
-  controller.bus().apply("oss_sched", ctrl::TuneValue(t));
+  bool done = false;
+  eng.spawn(finish_at(eng, 0.005, &done));
+  controller.watch([&done] { return !done; });
+  controller.start();
+  eng.run();
+  ASSERT_EQ(controller.actions().size(), 1u);
+  EXPECT_EQ(controller.actions().front().endpoint, "oss_sched");
+  EXPECT_EQ(controller.actions().front().rule, "qos_tighten");
+  ASSERT_EQ(fs.params().oss_count, 2u);
   for (std::uint32_t oss = 0; oss < fs.params().oss_count; ++oss) {
-    EXPECT_EQ(fs.oss_sched(oss).tuning().quantum, 1_MiB) << "oss " << oss;
-    EXPECT_EQ(fs.oss_sched(oss).tuning().service_slots, 3u) << "oss " << oss;
+    const lustre::sched::SchedTuning& t = fs.oss_sched(oss).tuning();
+    EXPECT_EQ(t.quantum, 2_MiB) << "oss " << oss;
+    EXPECT_EQ(t.service_slots, 32u) << "oss " << oss;
+    EXPECT_EQ(t.job_rate, mb_per_sec(75.0)) << "oss " << oss;
+    EXPECT_EQ(t.bucket_depth, 8_MiB) << "oss " << oss;
   }
 }
 
@@ -352,6 +276,65 @@ TEST(Controller, CooldownSpacesSameFamilyActions) {
   }
   // The run must actually exercise the spacing, not pass vacuously.
   EXPECT_GT(same_family_pairs, 0u);
+}
+
+/// FNV-1a over the bytes, for pinning a report compactly.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The decisions of a --ctrl full run under job_fair, in which the pfl,
+// qos and placement rule families all act, and the fleet report they
+// produce. A fourth job arrives during the storm, so its file takes the
+// storm layout, and four service slots per OSS make the halved tuning
+// bind: the report changes if any rule's setter does not take effect.
+TEST(Controller, FullModeDecisionsArePinned) {
+  harness::Scenario s = storm_fleet();
+  harness::JobSpec late = s.job_list.back();
+  late.job_id = 3;
+  late.arrival = 0.1;
+  late.ior.test_file = "/fleet/storm.dat.3";
+  s.job_list.push_back(late);
+  s.platform.oss_sched_policy = lustre::sched::SchedPolicy::job_fair;
+  s.platform.oss_sched.service_slots = 4;
+  s.ctrl.mode = ctrl::CtrlMode::full;
+  const harness::Observation obs = harness::run_scenario(s, 0xC791);
+  const std::vector<ctrl::CtrlAction> want = {
+      {0, "pfl", "pfl_calm", "wide layouts for new files"},
+      {0.0050000000000000001, "placement", "rebalance",
+       "load_aware placement: imbalance 12"},
+      {0.044999999999999998, "pfl", "pfl_storm",
+       "narrow layouts: 160 stripes for 2 writers"},
+      {0.044999999999999998, "oss_sched", "qos_tighten",
+       "tightened: jain 0.64 < 0.85"},
+      {0.11000000000000003, "oss_sched", "qos_restore",
+       "restored baseline: jain 0.952435 > 0.95"},
+      {0.12500000000000003, "pfl", "pfl_storm",
+       "re-divided: 120 stripes for 4 writers"},
+      {0.12500000000000003, "oss_sched", "qos_tighten",
+       "tightened: jain 0.738317 < 0.85"},
+      {0.24000000000000013, "oss_sched", "qos_restore",
+       "restored baseline: jain 0.950323 > 0.95"},
+      {0.67000000000000048, "pfl", "pfl_storm",
+       "re-divided: 160 stripes for 3 writers"},
+      {0.71500000000000052, "pfl", "pfl_calm", "wide layouts for new files"},
+  };
+  ASSERT_EQ(obs.ctrl_actions.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const ctrl::CtrlAction& got = obs.ctrl_actions[i];
+    EXPECT_EQ(got.at, want[i].at) << "action " << i;
+    EXPECT_EQ(got.endpoint, want[i].endpoint) << "action " << i;
+    EXPECT_EQ(got.rule, want[i].rule) << "action " << i;
+    EXPECT_EQ(got.detail, want[i].detail) << "action " << i;
+  }
+  const std::string json = replay::analyze_fleet(obs, s.platform).to_json();
+  EXPECT_EQ(json.size(), 2257u);
+  EXPECT_EQ(fnv1a(json), 1536433699513238719ull);
 }
 
 TEST(Controller, FleetReportCarriesAdaptationBlock) {

@@ -200,28 +200,6 @@ TEST(CountersCsv, EmitsOnlyCounters) {
   EXPECT_EQ(csv, "time,track,name,value\n0.25,sched,queue,3\n");
 }
 
-TEST(MeanCounterSum, TimeWeightedAcrossTracks) {
-  Recorder rec;
-  const TrackId a = rec.track("oss0.sched");
-  const TrackId b = rec.track("oss1.sched");
-  // Track a holds 2 on [0,1), then 0 on [1,2); track b holds 4 on [1,2).
-  rec.counter(Cat::sched, a, "queue", 0.0, 2.0);
-  rec.counter(Cat::sched, a, "queue", 1.0, 0.0);
-  rec.counter(Cat::sched, b, "queue", 1.0, 4.0);
-  rec.counter(Cat::sched, b, "queue", 2.0, 4.0);
-  // Sum is 2 on [0,1) and 4 on [1,2) -> mean 3 over [0,2].
-  EXPECT_DOUBLE_EQ(mean_counter_sum(rec, Cat::sched, "queue"), 3.0);
-  // Wrong category or name: nothing matches.
-  EXPECT_DOUBLE_EQ(mean_counter_sum(rec, Cat::link, "queue"), 0.0);
-  EXPECT_DOUBLE_EQ(mean_counter_sum(rec, Cat::sched, "inflight"), 0.0);
-}
-
-TEST(MeanCounterSum, SingleInstantReportsInstantaneousSum) {
-  Recorder rec;
-  rec.counter(Cat::sched, rec.track("s"), "queue", 1.0, 5.0);
-  EXPECT_DOUBLE_EQ(mean_counter_sum(rec, Cat::sched, "queue"), 5.0);
-}
-
 TEST(TraceConfig, ModeNamesRoundTrip) {
   TraceMode mode = TraceMode::full;
   EXPECT_TRUE(parse_trace_mode("off", mode));
@@ -260,15 +238,14 @@ TEST(RunSummaryFormat, ReportsJobsAndDrops) {
   EXPECT_NE(text.find("dropped 2"), std::string::npos);
 }
 
-TEST(RunSummaryFormat, QueueDepthLineNamesTheKeptPrefixWhenEventsDropped) {
+TEST(RunSummaryFormat, QueueDepthLineIsTheSameWhenEventsDropped) {
+  // The mean queue depth is exact over the whole run whatever the buffer
+  // kept, so its line carries no qualifier.
   RunSummary s;
   s.mean_queue_depth = 1.5;
   s.recorded_events = 100;
-  s.kept_until = 0.25;
   s.dropped_events = 2;
-  EXPECT_NE(s.format().find(
-                "mean queue depth:  1.50 (kept prefix only, t <= 0.250000 s)\n"),
-            std::string::npos)
+  EXPECT_NE(s.format().find("mean queue depth:  1.50\n"), std::string::npos)
       << s.format();
 }
 
@@ -276,10 +253,8 @@ TEST(RunSummaryFormat, QueueDepthLineUnchangedWithoutDrops) {
   RunSummary s;
   s.mean_queue_depth = 1.5;
   s.recorded_events = 100;
-  s.kept_until = 0.25;
   EXPECT_NE(s.format().find("mean queue depth:  1.50\n"), std::string::npos)
       << s.format();
-  EXPECT_EQ(s.format().find("kept prefix"), std::string::npos);
 }
 
 }  // namespace

@@ -222,6 +222,34 @@ TEST(JobFairSched, SlotCapHoldsAndBacklogDrainsOnComplete) {
   EXPECT_EQ(s.in_service(), 0u);
 }
 
+TEST(JobFairSched, QueueAreaIsTheTimeWeightedDepth) {
+  // One service slot, held on [0, 2) by a request granted at once. A
+  // queues at t=0 and B at t=1; A is granted at 2 and B at 3. The depth
+  // is 1 on [0,1), 2 on [1,2) and 1 on [2,3): 4 request-seconds over 3 s.
+  sim::Engine eng;
+  SchedTuning t;
+  t.service_slots = 1;
+  JobFairSched s(eng, t);
+  std::vector<int> order;
+  eng.spawn(request(eng, s, 0, 1_MiB, 2.0, order, 0));
+  eng.spawn(request(eng, s, 1, 1_MiB, 1.0, order, 1));
+  eng.spawn([](sim::Engine& eng, Scheduler& s,
+               std::vector<int>& order) -> sim::Task {
+    co_await eng.delay(1.0);
+    co_await s.admit(2, 1_MiB);
+    order.push_back(2);
+    s.complete(2, 1_MiB);
+  }(eng, s, order));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  const Scheduler::QueueArea& q = s.queue_area();
+  EXPECT_TRUE(q.seen);
+  EXPECT_EQ(q.first, 0.0);
+  EXPECT_EQ(q.last, 3.0);
+  EXPECT_DOUBLE_EQ(q.area, 4.0);
+  EXPECT_DOUBLE_EQ(q.area / (q.last - q.first), 4.0 / 3.0);
+}
+
 /// (now, executed_events) at each grant, in grant order.
 using Marks = std::vector<std::pair<Seconds, std::uint64_t>>;
 
@@ -376,7 +404,8 @@ void run_two_job_write(SchedPolicy policy) {
   EXPECT_EQ(b.job(), 1u);
 
   trace::Sampler sampler(eng, 1.0e-3, /*max_ticks=*/200);
-  const std::size_t first = sampler.add_sched_probe(fs, {0, 1});
+  const std::size_t first = sampler.add_instruments(
+      trace::sched_instruments(fs, {0, 1}), fs.liveness());
   sampler.start();
 
   eng.spawn(write_file(a, "/a.dat", 8_MiB));

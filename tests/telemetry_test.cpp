@@ -123,9 +123,9 @@ TEST(Sampler, ObservesRealWorkload) {
   lustre::FileSystem fs(eng, hw::tiny_test_platform(), 3);
   lustre::Client client(fs, "c");
   Sampler sampler(eng, 0.05, 2000);
-  const auto bytes_idx = sampler.add_total_bytes_probe(fs);
-  sampler.add_ost_busy_probe(fs, 0);
-  sampler.add_ost_queue_probe(fs, 0);
+  const auto bytes_idx = sampler.add_instruments(
+      trace::total_bytes_instruments(fs), fs.liveness());
+  sampler.add_instruments(trace::ost_instruments(fs, 0), fs.liveness());
   bool writing = true;
   sampler.watch([&] { return writing; });
   sampler.start();
@@ -164,8 +164,10 @@ TEST(Sampler, LinkProbePacksCoverBothPolicies) {
     // Each 4 MiB OSS transfer lasts ~5 ms on the tiny platform; sample
     // well below that so ticks land inside in-flight windows.
     Sampler sampler(eng, 0.5e-3, 5000);
-    const auto fabric_idx = sampler.add_fabric_probe(fs);
-    const auto oss_idx = sampler.add_oss_probe(fs, 0);
+    const auto fabric_idx = sampler.add_instruments(
+        trace::link_instruments("fabric", fs.fabric()), fs.liveness());
+    const auto oss_idx = sampler.add_instruments(
+        trace::link_instruments("oss0", fs.oss_pipe(0)), fs.liveness());
     bool writing = true;
     sampler.watch([&] { return writing; });
     sampler.start();

@@ -89,7 +89,7 @@ Scenario small_multi() {
 TEST(TraceIntegration, ScenarioFullTraceCoversAllLayers) {
   Scenario s = small_multi();
   s.trace.mode = trace::TraceMode::full;
-  s.trace.interval = 0.5;
+  s.telemetry_interval = 0.5;
   const Observation obs = run_scenario(s, /*seed=*/3);
   EXPECT_TRUE(obs.traced);
   ASSERT_FALSE(obs.trace_json.empty());
@@ -140,28 +140,33 @@ TEST(TraceIntegration, SummaryMatchesSchedulerAccounting) {
   EXPECT_EQ(on_disks, 2 * expected);
 }
 
-TEST(TraceIntegration, SummaryNamesTheKeptPrefixWhenTheBufferFills) {
+TEST(TraceIntegration, SummaryQueueDepthDoesNotDependOnTheBuffer) {
+  // Two service slots per OSS under job_fair, so requests really queue. The
+  // schedulers integrate their own depth, so a buffer that keeps only 64
+  // events gives the same mean as an unbounded one.
   Scenario s = small_multi();
+  s.platform.oss_sched_policy = lustre::sched::SchedPolicy::job_fair;
+  s.platform.oss_sched.service_slots = 2;
   s.trace.mode = trace::TraceMode::full;
   const Observation whole = run_scenario(s, /*seed=*/5);
   ASSERT_EQ(whole.trace_summary.dropped_events, 0u);
   s.trace.capacity = 64;
   const Observation prefix = run_scenario(s, /*seed=*/5);
   ASSERT_GT(prefix.trace_summary.dropped_events, 0u);
-  // The kept events end before the whole run's do.
-  EXPECT_GT(prefix.trace_summary.kept_until, 0.0);
-  EXPECT_LT(prefix.trace_summary.kept_until, whole.trace_summary.kept_until);
-  EXPECT_NE(prefix.trace_summary.format().find("kept prefix only"),
-            std::string::npos);
-  EXPECT_EQ(whole.trace_summary.format().find("kept prefix only"),
-            std::string::npos);
+  EXPECT_GT(whole.trace_summary.mean_queue_depth, 0.0);
+  EXPECT_EQ(prefix.trace_summary.mean_queue_depth,
+            whole.trace_summary.mean_queue_depth);
+  // The time-weighted mean of the recorded `queue` counters, summed over
+  // the OSS tracks of this run's unbounded buffer.
+  EXPECT_NEAR(whole.trace_summary.mean_queue_depth, 5.6049733390902308,
+              1e-12 * 5.6049733390902308);
 }
 
 TEST(TraceIntegration, TracingOffIsInvisible) {
   const Scenario off = small_multi();
   Scenario full = small_multi();
   full.trace.mode = trace::TraceMode::full;
-  full.trace.interval = 0.5;
+  full.telemetry_interval = 0.5;
 
   const Observation obs_off = run_scenario(off, /*seed=*/7);
   const Observation obs_full = run_scenario(full, /*seed=*/7);
@@ -234,7 +239,7 @@ TEST(TraceIntegration, FullTraceBytesArePinned) {
   cfg.hints.striping_factor = 4;
   Scenario s = Scenario::multi(2, 16, cfg);
   s.trace.mode = trace::TraceMode::full;
-  s.trace.interval = 0.01;
+  s.telemetry_interval = 0.01;
   s.trace.out = ::testing::TempDir() + "trace_pin_{seed}.csv";
   const Observation obs = run_scenario(s, /*seed=*/17);
   std::ifstream in(trace::resolve_trace_path(s.trace.out, 17),
@@ -282,7 +287,7 @@ TEST(TraceIntegration, SingleJobTraceBytesArePinned) {
   s.nprocs = 16;
   s.noise.writers = 3;
   s.noise.bytes_per_writer = 16_MiB;
-  s.trace.interval = 0.01;
+  s.telemetry_interval = 0.01;
   const TracePin pin = full_trace_pin(s, /*seed=*/29);
   EXPECT_EQ(pin.size, 628813u);
   EXPECT_EQ(pin.hash, 10635939910084507276ull);
@@ -293,7 +298,7 @@ TEST(TraceIntegration, PlfsJobTraceBytesArePinned) {
   cfg.segment_count = 2;
   Scenario s = Scenario::plfs_ior(cfg);
   s.nprocs = 16;
-  s.trace.interval = 0.01;
+  s.telemetry_interval = 0.01;
   const TracePin pin = full_trace_pin(s, /*seed=*/31);
   EXPECT_EQ(pin.size, 573020u);
   EXPECT_EQ(pin.hash, 9082173965740537563ull);
@@ -306,14 +311,14 @@ TEST(TraceIntegration, ValidateRejectsInconsistentTraceConfig) {
 
   Scenario p = Scenario::probe(2, 4_MiB);
   p.trace.mode = trace::TraceMode::full;
-  p.trace.interval = 0.01;  // the probe hosts the trace sampler too
+  p.telemetry_interval = 0.01;  // the probe hosts the sampler too
   EXPECT_NO_THROW(p.validate());
   const Observation probe = run_scenario(p, 3);
   EXPECT_NE(probe.trace_json.find("fabric_util"), std::string::npos);
 
   Scenario neg = small_multi();
   neg.trace.mode = trace::TraceMode::full;
-  neg.trace.interval = -1.0;
+  neg.telemetry_interval = -1.0;
   EXPECT_THROW(neg.validate(), UsageError);
 }
 
@@ -328,6 +333,25 @@ TEST(TraceIntegration, EnvironmentOverrideEnablesTracing) {
   ::setenv("PFSC_TRACE", "nonsense", 1);
   EXPECT_THROW(run_scenario(small_multi(), 11), UsageError);
   ::unsetenv("PFSC_TRACE");
+
+  // PFSC_TRACE_INTERVAL sets telemetry_interval, the run's one sampler,
+  // when the environment turns tracing on; an interval set in code wins.
+  ::setenv("PFSC_TRACE_INTERVAL", "0.001", 1);
+  ::setenv("PFSC_TRACE", "summary", 1);
+  const Observation sampled = run_scenario(small_multi(), 11);
+  Scenario coded = small_multi();
+  coded.telemetry_interval = 0.002;
+  const Observation kept = run_scenario(coded, 11);
+  ::unsetenv("PFSC_TRACE");
+  // Without PFSC_TRACE the interval alone changes nothing.
+  const Observation quiet = run_scenario(small_multi(), 11);
+  ::unsetenv("PFSC_TRACE_INTERVAL");
+  ASSERT_GE(sampled.bandwidth.size(), 2u);
+  EXPECT_DOUBLE_EQ(sampled.bandwidth.at[0], 0.001);
+  ASSERT_GE(kept.bandwidth.size(), 2u);
+  EXPECT_DOUBLE_EQ(kept.bandwidth.at[0], 0.002);
+  EXPECT_FALSE(quiet.traced);
+  EXPECT_EQ(quiet.bandwidth.size(), 0u);
 }
 
 TEST(SamplerStop, CancelsPendingWakeup) {
