@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <coroutine>
+#include <iterator>
 
 #include "core/metrics.hpp"
 #include "harness/runner.hpp"
@@ -40,32 +41,60 @@ BENCHMARK(BM_EngineEventDispatch)->Arg(1000)->Arg(100000);
 
 // -- scheduler throughput ----------------------------------------------------
 // The classic DES "hold model": a steady-state population of N pending
-// events; each step pops the minimum and schedules a replacement a random
-// increment into the future. This isolates the queue from coroutine cost
-// and carries the ladder/heap ratio gates in .github/bench-baseline.json
-// (the heap pays O(log n) comparisons per operation, the ladder O(1)).
-template <typename Queue>
+// events; each step pops the minimum and schedules a replacement `dt`
+// into the future, and the push carries dt as the engine's does. This
+// isolates the queue from coroutine cost and carries the lanes/heap ratio
+// gates in .github/bench-baseline.json. Two traffic shapes:
+//  * uniform    — every dt a fresh uniform draw: lanes rarely repeat, so
+//                 most pushes land in the lanes' heap fallback;
+//  * engine_mix — the Fig. 3 quartet's recurring delays (RPC hop, link
+//                 and disk service times, and 0), with 11% uniform draws.
+enum class HoldShape { uniform, engine_mix };
+
+template <HoldShape kShape>
+double hold_delay(Rng& rng) {
+  static constexpr double kQuartet[] = {0.0,       2.5e-5,    4.369e-5,
+                                        3.2768e-4, 1.7476e-3, 2.4966e-3,
+                                        3.7453e-3, 9.2894e-3};
+  if (kShape == HoldShape::engine_mix && rng.uniform(100) >= 11) {
+    return kQuartet[rng.uniform(std::size(kQuartet))];
+  }
+  return rng.uniform_double(0.0, 1.0e-2);
+}
+
+template <typename Queue, HoldShape kShape>
 void BM_EventQueueHold(benchmark::State& state) {
   const int population = static_cast<int>(state.range(0));
   Queue q;
   Rng rng(0xB0DE);
   std::uint64_t seq = 1;
   for (int i = 0; i < population; ++i) {
-    q.push({rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
+    const double dt = hold_delay<kShape>(rng);
+    q.push({dt, seq++, std::noop_coroutine()}, dt);
   }
   for (auto _ : state) {
     const sim::ScheduledEvent ev = q.pop();
-    q.push({ev.t + rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
+    const double dt = hold_delay<kShape>(rng);
+    q.push({ev.t + dt, seq++, std::noop_coroutine()}, dt);
     benchmark::DoNotOptimize(seq);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::BinaryHeapQueue)
-    ->Name("BM_EventQueueHold/binary_heap")
+BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::BinaryHeapQueue, HoldShape::uniform)
+    ->Name("BM_EventQueueHold/binary_heap/uniform")
     ->Arg(1024)
     ->Arg(65536);
-BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::LadderQueue)
-    ->Name("BM_EventQueueHold/ladder")
+BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::LaneQueue, HoldShape::uniform)
+    ->Name("BM_EventQueueHold/lanes/uniform")
+    ->Arg(1024)
+    ->Arg(65536);
+BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::BinaryHeapQueue,
+                   HoldShape::engine_mix)
+    ->Name("BM_EventQueueHold/binary_heap/engine_mix")
+    ->Arg(1024)
+    ->Arg(65536);
+BENCHMARK_TEMPLATE(BM_EventQueueHold, sim::LaneQueue, HoldShape::engine_mix)
+    ->Name("BM_EventQueueHold/lanes/engine_mix")
     ->Arg(1024)
     ->Arg(65536);
 

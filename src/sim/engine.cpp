@@ -23,7 +23,20 @@ WakeToken Engine::schedule(Wakeup w, Seconds t) {
   PFSC_ASSERT(w && !w.done());
   PFSC_ASSERT(t >= now_);
   const std::uint64_t seq = ++seq_;  // 1-based: token 0 stays null
-  queue_.push(ScheduledEvent{t, seq, w});
+  if (t == now_) {
+    queue_.push(ScheduledEvent{t, seq, w}, 0.0);
+  } else {
+    queue_.push(ScheduledEvent{t, seq, w});
+  }
+  return WakeToken{seq};
+}
+
+WakeToken Engine::schedule_after(Wakeup w, Seconds dt) {
+  PFSC_ASSERT(w && !w.done());
+  const Seconds t = now_ + dt;
+  PFSC_ASSERT(t >= now_);
+  const std::uint64_t seq = ++seq_;
+  queue_.push(ScheduledEvent{t, seq, w}, dt);
   return WakeToken{seq};
 }
 

@@ -7,8 +7,11 @@
 // Queued work that needs no stack of its own can instead be a Wakeable
 // record (event_queue.hpp), which an event wakes exactly like a coroutine.
 //
-// The pending-event set is a LadderQueue (event_queue.hpp) held by value;
-// it pops the minimal (time, seq) event. The engine also owns a
+// The pending-event set is a LaneQueue (event_queue.hpp) held by value;
+// it pops the minimal (time, seq) event. schedule_after() hands the queue
+// its delay, so each constant delay's wakeups append to one FIFO lane;
+// schedule() at now() uses the dt = 0 lane, and a wakeup at any later
+// absolute time goes to the queue's heap fallback. The engine also owns a
 // FrameArena (arena.hpp) that recycles coroutine-frame allocations for
 // every Task/Co created while it is alive.
 #pragma once
@@ -66,10 +69,8 @@ class Engine {
   /// wakeup; discard it if the wakeup is never cancelled.
   WakeToken schedule(Wakeup w, Seconds t);
 
-  /// Resume `w` after `dt` seconds.
-  WakeToken schedule_after(Wakeup w, Seconds dt) {
-    return schedule(w, now_ + dt);
-  }
+  /// Resume `w` after `dt` seconds (at now() + dt, which must be >= now()).
+  WakeToken schedule_after(Wakeup w, Seconds dt);
 
   /// Start a root coroutine; it begins running at the current time.
   /// The engine keeps unfinished roots alive and destroys them at teardown.
@@ -147,7 +148,7 @@ class Engine {
   Seconds now_ = 0.0;
   std::uint64_t seq_ = 0;  // last issued sequence number; tokens start at 1
   std::uint64_t executed_ = 0;
-  LadderQueue queue_;
+  LaneQueue queue_;
   std::vector<std::coroutine_handle<>> live_roots_;  // unfinished root frames
   std::exception_ptr pending_exception_;
   std::unordered_set<std::uint64_t> cancelled_;  // seqs to skip lazily

@@ -1,31 +1,32 @@
 // The simulation engine's pending-event queue.
 //
 // The engine dispatches the minimal (t, seq) event on every step (see
-// ScheduledEvent for the key). It holds one LadderQueue by value; the
-// BinaryHeapQueue below pops in the same order and stays as the reference
-// that tests and the hold-model benchmark compare the ladder against:
+// ScheduledEvent for the key). It holds one LaneQueue by value; the
+// BinaryHeapQueue below pops in the same order and is both the reference
+// that tests and the hold-model benchmark compare the lanes against and
+// the lanes' fallback:
 //
 //  * BinaryHeapQueue — a binary heap over the key: O(log n) per push/pop.
-//    The reference implementation; simple, and what the engine shipped
-//    with historically.
-//  * LadderQueue     — calendar queue (Brown '88) of min-heap buckets with
-//    lazy resizing: events hash into `buckets` of `width` simulated
-//    seconds each by floor(t / width), a cursor walks the buckets in year
-//    order, and each bucket keeps its events as a tiny binary heap. With
-//    the width tracking the observed event-time spread (recomputed from
-//    the live events at every capacity doubling/halving) buckets hold O(1)
-//    events, making push/pop amortised O(1) instead of O(log n). A flat
-//    "today" ring short-circuits the calendar for schedule-at-now wakeups
-//    (the bulk of a coroutine DES's traffic), which arrive pre-sorted.
-//    This is the queue the DES literature recommends once event counts
-//    reach the tens of millions a 4,096-rank PLFS run executes.
+//  * LaneQueue       — FIFO delay lanes. A push carries the delay `dt` it
+//    was scheduled with, and events of one delay go to one lane, a
+//    growable ring. For a fixed dt, t = now + dt never decreases (now
+//    never does, and IEEE addition is monotone) and seq always increases,
+//    so each lane is already in (t, seq) order and a push is an append. A
+//    tiny heap over the non-empty lanes' heads finds the next lane. The
+//    engine's traffic is a few dozen constant delays (RPC hops, link and
+//    disk service times, and dt = 0 wakeups), so nearly every push is O(1).
+//    Pushes at an absolute time, and pushes whose lane is busy with
+//    another delay, go to a BinaryHeapQueue fallback: on delays that never
+//    repeat the queue is an O(log n) heap.
 //
 // Determinism: pop() always returns the minimal (t, seq) pending event.
-// The heap-vs-ladder property test pins that on random op streams, and
+// The lanes-vs-heap property test pins that on random op streams, and
 // the engine-level property test checks the dispatch order it implies.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -105,16 +106,17 @@ struct EventLater {
 
 /// Reference implementation: a binary heap over (t, seq). Both queues
 /// share the member names below, so tests and benchmarks template over
-/// them.
+/// them; the heap ignores the delay a push carries.
 class BinaryHeapQueue {
  public:
   void push(const ScheduledEvent& ev) {
     heap_.push_back(ev);
     std::push_heap(heap_.begin(), heap_.end(), EventLater{});
   }
+  void push(const ScheduledEvent& ev, Seconds /*dt*/) { push(ev); }
   /// The minimal pending event, or nullptr when empty. The pointer is
   /// valid until the next push/pop.
-  const ScheduledEvent* peek() {
+  const ScheduledEvent* peek() const {
     return heap_.empty() ? nullptr : &heap_.front();
   }
   /// Remove and return the minimal pending event. Requires !empty().
@@ -127,70 +129,118 @@ class BinaryHeapQueue {
   std::vector<ScheduledEvent> heap_;
 };
 
-/// Calendar queue of min-heap buckets; see file header. All operations are
-/// amortised O(1) when the bucket width matches the event-time spread,
-/// which the lazy resize maintains.
-class LadderQueue {
+/// FIFO delay lanes over a heap fallback; see file header.
+class LaneQueue {
  public:
-  LadderQueue();
+  static constexpr std::size_t kLanes = 128;
 
-  void push(const ScheduledEvent& ev);
-  /// Non-const: locating the minimum may advance the bucket cursor.
-  const ScheduledEvent* peek();
-  ScheduledEvent pop();
+  /// Push `ev`, scheduled `dt` seconds after the caller's current time
+  /// (ev.t == now + dt). Every push carrying the same dt must come with a
+  /// (t, seq) key above the previous one's, which holds when `now` never
+  /// decreases and seq always increases, as in the engine.
+  void push(const ScheduledEvent& ev, Seconds dt) {
+    const std::uint64_t key = std::bit_cast<std::uint64_t>(dt);
+    const std::size_t i = lane_of(key);
+    Lane& lane = lanes_[i];
+    if (lane.count == 0) {
+      lane.key = key;
+      append(lane, ev);
+      add_head(i);
+    } else if (lane.key == key) {
+      append(lane, ev);
+    } else {
+      fallback_.push(ev);  // the lane is busy with another delay
+    }
+  }
+  /// Push `ev` at an absolute time: it goes to the fallback heap.
+  void push(const ScheduledEvent& ev) { fallback_.push(ev); }
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  // -- introspection (tests/benchmarks) ---------------------------------
-  std::size_t bucket_count() const { return buckets_.size(); }
-  double bucket_width() const { return width_; }
-
- private:
-  using Bucket = std::vector<ScheduledEvent>;  // min-heap on (t, seq)
-
-  /// Virtual bucket index of time `t` (the bucket array wraps this by
-  /// `mask_`, one wrap per "year"). Placement and the cursor's window test
-  /// both use this exact function, so floating-point rounding can never
-  /// strand an event between a bucket and its window. Multiplies by the
-  /// cached reciprocal: one fewer division on both hot paths.
-  std::uint64_t vbucket(Seconds t) const {
-    const double q = t * inv_width_;
-    // Clamp absurd quotients (huge t over a tiny width) into the final
-    // year rather than overflowing the conversion.
-    if (q >= 9.0e18) return static_cast<std::uint64_t>(9.0e18);
-    return static_cast<std::uint64_t>(q);
+  /// The minimal pending event, or nullptr when empty. The pointer is
+  /// valid until the next push/pop.
+  const ScheduledEvent* peek() const {
+    if (lane_front()) {
+      const Lane& lane = lanes_[heads_.front().lane];
+      return &lane.ring[lane.head];
+    }
+    return fallback_.peek();
+  }
+  /// Remove and return the minimal pending event. Requires !empty().
+  ScheduledEvent pop() {
+    if (!lane_front()) return fallback_.pop();
+    const std::uint32_t i = heads_.front().lane;
+    Lane& lane = lanes_[i];
+    const ScheduledEvent ev = lane.ring[lane.head];
+    lane.head = (lane.head + 1) & lane.mask;
+    --lane.count;
+    --lane_events_;
+    if (lane.count == 0) {
+      drop_front_head();
+    } else {
+      const ScheduledEvent& next = lane.ring[lane.head];
+      heads_.front() = {next.t, next.seq, i};
+      sift_down(0);
+    }
+    return ev;
   }
 
-  /// Point `cached_` at the bucket holding the global minimum; returns
-  /// false when empty. Amortised O(1): the cursor resumes where it left
-  /// off, and a full fruitless lap falls back to a direct scan + jump.
-  bool locate_min();
-  /// Rebuild with `nbuckets` buckets and a width recomputed from the
-  /// observed spread of the live events.
-  void rebuild(std::size_t nbuckets);
-  void maybe_grow();
-  void maybe_shrink();
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return lane_events_ + fallback_.size(); }
 
-  std::vector<Bucket> buckets_;
-  std::size_t mask_ = 0;         // buckets_.size() - 1 (power of two)
-  double width_ = 1.0;           // seconds per bucket
-  double inv_width_ = 1.0;       // 1 / width_, kept in lockstep
-  std::uint64_t cur_vb_ = 0;     // cursor: current virtual bucket
-  std::size_t size_ = 0;         // total pending (calendar + today ring)
-  std::size_t cal_size_ = 0;     // events in buckets_
-  std::size_t cached_bucket_ = 0;
-  bool cache_valid_ = false;
-  std::vector<ScheduledEvent> scratch_;  // rebuild staging, reused
+  // -- introspection (tests) ---------------------------------------------
+  /// Pending events that went to the fallback heap.
+  std::size_t fallback_size() const { return fallback_.size(); }
+  /// Lane a delay's bit pattern maps to (tests pick colliding delays).
+  static std::size_t lane_of(std::uint64_t key) {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 57);
+  }
 
-  // "Today" ring: events pushed with t <= the last popped time (the
-  // schedule-at-now wakeups joins/semaphores/pipes produce constantly).
-  // They arrive already sorted — t is pinned to the engine's now and seq
-  // grows monotonically — so a flat ring holds them in pop order with no
-  // hashing or heap ops at all.
-  std::vector<ScheduledEvent> today_;
-  std::size_t today_head_ = 0;
-  double t_floor_ = 0.0;  // time of the last popped event (monotone)
+ private:
+  static_assert(kLanes == std::size_t{1} << 7, "lane_of keeps 7 bits");
+
+  /// One delay's events in (t, seq) order: a power-of-two ring that
+  /// starts at 16 entries on first use and doubles when full.
+  struct Lane {
+    std::uint64_t key = 0;  // bit pattern of the lane's delay
+    std::vector<ScheduledEvent> ring;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+    std::uint32_t mask = 0;
+  };
+  /// A non-empty lane, keyed by a copy of its head's (t, seq).
+  struct Head {
+    Seconds t;
+    std::uint64_t seq;
+    std::uint32_t lane;
+  };
+  static bool later(const Head& a, const Head& b) {
+    if (a.t != b.t) return a.t > b.t;
+    return a.seq > b.seq;
+  }
+
+  void append(Lane& lane, const ScheduledEvent& ev) {
+    if (lane.count == lane.ring.size()) grow(lane);
+    lane.ring[(lane.head + lane.count) & lane.mask] = ev;
+    ++lane.count;
+    ++lane_events_;
+  }
+  /// True when the minimal pending event is a lane head (not the fallback).
+  bool lane_front() const {
+    if (heads_.empty()) return false;
+    const ScheduledEvent* fb = fallback_.peek();
+    if (fb == nullptr) return true;
+    const Head& h = heads_.front();
+    return h.t != fb->t ? h.t < fb->t : h.seq < fb->seq;
+  }
+
+  static void grow(Lane& lane);
+  void add_head(std::size_t lane);
+  void drop_front_head();
+  void sift_down(std::size_t pos);
+
+  std::array<Lane, kLanes> lanes_;
+  std::vector<Head> heads_;  // min-heap over the non-empty lanes
+  std::size_t lane_events_ = 0;
+  BinaryHeapQueue fallback_;
 };
 
 }  // namespace pfsc::sim

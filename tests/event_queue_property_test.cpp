@@ -1,17 +1,21 @@
 // Property tests for the pending-event queue on seeded random workloads.
-// At the queue level, the ladder must pop exactly the (time, seq) sequence
-// the reference binary heap pops on raw push/pop op streams; a failing
-// case is shrunk to its smallest failing op prefix before being reported,
-// so the failure message names a minimal (seed, prefix) reproducer, like
-// sched_property_test does for the schedulers. At the engine level, with
-// coroutines, delays and token cancellations in the mix, the dispatch
-// order is checked against the specification the heap encodes: every live
-// wakeup fires once, at its time, in strictly increasing (time, seq) order,
-// and no cancelled wakeup fires.
+// At the queue level, the delay lanes must pop exactly the (time, seq)
+// sequence the reference binary heap pops on raw push/pop op streams that
+// mix repeated delays, absolute-time pushes and a burst of more distinct
+// delays than there are lanes; a failing case is shrunk to its smallest
+// failing op prefix before being reported, so the failure message names a
+// minimal (seed, prefix) reproducer, like sched_property_test does for the
+// schedulers. At the engine level, with coroutines, delays and token
+// cancellations in the mix, the dispatch order is checked against the
+// specification the heap encodes: every live wakeup fires once, at its
+// time, in strictly increasing (time, seq) order, and no cancelled wakeup
+// fires.
 #include <gtest/gtest.h>
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -30,34 +34,60 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct Op {
-  bool push = false;
+  enum Kind { kPop, kDelay, kAt } kind = kPop;
   double dt = 0.0;  // for pushes: offset above the last popped time
 };
+
+/// Delays the engine repeats: a lane each, 0 included.
+constexpr double kRepeated[] = {0.0, 2.5e-5, 3.2768e-4, 1.7476e-3, 0.25, 7.0};
+/// More distinct delays than LaneQueue has lanes.
+constexpr std::size_t kDistinct = 200 + LaneQueue::kLanes / 2;
 
 std::vector<Op> gen_ops(std::uint64_t seed) {
   Rng rng(0xE0E0u ^ (seed * 0x9E3779B97F4A7C15ull));
   const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(600));
   std::vector<Op> ops;
-  ops.reserve(n);
+  ops.reserve(n + kDistinct);
   for (std::size_t i = 0; i < n; ++i) {
     Op op;
-    op.push = rng.uniform(3) != 0;  // 2:1 push:pop keeps the queue loaded
-    if (op.push) {
-      switch (rng.uniform(4)) {
-        case 0: op.dt = 0.0; break;  // same-timestamp burst: FIFO tiebreak
-        case 1: op.dt = rng.uniform_double(0.0, 1.0e-5); break;   // RPC-ish
-        case 2: op.dt = rng.uniform_double(0.0, 10.0); break;     // coarse
-        default: op.dt = rng.uniform_double(0.0, 1.0e5); break;   // far tail
-      }
+    switch (rng.uniform(6)) {
+      case 0:
+      case 1: op.kind = Op::kPop; break;  // 2:1 push:pop keeps it loaded
+      case 2:
+      case 3:
+        op.kind = Op::kDelay;
+        op.dt = kRepeated[rng.uniform(std::size(kRepeated))];
+        break;
+      case 4:
+        op.kind = Op::kDelay;  // fresh delay: a lane of its own or fallback
+        op.dt = rng.uniform_double(0.0, 10.0);
+        break;
+      default:
+        op.kind = Op::kAt;
+        op.dt = rng.uniform(2) == 0 ? rng.uniform_double(0.0, 1.0e-5)
+                                    : rng.uniform_double(0.0, 1.0e5);
+        break;
     }
     ops.push_back(op);
   }
+  // A burst with no pops between: kDistinct distinct delays pending at
+  // once, so by pigeonhole some must share a lane and go to the fallback.
+  std::vector<Op> burst;
+  for (std::size_t k = 0; k < kDistinct; ++k) {
+    burst.push_back({Op::kDelay, 1.0e-4 * static_cast<double>(k + 1)});
+  }
+  for (std::size_t k = burst.size(); k > 1; --k) {
+    std::swap(burst[k - 1], burst[rng.uniform(k)]);
+  }
+  const std::size_t at = rng.uniform(ops.size() + 1);
+  ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(at), burst.begin(),
+             burst.end());
   return ops;
 }
 
 /// Replay the first `n` ops against a fresh `Queue`; pops (plus a final
 /// drain) form the trace. Pushed times respect the engine invariant
-/// t >= "now" (the last popped time).
+/// t >= "now" (the last popped time), and a delay push carries its delay.
 template <typename Queue>
 std::vector<std::pair<double, std::uint64_t>> replay(const std::vector<Op>& ops,
                                                      std::size_t n) {
@@ -66,8 +96,11 @@ std::vector<std::pair<double, std::uint64_t>> replay(const std::vector<Op>& ops,
   std::uint64_t seq = 1;
   double now = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (ops[i].push) {
-      q.push({now + ops[i].dt, seq++, std::noop_coroutine()});
+    const Op& op = ops[i];
+    if (op.kind == Op::kDelay) {
+      q.push({now + op.dt, seq++, std::noop_coroutine()}, op.dt);
+    } else if (op.kind == Op::kAt) {
+      q.push({now + op.dt, seq++, std::noop_coroutine()});
     } else if (!q.empty()) {
       const ScheduledEvent ev = q.pop();
       now = ev.t;
@@ -83,24 +116,24 @@ std::vector<std::pair<double, std::uint64_t>> replay(const std::vector<Op>& ops,
 
 std::string compare_traces(const std::vector<Op>& ops, std::size_t n) {
   const auto heap = replay<BinaryHeapQueue>(ops, n);
-  const auto ladder = replay<LadderQueue>(ops, n);
-  if (heap.size() != ladder.size()) {
+  const auto lanes = replay<LaneQueue>(ops, n);
+  if (heap.size() != lanes.size()) {
     return "trace lengths differ: heap " + std::to_string(heap.size()) +
-           " vs ladder " + std::to_string(ladder.size());
+           " vs lanes " + std::to_string(lanes.size());
   }
   for (std::size_t i = 0; i < heap.size(); ++i) {
-    if (heap[i] != ladder[i]) {
+    if (heap[i] != lanes[i]) {
       return "dispatch " + std::to_string(i) + " differs: heap (t=" +
              std::to_string(heap[i].first) + ", seq=" +
-             std::to_string(heap[i].second) + ") vs ladder (t=" +
-             std::to_string(ladder[i].first) + ", seq=" +
-             std::to_string(ladder[i].second) + ")";
+             std::to_string(heap[i].second) + ") vs lanes (t=" +
+             std::to_string(lanes[i].first) + ", seq=" +
+             std::to_string(lanes[i].second) + ")";
     }
   }
   return {};
 }
 
-TEST(EventQueueProperty, LadderMatchesHeapOnRandomOpStreams) {
+TEST(EventQueueProperty, LanesMatchHeapOnRandomOpStreams) {
   for (std::uint64_t seed = 1; seed <= 80; ++seed) {
     const std::vector<Op> ops = gen_ops(seed);
     const std::string err = compare_traces(ops, ops.size());
@@ -180,9 +213,16 @@ std::string check_engine_workload(std::uint64_t seed) {
     std::vector<int> decoys;
     for (std::size_t s = 0; s < steps; ++s) {
       // Mix zero-delay steps (same-timestamp FIFO) with spread-out ones.
-      delays.push_back(rng.uniform(4) == 0
-                           ? 0.0
-                           : rng.uniform_double(1.0e-6, 0.5));
+      // Odd seeds draw from four delays whose decoys (at 2 dt and 3 dt)
+      // share lanes with live wakeups, so non-zero lanes carry tombstones.
+      static constexpr double kFixed[] = {0.125, 0.25, 0.375, 0.5};
+      if (rng.uniform(4) == 0) {
+        delays.push_back(0.0);
+      } else if (seed % 2 == 1) {
+        delays.push_back(kFixed[rng.uniform(4)]);
+      } else {
+        delays.push_back(rng.uniform_double(1.0e-6, 0.5));
+      }
       decoys.push_back(static_cast<int>(rng.uniform(3)));
     }
     eng.start(worker(eng, std::move(delays), std::move(decoys), &scheduled,

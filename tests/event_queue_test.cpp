@@ -1,10 +1,11 @@
 // Unit tests for the pending-event queues (sim/event_queue.hpp): the
-// engine's ladder queue and the reference heap, the token-based
+// engine's delay lanes and the reference heap, the token-based
 // cancellation API, and the coroutine-frame arena.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <string>
@@ -51,18 +52,26 @@ class EveryQueue : public ::testing::Test {};
 struct QueueName {
   template <typename Queue>
   static std::string GetName(int) {
-    return std::is_same_v<Queue, LadderQueue> ? "ladder" : "binary_heap";
+    return std::is_same_v<Queue, LaneQueue> ? "lanes" : "binary_heap";
   }
 };
-using Queues = ::testing::Types<BinaryHeapQueue, LadderQueue>;
+using Queues = ::testing::Types<BinaryHeapQueue, LaneQueue>;
 TYPED_TEST_SUITE(EveryQueue, Queues, QueueName);
+
+/// Half the delays repeat (lanes), half are fresh draws (mostly fallback).
+double draw_delay(Rng& rng, double span) {
+  static constexpr double kSet[] = {0.0, 0.125, 1.5, 2.75, 6.0};
+  return rng.uniform(2) == 0 ? kSet[rng.uniform(5)]
+                             : rng.uniform_double(0.0, span);
+}
 
 TYPED_TEST(EveryQueue, PopsInTimeThenSeqOrder) {
   TypeParam q;
   Rng rng(0xE001);
   std::uint64_t seq = 1;
   for (int i = 0; i < 1000; ++i) {
-    q.push({rng.uniform_double(0.0, 50.0), seq++, dummy_handle()});
+    const double dt = draw_delay(rng, 50.0);
+    q.push({dt, seq++, dummy_handle()}, dt);
   }
   EXPECT_EQ(q.size(), 1000u);
   auto evs = drain(q);
@@ -72,9 +81,14 @@ TYPED_TEST(EveryQueue, PopsInTimeThenSeqOrder) {
 
 TYPED_TEST(EveryQueue, SameTimestampIsFifoBySeq) {
   TypeParam q;
-  // All at the same instant: pop order must be schedule order, exactly.
+  // All at the same instant, half through a lane and half at an absolute
+  // time: pop order must be schedule order, exactly.
   for (std::uint64_t seq = 1; seq <= 256; ++seq) {
-    q.push({3.25, seq, dummy_handle()});
+    if (seq % 2 == 0) {
+      q.push({3.25, seq, dummy_handle()}, 3.25);
+    } else {
+      q.push({3.25, seq, dummy_handle()});
+    }
   }
   auto evs = drain(q);
   ASSERT_EQ(evs.size(), 256u);
@@ -90,7 +104,8 @@ TYPED_TEST(EveryQueue, PeekMatchesPopAndInterleavesWithPush) {
   for (int round = 0; round < 2000; ++round) {
     if (q.empty() || rng.uniform(3) != 0) {
       // Engine invariant: never schedule before the current time.
-      q.push({now + rng.uniform_double(0.0, 10.0), seq++, dummy_handle()});
+      const double dt = draw_delay(rng, 10.0);
+      q.push({now + dt, seq++, dummy_handle()}, dt);
     } else {
       const ScheduledEvent* top = q.peek();
       ASSERT_NE(top, nullptr);
@@ -108,30 +123,27 @@ TYPED_TEST(EveryQueue, PeekMatchesPopAndInterleavesWithPush) {
   EXPECT_EQ(q.peek(), nullptr);
 }
 
-TEST(LadderQueue, GrowsAndShrinksWithPopulation) {
-  LadderQueue q;
-  const std::size_t initial = q.bucket_count();
-  std::uint64_t seq = 1;
-  Rng rng(0xE003);
-  for (int i = 0; i < 4096; ++i) {
-    q.push({rng.uniform_double(0.0, 100.0), seq++, dummy_handle()});
+std::uint64_t bits(double dt) { return std::bit_cast<std::uint64_t>(dt); }
+
+/// Two distinct delays that hash to the same lane.
+std::pair<double, double> colliding_delays() {
+  const double a = 1.0e-3;
+  for (int k = 2;; ++k) {
+    const double b = k * 1.0e-3;
+    if (LaneQueue::lane_of(bits(b)) == LaneQueue::lane_of(bits(a))) {
+      return {a, b};
+    }
   }
-  EXPECT_GT(q.bucket_count(), initial);
-  while (q.size() > 8) (void)q.pop();
-  EXPECT_LT(q.bucket_count(), 4096u);
-  auto evs = drain(q);
-  EXPECT_TRUE(ordered(evs));
 }
 
-TEST(LadderQueue, SparseFarFutureTailStaysOrdered) {
-  // Events separated by far more than a bucket "year" exercise the
-  // fruitless-lap direct-search fallback and the cursor jump.
-  LadderQueue q;
+TEST(LaneQueue, SparseFarFutureTailStaysOrdered) {
+  // Delays twelve orders of magnitude apart, each in its own lane or the
+  // fallback, still pop in time order.
+  LaneQueue q;
   std::uint64_t seq = 1;
-  q.push({1.0e-6, seq++, dummy_handle()});
-  q.push({5.0, seq++, dummy_handle()});
-  q.push({9000.0, seq++, dummy_handle()});
-  q.push({9.0e7, seq++, dummy_handle()});
+  for (double dt : {9.0e7, 1.0e-6, 9000.0, 5.0}) {
+    q.push({dt, seq++, dummy_handle()}, dt);
+  }
   auto evs = drain(q);
   ASSERT_EQ(evs.size(), 4u);
   EXPECT_TRUE(ordered(evs));
@@ -139,18 +151,92 @@ TEST(LadderQueue, SparseFarFutureTailStaysOrdered) {
   EXPECT_EQ(evs.back().t, 9.0e7);
 }
 
-TEST(LadderQueue, ReusableAfterFullDrain) {
-  LadderQueue q;
+TEST(LaneQueue, ReusableAfterFullDrain) {
+  LaneQueue q;
   std::uint64_t seq = 1;
   for (int wave = 0; wave < 3; ++wave) {
     const double base = wave * 1000.0;
     for (int i = 0; i < 100; ++i) {
-      q.push({base + static_cast<double>(i % 7), seq++, dummy_handle()});
+      const double dt = static_cast<double>(i % 7);
+      q.push({base + dt, seq++, dummy_handle()}, dt);
     }
     auto evs = drain(q);
     ASSERT_EQ(evs.size(), 100u);
     EXPECT_TRUE(ordered(evs));
     EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.peek(), nullptr);
+  }
+}
+
+TEST(LaneQueue, RingWrapsAroundWhileGrowing) {
+  // One lane: advance its head, refill until the ring wraps, then overflow
+  // it so the doubling copies a wrapped ring.
+  LaneQueue q;
+  constexpr double dt = 0.5;
+  std::uint64_t seq = 1;
+  double now = 0.0;
+  std::uint64_t next_pop = 1;
+  const auto push = [&](int n) {
+    for (int i = 0; i < n; ++i) q.push({now + dt, seq++, dummy_handle()}, dt);
+  };
+  const auto pop = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const ScheduledEvent ev = q.pop();
+      ASSERT_EQ(ev.seq, next_pop++);
+      now = ev.t;
+    }
+  };
+  push(10);
+  pop(7);
+  push(13);  // 16 pending, head at 7: the ring is full and wrapped
+  EXPECT_EQ(q.size(), 16u);
+  push(21);  // grows 16 -> 32 -> 64 from wrapped rings
+  pop(20);
+  push(40);
+  EXPECT_EQ(q.fallback_size(), 0u);
+  pop(static_cast<int>(q.size()));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(next_pop, seq);
+}
+
+TEST(LaneQueue, DrainedLaneTakesTheNextDelay) {
+  const auto [a, b] = colliding_delays();
+  LaneQueue q;
+  std::uint64_t seq = 1;
+  q.push({a, seq++, dummy_handle()}, a);
+  q.push({b, seq++, dummy_handle()}, b);  // lane busy with a: fallback
+  EXPECT_EQ(q.fallback_size(), 1u);
+  drain(q);
+  // The drained lane now belongs to b; a collides instead.
+  q.push({1.0 + b, seq++, dummy_handle()}, b);
+  EXPECT_EQ(q.fallback_size(), 0u);
+  q.push({1.0 + a, seq++, dummy_handle()}, a);
+  EXPECT_EQ(q.fallback_size(), 1u);
+  const auto evs = drain(q);
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_EQ(evs[0].seq, 4u);  // 1 + a < 1 + b
+  EXPECT_EQ(evs[1].seq, 3u);
+}
+
+TEST(LaneQueue, PlusAndMinusZeroDelaysAreDistinctLanes) {
+  // +0.0 and -0.0 compare equal but differ in bits: two lanes, both at now,
+  // merged back into schedule order.
+  ASSERT_NE(LaneQueue::lane_of(bits(0.0)), LaneQueue::lane_of(bits(-0.0)));
+  LaneQueue q;
+  std::uint64_t seq = 1;
+  double now = 0.0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 24; ++i) {
+      const double dt = i % 3 == 0 ? -0.0 : 0.0;
+      q.push({now + dt, seq++, dummy_handle()}, dt);
+    }
+    EXPECT_EQ(q.fallback_size(), 0u);
+    const auto evs = drain(q);
+    ASSERT_EQ(evs.size(), 24u);
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+      EXPECT_EQ(evs[i].seq, seq - 24 + i);
+    }
+    now += 1.0;
   }
 }
 
