@@ -33,11 +33,10 @@ Controller::Controller(sim::Engine& eng, CtrlConfig cfg,
   PFSC_REQUIRE(cfg_.cooldown >= 0.0, "Controller: cooldown must be >= 0");
 }
 
-PflSpec Controller::calm_spec() const {
+PflSpec calm_spec(const hw::PlatformParams& p) {
   // Calm: small files stay narrow (their bandwidth never justifies the
   // per-OST footprint), everything else stripes as wide as the platform
   // allows — sole writers get the full parallelism.
-  const auto& p = fs_->params();
   const std::uint32_t wide = std::min(p.max_stripe_count, p.ost_count);
   PflSpec spec;
   spec.classes.push_back({16_MiB, 1});
@@ -46,16 +45,17 @@ PflSpec Controller::calm_spec() const {
   return spec;
 }
 
-PflSpec Controller::storm_spec(std::size_t active) const {
+PflSpec storm_spec(const hw::PlatformParams& p, std::size_t writers) {
   // Storm: divide the OSTs across the active writers so each disk serves
   // as few competing streams as possible (the disk model's seek cost
-  // amplifies per hot stream past the knee; see hw/disk.hpp).
-  const auto& p = fs_->params();
+  // amplifies per hot stream past the knee; see hw/disk.hpp). Every class
+  // is capped at the share, so no file stripes wider than it would calm.
   const std::uint32_t wide = std::min(p.max_stripe_count, p.ost_count);
-  const auto jobs = static_cast<std::uint32_t>(std::max<std::size_t>(active, 1));
+  const auto jobs = static_cast<std::uint32_t>(std::max<std::size_t>(writers, 1));
   const std::uint32_t share = std::max(1u, std::min(wide, p.ost_count / jobs));
   PflSpec spec;
   spec.classes.push_back({16_MiB, 1});
+  spec.classes.push_back({256_MiB, std::min(std::max(1u, wide / 4), share)});
   spec.wide = share;
   return spec;
 }
@@ -66,7 +66,7 @@ void Controller::start() {
   // Arm the baseline before the first event runs, so files created at
   // t=0 already land in the controlled regime.
   if (cfg_.mode == CtrlMode::pfl || cfg_.mode == CtrlMode::full) {
-    set_pfl("pfl_calm", "wide layouts for new files", calm_spec());
+    set_pfl("pfl_calm", "wide layouts for new files", calm_spec(fs_->params()));
   }
   eng_->spawn(run());
 }
@@ -131,7 +131,7 @@ void Controller::rule_pfl() {
   if (!storm_ && active >= cfg_.storm_jobs) {
     if (in_cooldown("pfl")) return;
     storm_ = true;
-    const PflSpec spec = storm_spec(active);
+    const PflSpec spec = storm_spec(fs_->params(), active);
     storm_width_ = spec.wide;
     std::ostringstream detail;
     detail << "narrow layouts: " << spec.wide << " stripes for "
@@ -148,12 +148,12 @@ void Controller::rule_pfl() {
     if (in_cooldown("pfl")) return;
     storm_ = false;
     storm_width_ = 0;
-    set_pfl("pfl_calm", "wide layouts for new files", calm_spec());
+    set_pfl("pfl_calm", "wide layouts for new files", calm_spec(fs_->params()));
     return;
   }
   if (storm_) {
     // Still storming: re-divide if the writer count moved the share.
-    const PflSpec spec = storm_spec(active);
+    const PflSpec spec = storm_spec(fs_->params(), active);
     if (spec.wide != storm_width_ && !in_cooldown("pfl")) {
       storm_width_ = spec.wide;
       std::ostringstream detail;

@@ -81,6 +81,12 @@ struct CtrlConfig {
   double imbalance_low = 1.25;
 };
 
+/// The pfl rule's layouts for `p`: calm stripes small files narrow and the
+/// rest as wide as the platform allows; storm divides the OSTs across
+/// `writers` and caps every size class at that share.
+lustre::PflSpec calm_spec(const hw::PlatformParams& p);
+lustre::PflSpec storm_spec(const hw::PlatformParams& p, std::size_t writers);
+
 /// One controller decision, in simulated time.
 struct CtrlAction {
   Seconds at = 0.0;
@@ -146,8 +152,6 @@ class Controller {
   bool in_cooldown(const char* family) const;
   /// Jobs whose served bytes grew since the previous tick.
   std::size_t active_jobs();
-  lustre::PflSpec calm_spec() const;
-  lustre::PflSpec storm_spec(std::size_t active) const;
 
   sim::Engine* eng_;
   CtrlConfig cfg_;

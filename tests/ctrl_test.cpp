@@ -11,6 +11,7 @@
 
 #include "ctrl/controller.hpp"
 #include "harness/scenario.hpp"
+#include "hw/platform.hpp"
 #include "lustre/client.hpp"
 #include "lustre/fs.hpp"
 #include "lustre/pfl.hpp"
@@ -317,9 +318,9 @@ TEST(Controller, FullModeDecisionsArePinned) {
       {0.12500000000000003, "pfl", "pfl_storm",
        "re-divided: 120 stripes for 4 writers"},
       {0.12500000000000003, "oss_sched", "qos_tighten",
-       "tightened: jain 0.738317 < 0.85"},
-      {0.24000000000000013, "oss_sched", "qos_restore",
-       "restored baseline: jain 0.950323 > 0.95"},
+       "tightened: jain 0.751366 < 0.85"},
+      {0.22000000000000011, "oss_sched", "qos_restore",
+       "restored baseline: jain 0.951167 > 0.95"},
       {0.67000000000000048, "pfl", "pfl_storm",
        "re-divided: 160 stripes for 3 writers"},
       {0.71500000000000052, "pfl", "pfl_calm", "wide layouts for new files"},
@@ -333,8 +334,26 @@ TEST(Controller, FullModeDecisionsArePinned) {
     EXPECT_EQ(got.detail, want[i].detail) << "action " << i;
   }
   const std::string json = replay::analyze_fleet(obs, s.platform).to_json();
-  EXPECT_EQ(json.size(), 2257u);
-  EXPECT_EQ(fnv1a(json), 1536433699513238719ull);
+  EXPECT_EQ(json.size(), 2255u);
+  EXPECT_EQ(fnv1a(json), 3317413160237193925ull);
+}
+
+// Regression for the storm spec that dropped the calm 256 MiB class: on
+// cab_lscratchc a 2-writer storm striped 16-256 MiB files over 160 OSTs
+// instead of the calm 40. A storm may only narrow a layout.
+TEST(Controller, StormNeverStripesAClassWiderThanCalm) {
+  const hw::PlatformParams p = hw::cab_lscratchc();
+  const lustre::PflSpec calm = ctrl::calm_spec(p);
+  for (std::size_t writers = 1; writers <= 16; ++writers) {
+    const lustre::PflSpec storm = ctrl::storm_spec(p, writers);
+    storm.validate();
+    for (const Bytes size : {1_MiB, 16_MiB, 64_MiB, 256_MiB, 1_GiB, 64_GiB}) {
+      EXPECT_LE(storm.choose(size), calm.choose(size))
+          << writers << " writers, " << size << " bytes";
+    }
+  }
+  EXPECT_EQ(ctrl::storm_spec(p, 2).choose(64_MiB), 40u);
+  EXPECT_EQ(ctrl::storm_spec(p, 16).choose(64_MiB), 30u);
 }
 
 TEST(Controller, FleetReportCarriesAdaptationBlock) {
