@@ -36,6 +36,7 @@ void DiskModel::enqueue(Request req) {
       pending.begin(), pending.end(), req.offset,
       [](Bytes offset, const Request& r) { return offset < r.offset; });
   pending.insert(pos, req);
+  queue_area_.advance(eng_->now(), queued_);
   ++queued_;
   max_runnable_ = std::max(max_runnable_, rotation_.size() + (have_current_ ? 1 : 0));
   work_.trigger();
@@ -174,6 +175,7 @@ sim::Task DiskModel::service_loop() {
     }
     const Request req = *pick;
     q.erase(pick);
+    queue_area_.advance(eng_->now(), queued_);
     --queued_;
     if (q.empty()) --runnable_;
     ++batch_used_;

@@ -34,6 +34,7 @@
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
 #include "sim/task.hpp"
+#include "support/stats.hpp"
 #include "support/units.hpp"
 #include "trace/recorder.hpp"
 
@@ -111,6 +112,9 @@ class DiskModel {
   /// incrementally, not recomputed by scanning the stream table).
   std::size_t runnable_streams() const { return runnable_; }
   std::size_t queue_depth() const { return queued_; }
+  /// Time-weighted integral of queue_depth() (`seen` false: no request
+  /// ever arrived).
+  const QueueArea& queue_area() const { return queue_area_; }
   /// High-water mark of concurrently runnable streams.
   std::size_t max_runnable_streams() const { return max_runnable_; }
   /// Distinct streams serviced within the last `hot_window` requests.
@@ -152,6 +156,7 @@ class DiskModel {
   bool have_current_ = false;
   std::uint32_t batch_used_ = 0;
   std::size_t queued_ = 0;
+  QueueArea queue_area_;
   std::size_t runnable_ = 0;
 
   Bytes bytes_serviced_ = 0;

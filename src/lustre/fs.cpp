@@ -395,19 +395,15 @@ std::size_t FileSystem::sched_in_service() const {
 }
 
 double FileSystem::sched_mean_queue_depth() const {
-  double area = 0.0;
-  Seconds first = 0.0;
-  Seconds last = 0.0;
-  bool seen = false;
-  for (const auto& s : oss_scheds_) {
-    const sched::Scheduler::QueueArea& q = s->queue_area();
-    if (!q.seen) continue;
-    area += q.area;
-    first = seen ? std::min(first, q.first) : q.first;
-    last = seen ? std::max(last, q.last) : q.last;
-    seen = true;
-  }
-  return last > first ? area / (last - first) : 0.0;
+  QueueArea total;
+  for (const auto& s : oss_scheds_) total.merge(s->queue_area());
+  return total.mean();
+}
+
+double FileSystem::disk_mean_queue_depth() const {
+  QueueArea total;
+  for (const auto& d : ost_disks_) total.merge(d->queue_area());
+  return total.mean();
 }
 
 std::map<sched::JobId, Bytes> FileSystem::sched_served_by_job() const {

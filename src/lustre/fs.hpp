@@ -121,6 +121,9 @@ class FileSystem {
   /// nonzero span). Exact over the whole run: each scheduler integrates
   /// its own depth as it changes.
   double sched_mean_queue_depth() const;
+  /// The same for the requests queued in the OST disk elevators
+  /// (DiskModel::queue_depth), where a FIFO run does its waiting.
+  double disk_mean_queue_depth() const;
   /// Served bytes per job, merged across all OSS schedulers.
   std::map<sched::JobId, Bytes> sched_served_by_job() const;
   /// Jain fairness index over the merged per-job served bytes.

@@ -18,19 +18,9 @@ const char* sched_policy_name(SchedPolicy policy) {
   return "?";
 }
 
-void Scheduler::advance_queue_area(Seconds now) {
-  QueueArea& q = queue_area_;
-  if (!q.seen) {
-    q.seen = true;
-    q.first = now;
-  }
-  q.area += static_cast<double>(queued_) * (now - q.last);
-  q.last = now;
-}
-
 std::uint64_t Scheduler::note_submitted(JobId job, Bytes bytes) {
   const Seconds now = eng_->now();
-  advance_queue_area(now);
+  queue_area_.advance(now, queued_);
   ++queued_;
   submitted_bytes_ += bytes;
   auto* rec = eng_->recorder();
@@ -49,7 +39,7 @@ std::uint64_t Scheduler::note_submitted(JobId job, Bytes bytes) {
 void Scheduler::note_granted(std::uint64_t trace_id, JobId job, Bytes bytes) {
   PFSC_ASSERT(queued_ > 0);
   const Seconds now = eng_->now();
-  advance_queue_area(now);
+  queue_area_.advance(now, queued_);
   --queued_;
   ++in_service_;
   admitted_bytes_ += bytes;

@@ -44,6 +44,7 @@
 #include "lustre/sched/policy.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "support/stats.hpp"
 #include "support/units.hpp"
 #include "trace/recorder.hpp"
 
@@ -76,15 +77,8 @@ class Scheduler {
   /// Requests granted but not yet completed.
   std::size_t in_service() const { return in_service_; }
 
-  /// Time-weighted integral of queue_depth(), kept exactly as the queue
-  /// changes, between its first and its last change (`seen` false: no
-  /// request ever arrived).
-  struct QueueArea {
-    double area = 0.0;  // request-seconds
-    Seconds first = 0.0;
-    Seconds last = 0.0;
-    bool seen = false;
-  };
+  /// Time-weighted integral of queue_depth() (`seen` false: no request
+  /// ever arrived).
   const QueueArea& queue_area() const { return queue_area_; }
 
   // -- byte accounting ---------------------------------------------------
@@ -131,8 +125,6 @@ class Scheduler {
   /// in_service() already reflects the grant when the next decision runs.
   /// `trace_id` is the matching note_submitted return value.
   void note_granted(std::uint64_t trace_id, JobId job, Bytes bytes);
-  /// Advance queue_area_ to now; call just before queued_ changes.
-  void advance_queue_area(Seconds now);
   /// Policy hook run after complete()'s accounting (e.g. to grant the
   /// next queued request into the freed service slot).
   virtual void on_complete() {}

@@ -129,4 +129,21 @@ double percentile(std::vector<double> samples, double p) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
+void QueueArea::advance(double now, std::size_t depth) {
+  if (!seen) {
+    seen = true;
+    first = now;
+  }
+  area += static_cast<double>(depth) * (now - last);
+  last = now;
+}
+
+void QueueArea::merge(const QueueArea& other) {
+  if (!other.seen) return;
+  area += other.area;
+  first = seen ? std::min(first, other.first) : other.first;
+  last = seen ? std::max(last, other.last) : other.last;
+  seen = true;
+}
+
 }  // namespace pfsc

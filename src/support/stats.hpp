@@ -61,4 +61,23 @@ double jain_index(std::span<const double> shares);
 /// Population percentile by linear interpolation (p in [0,1]).
 double percentile(std::vector<double> samples, double p);
 
+/// Time-weighted integral of a queue's depth, kept exactly as the depth
+/// changes, between its first and its last change (`seen` false: the
+/// depth never changed).
+struct QueueArea {
+  double area = 0.0;  // request-seconds
+  double first = 0.0;
+  double last = 0.0;
+  bool seen = false;
+
+  /// Account `depth`, held since the last change, up to `now`; call just
+  /// before the depth changes.
+  void advance(double now, std::size_t depth);
+  /// Fold in another queue: the span runs from the earliest first to the
+  /// latest last, so mean() becomes the mean total depth of both.
+  void merge(const QueueArea& other);
+  /// Time-weighted mean depth over [first, last]; 0 over an empty span.
+  double mean() const { return last > first ? area / (last - first) : 0.0; }
+};
+
 }  // namespace pfsc

@@ -237,6 +237,7 @@ std::string RunSummary::format() const {
   }
   out += "jain index:        " + fmt_double(jain, 4) + "\n";
   out += "mean queue depth:  " + fmt_double(mean_queue_depth, 2) + "\n";
+  out += "mean disk queue:   " + fmt_double(mean_disk_queue_depth, 2) + "\n";
   out += "osts touched:      " + fmt_int(static_cast<long long>(touched)) +
          " of " + fmt_int(static_cast<long long>(ost_bytes.size()));
   if (touched > 0) {

@@ -37,7 +37,8 @@ struct RunSummary {
   std::map<std::uint32_t, Bytes> job_bytes;  // served per JobId
   std::vector<Bytes> ost_bytes;              // serviced per OST disk
   double jain = 1.0;
-  double mean_queue_depth = 0.0;
+  double mean_queue_depth = 0.0;       // OSS schedulers
+  double mean_disk_queue_depth = 0.0;  // OST disk elevators
   std::uint64_t recorded_events = 0;
   std::uint64_t dropped_events = 0;
 

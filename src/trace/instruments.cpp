@@ -67,6 +67,7 @@ RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec) {
     s.ost_bytes.push_back(fs.ost_disk(ost).bytes_serviced());
   }
   s.mean_queue_depth = fs.sched_mean_queue_depth();
+  s.mean_disk_queue_depth = fs.disk_mean_queue_depth();
   if (rec != nullptr) {
     s.recorded_events = rec->events().size();
     s.dropped_events = rec->dropped();

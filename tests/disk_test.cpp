@@ -189,6 +189,33 @@ TEST(Disk, BusyTimeTracksUtilisation) {
   EXPECT_DOUBLE_EQ(disk.busy_time(), 2.0);
 }
 
+TEST(Disk, QueueAreaIsTheTimeWeightedDepth) {
+  // Three contiguous requests queue at t=0 and a fourth at t=0.5. The
+  // first pays a 1 s seek, so picks happen at 0, 2, 3 and 4: the depth is
+  // 2 on [0, 0.5), 3 on [0.5, 2), 2 on [2, 3) and 1 on [3, 4), which is
+  // 8.5 request-seconds over 4 s.
+  sim::Engine eng;
+  DiskModel disk(eng, simple_params());
+  std::vector<double> done;
+  for (Bytes off : {0, 100, 200}) {
+    eng.spawn(submit_one(eng, disk, 1, off, 100, true, done));
+  }
+  eng.spawn([](sim::Engine& e, DiskModel& d,
+               std::vector<double>& out) -> sim::Task {
+    co_await e.delay(0.5);
+    co_await d.submit(1, 300, 100, true);
+    out.push_back(e.now());
+  }(eng, disk, done));
+  eng.run();
+  EXPECT_EQ(done, (std::vector<double>{2.0, 3.0, 4.0, 5.0}));
+  const QueueArea& q = disk.queue_area();
+  EXPECT_TRUE(q.seen);
+  EXPECT_EQ(q.first, 0.0);
+  EXPECT_EQ(q.last, 4.0);
+  EXPECT_DOUBLE_EQ(q.area, 8.5);
+  EXPECT_DOUBLE_EQ(q.mean(), 2.125);
+}
+
 TEST(Disk, ManyStreamsDegradeThroughputMonotonically) {
   // The mechanism behind Figure 2: more concurrent streams => more seeking
   // => lower aggregate throughput.

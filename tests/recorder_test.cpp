@@ -249,6 +249,13 @@ TEST(RunSummaryFormat, QueueDepthLineIsTheSameWhenEventsDropped) {
       << s.format();
 }
 
+TEST(RunSummaryFormat, PrintsTheDiskQueueDepth) {
+  RunSummary s;
+  s.mean_disk_queue_depth = 2.5;
+  EXPECT_NE(s.format().find("mean disk queue:   2.50\n"), std::string::npos)
+      << s.format();
+}
+
 TEST(RunSummaryFormat, QueueDepthLineUnchangedWithoutDrops) {
   RunSummary s;
   s.mean_queue_depth = 1.5;

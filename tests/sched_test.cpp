@@ -242,7 +242,7 @@ TEST(JobFairSched, QueueAreaIsTheTimeWeightedDepth) {
   }(eng, s, order));
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  const Scheduler::QueueArea& q = s.queue_area();
+  const QueueArea& q = s.queue_area();
   EXPECT_TRUE(q.seen);
   EXPECT_EQ(q.first, 0.0);
   EXPECT_EQ(q.last, 3.0);

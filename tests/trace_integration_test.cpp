@@ -162,6 +162,18 @@ TEST(TraceIntegration, SummaryQueueDepthDoesNotDependOnTheBuffer) {
               1e-12 * 5.6049733390902308);
 }
 
+TEST(TraceIntegration, FifoSummaryShowsTheWaitInTheDiskQueues) {
+  // FIFO grants inside the submitting instant, so the OSS queues never
+  // hold a request over time; the waiting happens in the disk elevators.
+  Scenario s = small_multi();
+  s.trace.mode = trace::TraceMode::summary;
+  for (const std::uint64_t seed : {5u, 13u}) {
+    const Observation obs = run_scenario(s, seed);
+    EXPECT_EQ(obs.trace_summary.mean_queue_depth, 0.0) << "seed " << seed;
+    EXPECT_GT(obs.trace_summary.mean_disk_queue_depth, 0.0) << "seed " << seed;
+  }
+}
+
 TEST(TraceIntegration, TracingOffIsInvisible) {
   const Scenario off = small_multi();
   Scenario full = small_multi();
