@@ -38,34 +38,19 @@ void LaneQueue::grow(Lane& lane) {
 
 void LaneQueue::add_head(std::size_t lane) {
   const ScheduledEvent& ev = lanes_[lane].ring[lanes_[lane].head];
-  if (heads_.capacity() == 0) heads_.reserve(kLanes);
   heads_.push_back({ev.t, ev.seq, static_cast<std::uint32_t>(lane)});
-  // Sift up.
-  std::size_t pos = heads_.size() - 1;
-  const Head h = heads_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!later(heads_[parent], h)) break;
-    heads_[pos] = heads_[parent];
-    pos = parent;
-  }
-  heads_[pos] = h;
+  std::push_heap(heads_.begin(), heads_.end(), HeadLater{});
 }
 
-void LaneQueue::drop_front_head() {
-  heads_.front() = heads_.back();
-  heads_.pop_back();
-  if (!heads_.empty()) sift_down(0);
-}
-
-void LaneQueue::sift_down(std::size_t pos) {
+void LaneQueue::sift_front_down() {
   const std::size_t n = heads_.size();
+  std::size_t pos = 0;
   const Head h = heads_[pos];
   for (;;) {
     std::size_t child = 2 * pos + 1;
     if (child >= n) break;
-    if (child + 1 < n && later(heads_[child], heads_[child + 1])) ++child;
-    if (!later(h, heads_[child])) break;
+    if (child + 1 < n && HeadLater{}(heads_[child], heads_[child + 1])) ++child;
+    if (!HeadLater{}(h, heads_[child])) break;
     heads_[pos] = heads_[child];
     pos = child;
   }

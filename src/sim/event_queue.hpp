@@ -174,11 +174,12 @@ class LaneQueue {
     --lane.count;
     --lane_events_;
     if (lane.count == 0) {
-      drop_front_head();
+      std::pop_heap(heads_.begin(), heads_.end(), HeadLater{});
+      heads_.pop_back();
     } else {
       const ScheduledEvent& next = lane.ring[lane.head];
       heads_.front() = {next.t, next.seq, i};
-      sift_down(0);
+      sift_front_down();
     }
     return ev;
   }
@@ -212,10 +213,12 @@ class LaneQueue {
     std::uint64_t seq;
     std::uint32_t lane;
   };
-  static bool later(const Head& a, const Head& b) {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;
-  }
+  struct HeadLater {
+    bool operator()(const Head& a, const Head& b) const {
+      if (a.t != b.t) return a.t > b.t;
+      return a.seq > b.seq;
+    }
+  };
 
   void append(Lane& lane, const ScheduledEvent& ev) {
     if (lane.count == lane.ring.size()) grow(lane);
@@ -234,8 +237,8 @@ class LaneQueue {
 
   static void grow(Lane& lane);
   void add_head(std::size_t lane);
-  void drop_front_head();
-  void sift_down(std::size_t pos);
+  /// Restore the lane heap after the front lane's head moved later.
+  void sift_front_down();
 
   std::array<Lane, kLanes> lanes_;
   std::vector<Head> heads_;  // min-heap over the non-empty lanes
