@@ -6,7 +6,7 @@ compares it with `.github/bench-baseline.json`, which holds two kinds of
 entries:
 
   * "ratios": machine-independent speedup gates. Each entry divides the
-    items_per_second of one benchmark by another's (e.g. the ladder hold
+    items_per_second of one benchmark by another's (e.g. the lanes hold
     benchmark over the heap one) and fails if the ratio drops below
     `min`. These are the primary CI gate: a ratio of two numbers measured
     in the same process on the same machine is stable across runner
