@@ -235,6 +235,34 @@ void BM_TaskSpawnJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskSpawnJoin)->Arg(100)->Arg(4096);
 
+// -- semaphore hand-off ------------------------------------------------------
+// One slot and N users, each taking the slot `rounds` times and holding it
+// for a microsecond, so the other N - 1 sit in the Resource's waiter FIFO:
+// every release hands the slot to the oldest waiter through the engine. Reported, not gated: it shows the waiter ring's cost per
+// hand-off at a short and a long queue.
+sim::Task handoff_user(sim::Engine& eng, sim::Resource& slot, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await slot.acquire();
+    co_await eng.delay(1.0e-6);
+    slot.release();
+  }
+}
+
+void BM_ResourceHandoff(benchmark::State& state) {
+  const int users = static_cast<int>(state.range(0));
+  constexpr int kHandoffs = 1 << 16;
+  const int rounds = kHandoffs / users;
+  for (auto _ : state) {
+    sim::Engine eng;
+    sim::Resource slot(eng, 1);
+    for (int u = 0; u < users; ++u) eng.spawn(handoff_user(eng, slot, rounds));
+    eng.run();
+    benchmark::DoNotOptimize(eng.executed_events());
+  }
+  state.SetItemsProcessed(state.iterations() * users * rounds);
+}
+BENCHMARK(BM_ResourceHandoff)->Arg(4)->Arg(1024);
+
 sim::Task disk_client(hw::DiskModel& disk, int stream, int requests) {
   for (int i = 0; i < requests; ++i) {
     co_await disk.submit(static_cast<hw::DiskModel::StreamId>(stream),

@@ -26,13 +26,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
 #include "hw/platform.hpp"
 #include "lustre/sched/policy.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/task.hpp"
 #include "support/units.hpp"
 #include "trace/recorder.hpp"
@@ -136,7 +136,7 @@ class AdmissionController {
   trace::Recorder* recorder_;
   trace::TrackId track_ = 0;
   std::vector<Running> running_;
-  std::deque<Waiter*> queue_;
+  sim::Ring<Waiter*> queue_;
   std::vector<AdmissionRecord> records_;
 };
 

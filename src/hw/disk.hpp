@@ -33,6 +33,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
+#include "sim/ring.hpp"
 #include "sim/task.hpp"
 #include "support/stats.hpp"
 #include "support/units.hpp"
@@ -150,7 +151,7 @@ class DiskModel {
   sim::Event work_;
 
   std::unordered_map<StreamId, StreamQueue> queues_;
-  std::deque<StreamId> rotation_;  // runnable streams, oldest first
+  sim::Ring<StreamId> rotation_;  // runnable streams, oldest first
   std::unordered_map<StreamId, Bytes> next_offset_;  // expected seq. position
   StreamId current_stream_ = 0;
   bool have_current_ = false;
@@ -168,7 +169,8 @@ class DiskModel {
   Seconds seek_time_total_ = 0.0;
   std::size_t max_runnable_ = 0;
 
-  // Sliding window of recently-serviced stream ids.
+  // Sliding window of recently-serviced stream ids (a deque, not a Ring:
+  // forget_stream erases from its middle).
   std::deque<StreamId> hot_ring_;
   std::unordered_map<StreamId, std::uint32_t> hot_counts_;
 

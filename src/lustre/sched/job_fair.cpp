@@ -1,7 +1,5 @@
 #include "lustre/sched/job_fair.hpp"
 
-#include <algorithm>
-
 namespace pfsc::lustre::sched {
 
 JobFairSched::JobFairSched(sim::Engine& eng, SchedTuning tuning)
@@ -92,7 +90,11 @@ void JobFairSched::check_invariants() const {
     if (q.empty()) {
       throw SimulationError("JobFairSched: empty queue left in the map");
     }
-    if (std::count(active_.begin(), active_.end(), job) != 1) {
+    std::size_t listed = 0;
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+      listed += active_[k] == job ? 1 : 0;
+    }
+    if (listed != 1) {
       throw SimulationError("JobFairSched: backlogged job not in rotation");
     }
     pending += q.size();

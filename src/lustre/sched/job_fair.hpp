@@ -22,10 +22,10 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <map>
 
 #include "lustre/sched/scheduler.hpp"
+#include "sim/ring.hpp"
 
 namespace pfsc::lustre::sched {
 
@@ -56,8 +56,8 @@ class JobFairSched final : public Scheduler {
   void on_complete() override;
   void on_retune(const SchedTuning& previous) override;
 
-  std::map<JobId, std::deque<Pending>> queues_;
-  std::deque<JobId> active_;           // jobs with a non-empty queue
+  std::map<JobId, sim::Ring<Pending>> queues_;
+  sim::Ring<JobId> active_;            // jobs with a non-empty queue
   std::map<JobId, Bytes> deficit_;     // per active job
   /// Grants legitimately in service beyond service_slots after a mid-run
   /// slot shrink. A retune cannot recall requests already at the disk, so

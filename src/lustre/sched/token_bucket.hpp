@@ -20,10 +20,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 
 #include "lustre/sched/scheduler.hpp"
+#include "sim/ring.hpp"
 
 namespace pfsc::lustre::sched {
 
@@ -47,7 +47,7 @@ class TokenBucketSched final : public Scheduler {
   struct Bucket {
     double tokens = 0.0;   // may go negative (debt from oversize grants)
     Seconds last = 0.0;    // when `tokens` was last brought up to date
-    std::deque<Pending> q;
+    sim::Ring<Pending> q;
     std::uint64_t timer_generation = 0;
   };
 

@@ -1,16 +1,8 @@
 #include "sim/event_queue.hpp"
 
-#include <utility>
-
 #include "support/error.hpp"
 
 namespace pfsc::sim {
-
-namespace {
-
-constexpr std::uint32_t kFirstRing = 16;
-
-}  // namespace
 
 ScheduledEvent BinaryHeapQueue::pop() {
   PFSC_ASSERT(!heap_.empty());
@@ -24,20 +16,8 @@ ScheduledEvent BinaryHeapQueue::pop() {
 // LaneQueue
 // ---------------------------------------------------------------------------
 
-void LaneQueue::grow(Lane& lane) {
-  const std::size_t cap = lane.ring.empty() ? kFirstRing : 2 * lane.ring.size();
-  std::vector<ScheduledEvent> ring(cap);
-  // Unwrap the full ring into the front of the new one, oldest first.
-  for (std::uint32_t k = 0; k < lane.count; ++k) {
-    ring[k] = lane.ring[(lane.head + k) & lane.mask];
-  }
-  lane.ring = std::move(ring);
-  lane.head = 0;
-  lane.mask = static_cast<std::uint32_t>(cap - 1);
-}
-
 void LaneQueue::add_head(std::size_t lane) {
-  const ScheduledEvent& ev = lanes_[lane].ring[lanes_[lane].head];
+  const ScheduledEvent& ev = lanes_[lane].ring.front();
   heads_.push_back({ev.t, ev.seq, static_cast<std::uint32_t>(lane)});
   std::push_heap(heads_.begin(), heads_.end(), HeadLater{});
 }

@@ -9,7 +9,7 @@
 //  * BinaryHeapQueue — a binary heap over the key: O(log n) per push/pop.
 //  * LaneQueue       — FIFO delay lanes. A push carries the delay `dt` it
 //    was scheduled with, and events of one delay go to one lane, a
-//    growable ring. For a fixed dt, t = now + dt never decreases (now
+//    sim::Ring. For a fixed dt, t = now + dt never decreases (now
 //    never does, and IEEE addition is monotone) and seq always increases,
 //    so each lane is already in (t, seq) order and a push is an append. A
 //    tiny heap over the non-empty lanes' heads finds the next lane. The
@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/ring.hpp"
 #include "support/units.hpp"
 
 namespace pfsc::sim {
@@ -142,7 +143,7 @@ class LaneQueue {
     const std::uint64_t key = std::bit_cast<std::uint64_t>(dt);
     const std::size_t i = lane_of(key);
     Lane& lane = lanes_[i];
-    if (lane.count == 0) {
+    if (lane.ring.empty()) {
       lane.key = key;
       append(lane, ev);
       add_head(i);
@@ -158,10 +159,7 @@ class LaneQueue {
   /// The minimal pending event, or nullptr when empty. The pointer is
   /// valid until the next push/pop.
   const ScheduledEvent* peek() const {
-    if (lane_front()) {
-      const Lane& lane = lanes_[heads_.front().lane];
-      return &lane.ring[lane.head];
-    }
+    if (lane_front()) return &lanes_[heads_.front().lane].ring.front();
     return fallback_.peek();
   }
   /// Remove and return the minimal pending event. Requires !empty().
@@ -169,15 +167,14 @@ class LaneQueue {
     if (!lane_front()) return fallback_.pop();
     const std::uint32_t i = heads_.front().lane;
     Lane& lane = lanes_[i];
-    const ScheduledEvent ev = lane.ring[lane.head];
-    lane.head = (lane.head + 1) & lane.mask;
-    --lane.count;
+    const ScheduledEvent ev = lane.ring.front();
+    lane.ring.pop_front();
     --lane_events_;
-    if (lane.count == 0) {
+    if (lane.ring.empty()) {
       std::pop_heap(heads_.begin(), heads_.end(), HeadLater{});
       heads_.pop_back();
     } else {
-      const ScheduledEvent& next = lane.ring[lane.head];
+      const ScheduledEvent& next = lane.ring.front();
       heads_.front() = {next.t, next.seq, i};
       sift_front_down();
     }
@@ -198,14 +195,10 @@ class LaneQueue {
  private:
   static_assert(kLanes == std::size_t{1} << 7, "lane_of keeps 7 bits");
 
-  /// One delay's events in (t, seq) order: a power-of-two ring that
-  /// starts at 16 entries on first use and doubles when full.
+  /// One delay's events in (t, seq) order.
   struct Lane {
     std::uint64_t key = 0;  // bit pattern of the lane's delay
-    std::vector<ScheduledEvent> ring;
-    std::uint32_t head = 0;
-    std::uint32_t count = 0;
-    std::uint32_t mask = 0;
+    Ring<ScheduledEvent> ring;
   };
   /// A non-empty lane, keyed by a copy of its head's (t, seq).
   struct Head {
@@ -221,9 +214,7 @@ class LaneQueue {
   };
 
   void append(Lane& lane, const ScheduledEvent& ev) {
-    if (lane.count == lane.ring.size()) grow(lane);
-    lane.ring[(lane.head + lane.count) & lane.mask] = ev;
-    ++lane.count;
+    lane.ring.push_back(ev);
     ++lane_events_;
   }
   /// True when the minimal pending event is a lane head (not the fallback).
@@ -235,7 +226,6 @@ class LaneQueue {
     return h.t != fb->t ? h.t < fb->t : h.seq < fb->seq;
   }
 
-  static void grow(Lane& lane);
   void add_head(std::size_t lane);
   /// Restore the lane heap after the front lane's head moved later.
   void sift_front_down();

@@ -12,10 +12,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "support/units.hpp"
 
 namespace pfsc::sim {
@@ -88,7 +88,7 @@ class Condition {
 /// Counting semaphore. release() hands the token directly to the oldest
 /// waiter, so admission is strictly FIFO (no barging). Waiters are
 /// coroutines (acquire()) or Wakeable records (acquire_or_queue()) in one
-/// FIFO.
+/// FIFO, a Ring that allocates nothing until the first waiter queues.
 class Resource {
  public:
   Resource(Engine& eng, std::size_t capacity)
@@ -138,7 +138,7 @@ class Resource {
   Engine* eng_;
   std::size_t capacity_;
   std::size_t available_;
-  std::deque<Wakeup> waiters_;
+  Ring<Wakeup> waiters_;
 };
 
 /// Reusable barrier for `parties` processes.

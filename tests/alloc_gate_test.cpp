@@ -1,7 +1,8 @@
-// Allocation budget of the RPC data path.
+// Allocation budgets: the RPC data path and an idle rank.
 //
 // This executable replaces the global operator new / operator delete with
-// counting forwarders to malloc / free, runs a reduced Fig. 3 quartet
+// counting forwarders to malloc / free (tests/counting_new.hpp). It runs a
+// reduced Fig. 3 quartet
 // (4 jobs x 64 ranks, ad_lustre, 160 x 128 MiB stripes, 1 MiB RPCs) and
 // bounds the global allocations per RPC. Coroutine frames recycle through
 // the engine's FrameArena, so in steady state an RPC should cost no heap
@@ -9,38 +10,25 @@
 // open a new gap in a file's written map (DESIGN.md §10). The count is
 // independent of the machine, so a layer that quietly starts allocating
 // per RPC again fails here rather than as a slower benchmark.
+//
+// It also pins what a rank that has not yet moved a byte costs: its
+// Client and its process pipe, and no queue storage (every wait queue is a
+// sim::Ring that allocates on its first waiter). A fleet holds thousands
+// of such ranks, so a per-rank allocation shows here before it shows as
+// peak RSS.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <string>
 
+#include "counting_new.hpp"
 #include "harness/scenario.hpp"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define PFSC_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define PFSC_SANITIZED 1
-#endif
-#endif
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// Sanitizers own operator new; the counting replacement stays out of their
-// builds and the test skips.
-#ifndef PFSC_SANITIZED
-void* operator new(std::size_t bytes) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#endif
+#include "hw/platform.hpp"
+#include "lustre/client.hpp"
+#include "lustre/fs.hpp"
+#include "mpi/runtime.hpp"
+#include "sim/engine.hpp"
+#include "sim/link.hpp"
 
 namespace pfsc::harness {
 namespace {
@@ -54,10 +42,9 @@ TEST(AllocationGate, ReducedQuartetStaysUnderOneAndAHalfPerRpc) {
   s.ior.hints.striping_factor = 160;
   s.ior.hints.striping_unit = 128_MiB;
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = counting::heap_count().allocations;
   const Observation obs = run_scenario(s, 1);
-  const std::uint64_t allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocations = counting::heap_count().allocations - before;
 
   Bytes bytes = 0;
   for (const auto& job : obs.per_job) {
@@ -71,6 +58,41 @@ TEST(AllocationGate, ReducedQuartetStaysUnderOneAndAHalfPerRpc) {
   RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
   EXPECT_LE(per_rpc, 1.5) << allocations << " global allocations for " << rpcs
                           << " RPCs";
+#endif
+}
+
+/// Heap allocations and bytes of building, then dropping, an
+/// `nprocs`-rank runtime whose ranks all sit on one node.
+[[maybe_unused]] counting::HeapCount runtime_cost(lustre::FileSystem& fs,
+                                                  int nprocs) {
+  const counting::HeapCount before = counting::heap_count();
+  { const mpi::Runtime rt(fs, nprocs, nprocs); }
+  const counting::HeapCount after = counting::heap_count();
+  return {after.allocations - before.allocations, after.bytes - before.bytes};
+}
+
+TEST(AllocationGate, IdleRankAllocatesNoQueueStorage) {
+#ifdef PFSC_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes replace operator new";
+#else
+  // The cost of 1,024 more ranks on the node: the runtime's fixed part
+  // (world communicator, node NIC, vectors' headers) cancels.
+  sim::Engine eng;
+  lustre::FileSystem fs(eng, hw::cab_lscratchc(), 1);
+  const counting::HeapCount small = runtime_cost(fs, 1024);
+  const counting::HeapCount large = runtime_cost(fs, 2048);
+  const double allocations_per_rank =
+      static_cast<double>(large.allocations - small.allocations) / 1024.0;
+  const double bytes_per_rank =
+      static_cast<double>(large.bytes - small.bytes) / 1024.0;
+  RecordProperty("allocations_per_rank", std::to_string(allocations_per_rank));
+  RecordProperty("bytes_per_rank", std::to_string(bytes_per_rank));
+  // A rank is its Client and its FifoPipe, plus one slot in each of the
+  // runtime's per-rank vectors (Client pointer, collective counter).
+  EXPECT_EQ(allocations_per_rank, 2.0);
+  EXPECT_EQ(bytes_per_rank, 472.0)
+      << "Client " << sizeof(lustre::Client) << " B, FifoPipe "
+      << sizeof(sim::FifoPipe) << " B";
 #endif
 }
 

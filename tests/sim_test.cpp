@@ -276,6 +276,53 @@ TEST(Resource, FifoHandOff) {
   for (int i = 0; i < 6; ++i) EXPECT_EQ(ids[static_cast<std::size_t>(i)], i);
 }
 
+/// A queued record that logs its id when the slot is handed to it.
+struct LoggedWaiter final : Wakeable {
+  int id = 0;
+  std::vector<int>* log = nullptr;
+  void wake() override { log->push_back(id); }
+};
+
+TEST(Resource, HandOffStaysFifoWhileTheQueueGrowsMidRing) {
+  // One slot, held by the test. Queue 5, hand 3 on, then queue 20 more:
+  // the waiter FIFO grows while its head sits mid-ring.
+  Engine eng;
+  Resource res(eng, 1);
+  ASSERT_TRUE(res.acquire_or_queue(Wakeup{}));  // the test holds the slot
+  std::vector<LoggedWaiter> waiters(25);
+  std::vector<int> log;
+  std::size_t queued = 0;
+  int handed = 0;
+  const auto queue = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      LoggedWaiter& w = waiters[queued];
+      w.id = static_cast<int>(queued);
+      w.log = &log;
+      ASSERT_FALSE(res.acquire_or_queue(w));
+      ++queued;
+      ASSERT_EQ(res.queue_length(), queued - static_cast<std::size_t>(handed));
+    }
+  };
+  const auto hand_on = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      res.release();  // the holder's release passes the slot on
+      eng.run();
+      ASSERT_EQ(log.size(), static_cast<std::size_t>(handed) + 1);
+      EXPECT_EQ(log.back(), handed);
+      ++handed;
+      EXPECT_EQ(res.queue_length(), queued - static_cast<std::size_t>(handed));
+      EXPECT_EQ(res.available(), 0u);
+    }
+  };
+  queue(5);
+  hand_on(3);
+  queue(20);
+  hand_on(22);
+  EXPECT_EQ(res.queue_length(), 0u);
+  res.release();
+  EXPECT_EQ(res.available(), 1u);
+}
+
 Task barrier_party(Engine& eng, Barrier& bar, Seconds arrive_at,
                    std::vector<double>& times) {
   co_await eng.delay(arrive_at);
