@@ -107,10 +107,7 @@ int main() {
   const int nprocs = quick ? 256 : 1024;
   std::printf("\nPart B — four contending tuned IOR jobs (%d ranks each) on\n"
               "the full Cab platform under both policies.\n\n", nprocs);
-  harness::Scenario multi;
-  multi.workload = harness::Workload::multi;
-  multi.jobs = 4;
-  multi.nprocs = nprocs;
+  harness::Scenario multi = harness::Scenario::multi(4, nprocs);
   multi.ior.hints.driver = mpiio::Driver::ad_lustre;
   multi.ior.hints.striping_factor = 160;
   multi.ior.hints.striping_unit = 128_MiB;
@@ -122,8 +119,9 @@ int main() {
        {sim::LinkPolicy::fifo, sim::LinkPolicy::fair_share}) {
     multi.platform.link_policy = policy;
     harness::Scenario solo = multi;
-    solo.workload = harness::Workload::ior;
-    const double solo_mbps = harness::run_scenario(solo, 0xAB1).ior.write_mbps;
+    solo.jobs = 1;
+    const double solo_mbps =
+        harness::run_scenario(solo, 0xAB1).per_job.front().write_mbps;
     const auto obs = harness::run_scenario(multi, 0xAB3);
     fig3.cell(sim::link_policy_name(policy)).cell(fmt_double(solo_mbps, 0));
     for (const auto& job : obs.per_job) {

@@ -60,7 +60,7 @@ double tuned_run(bool collective_buffering, Bytes dirty_window) {
   spec.ior.hints.striping_unit = 128_MiB;
   spec.ior.hints.romio_cb_write = collective_buffering;
   spec.ior.hints.dirty_window = dirty_window;
-  const auto res = harness::run_scenario(spec, 21).ior;
+  const auto res = harness::run_scenario(spec, 21).per_job.front();
   PFSC_ASSERT(res.err == lustre::Errno::ok);
   return res.write_mbps;
 }
@@ -87,10 +87,7 @@ void ablation_write_behind() {
 void ablation_elevator_batch() {
   std::printf("D. Elevator batch (one OST, 8 contending writers)\n");
   for (std::uint32_t batch : {1u, 8u}) {
-    harness::Scenario spec;
-    spec.workload = harness::Workload::probe;
-    spec.writers = 8;
-    spec.bytes_per_writer = 32_MiB;
+    harness::Scenario spec = harness::Scenario::probe(8, 32_MiB);
     spec.platform.ost_disk.batch = batch;
     const double mean = harness::run_scenario(spec, 31).metric;
     std::printf("   batch %u: per-process %6.1f MB/s\n", batch, mean);
@@ -103,7 +100,6 @@ void ablation_contention_amplification() {
   std::printf("E. Contention amplification (PLFS at 2048 procs)\n");
   for (bool amplified : {true, false}) {
     harness::Scenario spec;
-    spec.workload = harness::Workload::plfs;
     spec.nprocs = 2048;
     spec.ior.hints.driver = mpiio::Driver::ad_plfs;
     if (!amplified) {
@@ -112,7 +108,7 @@ void ablation_contention_amplification() {
     }
     const auto res = harness::run_scenario(spec, 41);
     std::printf("   amplification %-3s: %8.0f MB/s (backend load %.2f)\n",
-                amplified ? "on" : "off", res.ior.write_mbps,
+                amplified ? "on" : "off", res.per_job.front().write_mbps,
                 res.contention.d_load);
   }
   std::printf("   -> without the hot-stream seek amplification the PLFS\n"
@@ -132,7 +128,7 @@ void ablation_data_sieving() {
     spec.ior.hints.striping_factor = 64;
     spec.ior.hints.striping_unit = 1_MiB;
     spec.ior.hints.romio_ds_read = ds;
-    const auto res = harness::run_scenario(spec, 51).ior;
+    const auto res = harness::run_scenario(spec, 51).per_job.front();
     PFSC_ASSERT(res.err == lustre::Errno::ok);
     std::printf("   sieving %-3s: read %8.0f MB/s\n", ds ? "on" : "off",
                 res.read_mbps);
@@ -151,9 +147,8 @@ void ablation_noise() {
     spec.ior.hints.driver = mpiio::Driver::ad_lustre;
     spec.ior.hints.striping_factor = 160;
     spec.ior.hints.striping_unit = 128_MiB;
-    spec.noise.writers = writers;
-    spec.noise.bytes_per_writer = 512_MiB;
-    const auto res = harness::run_scenario(spec, 61).ior;
+    spec.add_noise(writers, 512_MiB);
+    const auto res = harness::run_scenario(spec, 61).per_job.front();
     std::printf("   %2u background writers: %8.0f MB/s\n", writers,
                 res.write_mbps);
   }

@@ -81,7 +81,7 @@ MicroResult run_micro(lustre::sched::SchedPolicy policy, Seconds horizon) {
   std::vector<std::unique_ptr<lustre::Client>> clients;
   for (int i = 0; i < 4; ++i) {
     clients.push_back(std::make_unique<lustre::Client>(
-        fs, "w" + std::to_string(i)));
+        fs, std::string("w").append(std::to_string(i))));
     clients.back()->set_job(i < 3 ? 0 : 1);
     eng.spawn(stream_writer(*clients.back(), "/f" + std::to_string(i), 1_GiB));
   }
@@ -155,17 +155,15 @@ int main() {
   const int nprocs = quick ? 256 : 1024;
   std::printf("\nPart B — four contending tuned IOR jobs (%d ranks each) on\n"
               "the full Cab platform under each scheduling policy.\n\n", nprocs);
-  harness::Scenario multi;
-  multi.workload = harness::Workload::multi;
-  multi.jobs = 4;
-  multi.nprocs = nprocs;
+  harness::Scenario multi = harness::Scenario::multi(4, nprocs);
   multi.ior.hints.driver = mpiio::Driver::ad_lustre;
   multi.ior.hints.striping_factor = 160;
   multi.ior.hints.striping_unit = 128_MiB;
 
   harness::Scenario solo = multi;
-  solo.workload = harness::Workload::ior;
-  const double solo_mbps = harness::run_scenario(solo, 0xAB5).ior.write_mbps;
+  solo.jobs = 1;
+  const double solo_mbps =
+      harness::run_scenario(solo, 0xAB5).per_job.front().write_mbps;
 
   TextTable fig3({"policy", "job 1", "job 2", "job 3", "job 4", "total",
                   "jain", "reduction"});

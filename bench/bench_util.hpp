@@ -57,7 +57,8 @@ inline std::string fmt_ci(const ConfidenceInterval& ci, int precision = 0) {
 /// Ratio printed as "x12.3".
 inline std::string fmt_ratio(double num, double den) {
   if (den <= 0.0) return "n/a";
-  return "x" + fmt_double(num / den, 1);
+  std::string out(1, 'x');
+  return out += fmt_double(num / den, 1);
 }
 
 }  // namespace pfsc::bench

@@ -32,12 +32,10 @@ int main() {
   driver_axis.values = {0, 1};
   driver_axis.apply = [](harness::Scenario& s, double v) {
     if (v == 0) {
-      s.workload = harness::Workload::ior;
       s.ior.hints.driver = mpiio::Driver::ad_lustre;
       s.ior.hints.striping_factor = 160;
       s.ior.hints.striping_unit = 128_MiB;
     } else {
-      s.workload = harness::Workload::plfs;
       s.ior.hints = mpiio::Hints{};
       s.ior.hints.driver = mpiio::Driver::ad_plfs;
     }
@@ -67,13 +65,15 @@ int main() {
       RunningStats read_bw;
       RunningStats reread_bw;
       for (const auto& obs : plain.reps) {
-        PFSC_ASSERT(obs.ior.err == lustre::Errno::ok);
-        write_bw.add(obs.ior.write_mbps);
-        read_bw.add(obs.ior.read_mbps);
+        const ior::Result& res = obs.per_job.front();
+        PFSC_ASSERT(res.err == lustre::Errno::ok);
+        write_bw.add(res.write_mbps);
+        read_bw.add(res.read_mbps);
       }
       for (const auto& obs : reordered.reps) {
-        PFSC_ASSERT(obs.ior.err == lustre::Errno::ok);
-        reread_bw.add(obs.ior.read_mbps);
+        const ior::Result& res = obs.per_job.front();
+        PFSC_ASSERT(res.err == lustre::Errno::ok);
+        reread_bw.add(res.read_mbps);
       }
       table.cell(fmt_int(static_cast<long long>(procs_values[p])))
           .cell(d == 0 ? "ad_lustre" : "ad_plfs")

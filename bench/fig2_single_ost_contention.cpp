@@ -19,19 +19,21 @@ int main() {
   std::printf("repetitions per point: %u, worker threads: %u\n\n", reps,
               runner.threads());
 
-  harness::Scenario probe = harness::Scenario::probe(1, 64_MiB);
-  // lscratchc is a shared-user system: light random background load gives
-  // the single-writer runs the natural variance the paper's ideal band is
-  // built from.
-  probe.noise.writers = 12;
-  probe.noise.bytes_per_writer = 256_MiB;
-  probe.noise.stripes = 8;
-
   std::vector<double> writer_counts;
   for (std::uint32_t n = 1; n <= 16; ++n) writer_counts.push_back(n);
   harness::RunPlan plan;
-  plan.sweep_writers(writer_counts).repetitions(reps).base_seed(0xF2'0000);
-  const auto set = runner.run(probe, plan);
+  plan.sweep("writers", writer_counts, [](harness::Scenario& s, double n) {
+        s.job_list =
+            harness::Scenario::probe(static_cast<std::uint32_t>(n), 64_MiB)
+                .job_list;
+        // lscratchc is a shared-user system: light random background load
+        // gives the single-writer runs the natural variance the paper's
+        // ideal band is built from.
+        s.add_noise(12, 256_MiB, 8);
+      })
+      .repetitions(reps)
+      .base_seed(0xF2'0000);
+  const auto set = runner.run(harness::Scenario{}, plan);
 
   const ConfidenceInterval solo = set.point(0).ci;
   std::printf("Single writer: %s MB/s — the ideal band below is this CI / n\n\n",

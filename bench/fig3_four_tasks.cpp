@@ -18,7 +18,8 @@ int main() {
   solo_spec.ior.hints.driver = mpiio::Driver::ad_lustre;
   solo_spec.ior.hints.striping_factor = 160;
   solo_spec.ior.hints.striping_unit = 128_MiB;
-  const double solo = harness::run_scenario(solo_spec, 0xF3).ior.write_mbps;
+  const double solo =
+      harness::run_scenario(solo_spec, 0xF3).per_job.front().write_mbps;
   std::printf("Solo tuned job: %.0f MB/s (paper: 15,609 MB/s)\n\n", solo);
 
   harness::Scenario multi = harness::Scenario::multi(4, 1024, solo_spec.ior);

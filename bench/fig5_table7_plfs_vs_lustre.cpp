@@ -47,12 +47,10 @@ int main() {
   driver_axis.values = {0, 1};
   driver_axis.apply = [](harness::Scenario& s, double v) {
     if (v == 0) {  // tuned Lustre
-      s.workload = harness::Workload::ior;
       s.ior.hints.driver = mpiio::Driver::ad_lustre;
       s.ior.hints.striping_factor = 160;
       s.ior.hints.striping_unit = 128_MiB;
     } else {  // PLFS: backend files keep the file-system default layout
-      s.workload = harness::Workload::plfs;
       s.ior.hints = mpiio::Hints{};
       s.ior.hints.driver = mpiio::Driver::ad_plfs;
     }
@@ -77,10 +75,12 @@ int main() {
     const auto& lustre_pt = set.point(i);
     const auto& plfs_pt = set.point(n + i);
     for (const auto& obs : lustre_pt.reps) {
-      PFSC_ASSERT(obs.ior.err == lustre::Errno::ok && obs.ior.verified);
+      const ior::Result& res = obs.per_job.front();
+      PFSC_ASSERT(res.err == lustre::Errno::ok && res.verified);
     }
     for (const auto& obs : plfs_pt.reps) {
-      PFSC_ASSERT(obs.ior.err == lustre::Errno::ok && obs.ior.verified);
+      const ior::Result& res = obs.per_job.front();
+      PFSC_ASSERT(res.err == lustre::Errno::ok && res.verified);
     }
     table.cell(fmt_int(p.procs))
         .cell(bench::fmt_ci(lustre_pt.ci))

@@ -26,9 +26,10 @@ int main() {
   std::vector<core::ObservedContention> obs;
   std::vector<double> bws;
   for (const auto& rep : set.point(0).reps) {
-    PFSC_ASSERT(rep.ior.err == lustre::Errno::ok);
+    const ior::Result& res = rep.per_job.front();
+    PFSC_ASSERT(res.err == lustre::Errno::ok);
     obs.push_back(rep.contention);
-    bws.push_back(rep.ior.write_mbps);
+    bws.push_back(res.write_mbps);
   }
 
   std::size_t max_k = 0;

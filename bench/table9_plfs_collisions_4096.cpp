@@ -26,11 +26,12 @@ int main() {
   std::vector<core::ObservedContention> obs;
   std::vector<double> bws;
   for (const auto& rep : set.point(0).reps) {
-    PFSC_ASSERT(rep.ior.err == lustre::Errno::ok);
+    const ior::Result& res = rep.per_job.front();
+    PFSC_ASSERT(res.err == lustre::Errno::ok);
     obs.push_back(rep.contention);
-    bws.push_back(rep.ior.write_mbps);
+    bws.push_back(res.write_mbps);
     std::printf("experiment %zu done (bw %.0f MB/s, Dload %.2f)\n", obs.size(),
-                rep.ior.write_mbps, rep.contention.d_load);
+                res.write_mbps, rep.contention.d_load);
   }
   std::printf("\n");
 

@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{fmt_int(static_cast<long long>(counts[c]))};
     for (std::size_t s = 0; s < sizes.size(); ++s) {
       const auto& point = set.point(c * sizes.size() + s);
-      PFSC_ASSERT(point.reps[0].ior.err == lustre::Errno::ok);
-      const double bw = point.reps[0].ior.write_mbps;
+      const ior::Result& res = point.reps[0].per_job.front();
+      PFSC_ASSERT(res.err == lustre::Errno::ok);
+      const double bw = res.write_mbps;
       row.push_back(fmt_double(bw, 0));
       if (bw > best) {
         best = bw;

@@ -60,7 +60,7 @@ int ior_mode(const harness::Scenario& scenario, const harness::RunPlan& plan,
   const auto& point = set.point(0);
   TextTable table({"rep", "write MB/s", "verified", "time s"});
   for (std::size_t rep = 0; rep < point.reps.size(); ++rep) {
-    const auto& res = point.reps[rep].ior;
+    const auto& res = point.reps[rep].per_job.front();
     if (res.err != lustre::Errno::ok) {
       std::fprintf(stderr, "run failed: %s\n", lustre::errno_name(res.err));
       return 1;
@@ -71,8 +71,9 @@ int ior_mode(const harness::Scenario& scenario, const harness::RunPlan& plan,
         .cell(fmt_double(res.write_time, 1));
     table.end_row();
   }
-  table.print(scenario.workload == harness::Workload::plfs ? "IOR through ad_plfs"
-                                                           : "IOR");
+  table.print(scenario.ior.hints.driver == mpiio::Driver::ad_plfs
+                  ? "IOR through ad_plfs"
+                  : "IOR");
   std::printf("mean %.0f MB/s over %u rep(s)\n", point.ci.mean, plan.reps());
   print_trace(scenario, point.reps.front());
   return 0;
@@ -219,12 +220,14 @@ int main(int argc, char** argv) {
   unsigned dtotal = 480;
   double budget = 1.25;
 
+  harness::cli::JobOptions jopts;
   replay::ReplayOptions ropts;
   std::string report_path;
   std::string emit_path;
 
   harness::cli::FlagTable table =
       harness::cli::scenario_flags(scenario, plan, threads);
+  harness::cli::add_job_flags(table, jopts);
   table.bind("--dtotal", dtotal, "total OSTs for the analytic modes");
   table.bind("--budget", budget, "load budget for advise mode");
   replay::add_replay_flags(table, ropts);
@@ -238,14 +241,14 @@ int main(int argc, char** argv) {
 
   // Mode presets, applied before the flags so any flag can override them.
   if (mode == "plfs") {
-    scenario.workload = harness::Workload::plfs;
     scenario.ior.hints.driver = mpiio::Driver::ad_plfs;
   } else if (mode == "probe") {
-    scenario.workload = harness::Workload::probe;
+    jopts.probe = true;
   } else if (mode == "replay" || mode == "fleet") {
     // Job specs carry their own layouts; no tuned-baseline override.
   } else {
-    if (mode == "multi") scenario.workload = harness::Workload::multi;
+    // Every mode but ior is about contention between the paper's four jobs.
+    if (mode != "ior") scenario.jobs = 4;
     // The tuned layout of Section IV is the CLI's baseline.
     scenario.ior.hints.driver = mpiio::Driver::ad_lustre;
     scenario.ior.hints.striping_factor = 160;
@@ -259,10 +262,12 @@ int main(int argc, char** argv) {
         throw UsageError("replay mode needs --replay <log>");
       }
       if (mode == "fleet") ropts.fleet_requested = true;
-      ropts.apply(scenario);
-      return fleet_mode(scenario, plan, threads, report_path, emit_path);
     }
     ropts.apply(scenario);  // --replay/--fleet also compose with other modes
+    jopts.apply(scenario);
+    if (mode == "replay" || mode == "fleet") {
+      return fleet_mode(scenario, plan, threads, report_path, emit_path);
+    }
     if (mode == "ior" || mode == "plfs") {
       return ior_mode(scenario, plan, threads);
     }

@@ -31,7 +31,7 @@ ior::Result run_driver(int nprocs, mpiio::Driver driver, bool read_back) {
   }
   // Shrink the workload so the read phase keeps the example snappy.
   spec.ior.segment_count = 25;
-  return harness::run_scenario(spec, 99).ior;
+  return harness::run_scenario(spec, 99).per_job.front();
 }
 
 }  // namespace

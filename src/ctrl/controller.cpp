@@ -71,18 +71,9 @@ void Controller::start() {
   eng_->spawn(run());
 }
 
-void Controller::stop() {
-  stopped_ = true;
-  if (pending_wake_) {
-    eng_->cancel_scheduled(pending_wake_);
-    pending_wake_ = {};
-  }
-}
-
 sim::Task Controller::run() {
-  for (; !stopped_; ++ticks_) {
-    co_await TickWait{this};
-    if (stopped_) break;
+  for (;; ++ticks_) {
+    co_await eng_->delay(cfg_.interval);
     tick();
     if (active_ && !active_()) break;
   }

@@ -4,8 +4,8 @@
 // FileSystem::set_placement, Scheduler::set_tuning on every OSS).
 //
 // The Controller is a periodic simulation process (same shape as
-// trace::Sampler: a tick loop with a cancellable between-ticks wake and a
-// watch predicate that ends it with the run). Every tick it reads
+// trace::Sampler: a tick loop with a watch predicate that ends it with
+// the run). Every tick it reads
 // instantaneous, side-effect-free signals — scheduler queue depth,
 // per-job served-byte deltas, Jain fairness, per-OST object counts — and
 // applies whichever rules the mode enables:
@@ -36,7 +36,6 @@
 // is added — goldens stay bit-for-bit.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -112,9 +111,6 @@ class Controller {
   /// synchronously so files created at t=0 already see it) and spawn the
   /// tick loop.
   void start();
-  /// Stop ticking; cancels the pending between-ticks wake so a stopped
-  /// controller does not keep the engine alive.
-  void stop();
 
   const std::vector<CtrlAction>& actions() const { return actions_; }
   std::vector<CtrlAction> take_actions() { return std::move(actions_); }
@@ -122,15 +118,6 @@ class Controller {
   std::size_t ticks() const { return ticks_; }
 
  private:
-  struct TickWait {
-    Controller* self;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      self->pending_wake_ = self->eng_->schedule_after(h, self->cfg_.interval);
-    }
-    void await_resume() const noexcept { self->pending_wake_ = {}; }
-  };
-
   sim::Task run();
   void tick();
   void rule_pfl();
@@ -161,9 +148,7 @@ class Controller {
 
   std::function<bool()> active_;
   bool started_ = false;
-  bool stopped_ = false;
   std::size_t ticks_ = 0;
-  sim::WakeToken pending_wake_;
 
   // -- rule state --------------------------------------------------------
   std::map<std::string, Seconds, std::less<>> last_action_;  // per family

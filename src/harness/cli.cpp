@@ -218,10 +218,7 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   // spelling *is* the field name.
   PFSC_FLAG(table, scenario, nprocs, "ranks per job");
   PFSC_FLAG(table, scenario, procs_per_node, "ranks per simulated node");
-  PFSC_FLAG(table, scenario, jobs, "contending jobs (multi workload)");
-  PFSC_FLAG(table, scenario, writers, "probe writers on one OST");
-  PFSC_FLAG_BYTES(table, scenario, bytes_per_writer,
-                  "bytes each probe writer streams");
+  PFSC_FLAG(table, scenario, jobs, "simultaneous IOR jobs");
   PFSC_FLAG(table, scenario, telemetry_interval,
             "sampling interval in simulated seconds (0: off); a traced "
             "run mirrors the samples into the trace");
@@ -239,10 +236,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
             "Lustre stripe count hint");
   PFSC_FLAG_BYTES(table, scenario.ior.hints, striping_unit,
                   "Lustre stripe size hint");
-  // scenario.noise.writers would collide with the probe's --writers, so the
-  // noise fields carry their sub-struct name.
-  table.bind("--noise_writers", scenario.noise.writers,
-             "background noise writers");
   PFSC_FLAG_BYTES(table, scenario.ior, block_size, "IOR blockSize per rank");
   PFSC_FLAG_BYTES(table, scenario.ior, transfer_size, "IOR transferSize");
   PFSC_FLAG(table, scenario.ior, segment_count, "IOR segmentCount");
@@ -375,6 +368,20 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   table.bind("--threads", threads,
              "worker threads for the sweep (0: hardware concurrency)");
   return table;
+}
+
+void JobOptions::apply(Scenario& scenario) const {
+  if (probe && scenario.job_list.empty()) {
+    scenario.job_list = Scenario::probe(writers, bytes_per_writer).job_list;
+  }
+  scenario.add_noise(noise_writers, 256_MiB);
+}
+
+void add_job_flags(FlagTable& table, JobOptions& opts) {
+  PFSC_FLAG(table, opts, writers, "probe writers on one OST");
+  PFSC_FLAG_BYTES(table, opts, bytes_per_writer,
+                  "bytes each probe writer streams");
+  PFSC_FLAG(table, opts, noise_writers, "background noise writers");
 }
 
 }  // namespace pfsc::harness::cli

@@ -82,6 +82,25 @@ class FlagTable {
 /// named after the field, plus --threads for the ParallelRunner.
 FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads);
 
+/// Flags that add job-list entries rather than set a Scenario field. The
+/// flags only record the request; apply() builds the entries once the
+/// whole command line has parsed, after --replay / --fleet have filled
+/// the job list.
+struct JobOptions {
+  std::uint32_t writers = 1;        // --writers
+  Bytes bytes_per_writer = 64_MiB;  // --bytes_per_writer
+  unsigned noise_writers = 0;       // --noise_writers
+  /// The probe mode: `writers` probe writers replace an empty job list.
+  bool probe = false;
+
+  /// Probe writers (when `probe` and the list is empty), then
+  /// `noise_writers` background writers of 256 MiB each.
+  void apply(Scenario& scenario) const;
+};
+
+/// Register --writers, --bytes_per_writer and --noise_writers.
+void add_job_flags(FlagTable& table, JobOptions& opts);
+
 }  // namespace pfsc::harness::cli
 
 /// Declare a flag named after `field` of `obj` (one source of truth: the

@@ -50,12 +50,6 @@ RunPlan& RunPlan::sweep_striping_unit(std::vector<double> values) {
   return sweep(std::move(axis));
 }
 
-RunPlan& RunPlan::sweep_writers(std::vector<double> values) {
-  return sweep("writers", std::move(values), [](Scenario& s, double v) {
-    s.writers = static_cast<std::uint32_t>(v);
-  });
-}
-
 RunPlan& RunPlan::repetitions(unsigned reps) {
   PFSC_REQUIRE(reps >= 1, "RunPlan: repetitions must be positive");
   reps_ = reps;

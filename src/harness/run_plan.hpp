@@ -49,7 +49,6 @@ class RunPlan {
   RunPlan& sweep_nprocs(std::vector<double> values);
   RunPlan& sweep_striping_factor(std::vector<double> values);
   RunPlan& sweep_striping_unit(std::vector<double> values);
-  RunPlan& sweep_writers(std::vector<double> values);
 
   RunPlan& repetitions(unsigned reps);
   RunPlan& base_seed(std::uint64_t seed);

@@ -62,30 +62,6 @@ std::string RunSet::to_csv(bool with_provenance) const {
   return out;
 }
 
-TextTable RunSet::summary_table(int precision) const {
-  std::vector<std::string> header = axis_names_;
-  header.push_back("mean");
-  header.push_back("ci lower");
-  header.push_back("ci upper");
-  header.push_back("n");
-  TextTable table(std::move(header));
-  for (const auto& point : points_) {
-    for (double c : point.coords) {
-      if (c == static_cast<double>(static_cast<long long>(c))) {
-        table.cell(fmt_int(static_cast<long long>(c)));
-      } else {
-        table.cell(fmt_double(c, 3));
-      }
-    }
-    table.cell(fmt_double(point.ci.mean, precision))
-        .cell(fmt_double(point.ci.lower, precision))
-        .cell(fmt_double(point.ci.upper, precision))
-        .cell(fmt_int(static_cast<long long>(point.samples.size())));
-    table.end_row();
-  }
-  return table;
-}
-
 ParallelRunner::ParallelRunner(unsigned threads) : threads_(threads) {
   if (threads_ == 0) threads_ = hardware_threads();
 }

@@ -15,7 +15,6 @@
 #include "harness/run_plan.hpp"
 #include "harness/scenario.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 
 namespace pfsc::harness {
 
@@ -55,9 +54,6 @@ class RunSet {
   /// counts — off by default so byte-compare of serial vs parallel output
   /// (and any stored fixture) stays meaningful.
   std::string to_csv(bool with_provenance = false) const;
-
-  /// Per-point summary: coordinates, mean, CI bounds, sample count.
-  TextTable summary_table(int precision = 0) const;
 
  private:
   std::vector<std::string> axis_names_;

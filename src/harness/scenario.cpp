@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <string>
 
@@ -55,31 +54,18 @@ void JobSpec::validate(std::size_t index) const {
   }
 }
 
-const char* workload_name(Workload w) {
-  switch (w) {
-    case Workload::ior: return "ior";
-    case Workload::plfs: return "plfs";
-    case Workload::multi: return "multi";
-    case Workload::probe: return "probe";
-    case Workload::jobs: return "jobs";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Factories + desugaring
 // ---------------------------------------------------------------------------
 
 Scenario Scenario::single_ior(ior::Config cfg) {
   Scenario s;
-  s.workload = Workload::ior;
   s.ior = std::move(cfg);
   return s;
 }
 
 Scenario Scenario::plfs_ior(ior::Config cfg) {
   Scenario s;
-  s.workload = Workload::plfs;
   s.ior = std::move(cfg);
   s.ior.hints.driver = mpiio::Driver::ad_plfs;
   return s;
@@ -87,7 +73,6 @@ Scenario Scenario::plfs_ior(ior::Config cfg) {
 
 Scenario Scenario::multi(int jobs, int nprocs, ior::Config cfg) {
   Scenario s;
-  s.workload = Workload::multi;
   s.jobs = jobs;
   s.nprocs = nprocs;
   s.ior = std::move(cfg);
@@ -95,18 +80,33 @@ Scenario Scenario::multi(int jobs, int nprocs, ior::Config cfg) {
 }
 
 Scenario Scenario::probe(std::uint32_t writers, Bytes bytes_per_writer) {
-  Scenario s;
-  s.workload = Workload::probe;
-  s.writers = writers;
-  s.bytes_per_writer = bytes_per_writer;
-  return s;
+  PFSC_REQUIRE(writers >= 1, "Scenario: probe needs at least one writer");
+  std::vector<JobSpec> list(writers);
+  for (std::uint32_t w = 0; w < writers; ++w) {
+    list[w].kind = JobKind::probe_writer;
+    list[w].job_id = static_cast<lustre::sched::JobId>(w);
+    list[w].bytes = bytes_per_writer;
+  }
+  return from_jobs(std::move(list));
 }
 
 Scenario Scenario::from_jobs(std::vector<JobSpec> list) {
   Scenario s;
-  s.workload = Workload::jobs;
   s.job_list = std::move(list);
   return s;
+}
+
+void Scenario::add_noise(unsigned writers, Bytes bytes, std::uint32_t stripes) {
+  if (writers == 0) return;
+  if (job_list.empty()) job_list = jobs_desugared();
+  for (unsigned w = 0; w < writers; ++w) {
+    JobSpec j;
+    j.kind = JobKind::noise;
+    j.job_id = lustre::sched::kNoiseJobBase + w;
+    j.bytes = bytes;
+    j.stripes = stripes;
+    job_list.push_back(std::move(j));
+  }
 }
 
 std::vector<JobSpec> Scenario::jobs_desugared() const {
@@ -122,54 +122,22 @@ std::vector<JobSpec> Scenario::jobs_desugared() const {
         j.ior.job_id = j.job_id;
       }
     }
-  } else {
-    switch (workload) {
-      case Workload::ior:
-      case Workload::plfs: {
-        JobSpec j;
-        j.kind = workload == Workload::plfs ? JobKind::plfs : JobKind::ior;
-        j.job_id = ior.job_id;
-        j.nprocs = nprocs;
-        j.ior = ior;
-        out.push_back(std::move(j));
-        break;
-      }
-      case Workload::multi:
-        for (int k = 0; k < jobs; ++k) {
-          JobSpec j;
-          j.kind = JobKind::ior;
-          j.job_id = static_cast<lustre::sched::JobId>(k);
-          j.nprocs = nprocs;
-          j.ior = ior;
-          j.ior.test_file += "." + std::to_string(k);
-          j.ior.job_id = j.job_id;
-          out.push_back(std::move(j));
-        }
-        break;
-      case Workload::probe:
-        for (std::uint32_t w = 0; w < writers; ++w) {
-          JobSpec j;
-          j.kind = JobKind::probe_writer;
-          j.job_id = static_cast<lustre::sched::JobId>(w);
-          j.nprocs = 1;
-          j.bytes = bytes_per_writer;
-          out.push_back(std::move(j));
-        }
-        break;
-      case Workload::jobs:
-        break;  // empty job_list: validate() rejects this shape
-    }
+    return out;
   }
-  // Deprecated NoiseSpec alias: background writers become ordinary noise
-  // jobs appended after the rank-carrying jobs, ids kNoiseJobBase + i.
-  for (unsigned w = 0; w < noise.writers; ++w) {
+  const JobKind kind = ior.hints.driver == mpiio::Driver::ad_plfs
+                           ? JobKind::plfs
+                           : JobKind::ior;
+  for (int k = 0; k < jobs; ++k) {
     JobSpec j;
-    j.kind = JobKind::noise;
-    j.job_id = lustre::sched::kNoiseJobBase + w;
-    j.bytes = noise.bytes_per_writer;
-    j.transfer_size = noise.transfer_size;
-    j.stripes = noise.stripes;
-    j.stripe_size = noise.stripe_size;
+    j.kind = kind;
+    j.nprocs = nprocs;
+    j.ior = ior;
+    if (jobs > 1) {
+      j.ior.test_file += '.';
+      j.ior.test_file += std::to_string(k);
+      j.ior.job_id = static_cast<lustre::sched::JobId>(k);
+    }
+    j.job_id = j.ior.job_id;
     out.push_back(std::move(j));
   }
   return out;
@@ -203,44 +171,22 @@ void Scenario::validate() const {
     PFSC_REQUIRE(ctrl.storm_jobs >= 1,
                  "Scenario: ctrl.storm_jobs must be >= 1");
   }
-  if (!job_list.empty()) {
-    std::set<lustre::sched::JobId> ids;
-    bool any_ranks = false;
-    for (std::size_t i = 0; i < job_list.size(); ++i) {
-      const JobSpec& j = job_list[i];
-      j.validate(i);
-      PFSC_REQUIRE(ids.insert(j.job_id).second,
-                   "Scenario: duplicate JobId " + std::to_string(j.job_id) +
-                       " in job list");
-      any_ranks = any_ranks || j.kind != JobKind::noise;
-    }
-    for (unsigned w = 0; w < noise.writers; ++w) {
-      PFSC_REQUIRE(ids.insert(lustre::sched::kNoiseJobBase + w).second,
-                   "Scenario: noise JobId collides with an explicit job");
-    }
-    PFSC_REQUIRE(any_ranks,
-                 "Scenario: job list needs at least one non-noise job");
+  if (job_list.empty()) {
+    PFSC_REQUIRE(jobs >= 1, "Scenario: jobs must be positive");
+    PFSC_REQUIRE(nprocs >= 1, "Scenario: nprocs must be positive");
     return;
   }
-  PFSC_REQUIRE(nprocs >= 1, "Scenario: nprocs must be positive");
-  switch (workload) {
-    case Workload::ior:
-      break;
-    case Workload::plfs:
-      PFSC_REQUIRE(ior.hints.driver == mpiio::Driver::ad_plfs,
-                   "Scenario: plfs workload needs hints.driver == ad_plfs");
-      break;
-    case Workload::multi:
-      PFSC_REQUIRE(jobs >= 1, "Scenario: multi workload needs at least one job");
-      PFSC_REQUIRE(ior.hints.driver != mpiio::Driver::ad_plfs,
-                   "Scenario: use the plfs workload for ad_plfs");
-      break;
-    case Workload::probe:
-      PFSC_REQUIRE(writers >= 1, "Scenario: probe needs at least one writer");
-      break;
-    case Workload::jobs:
-      throw UsageError("Scenario: Workload::jobs needs a non-empty job_list");
+  std::set<lustre::sched::JobId> ids;
+  bool any_ranks = false;
+  for (std::size_t i = 0; i < job_list.size(); ++i) {
+    const JobSpec& j = job_list[i];
+    j.validate(i);
+    PFSC_REQUIRE(ids.insert(j.job_id).second,
+                 "Scenario: duplicate JobId " + std::to_string(j.job_id) +
+                     " in job list");
+    any_ranks = any_ranks || j.kind != JobKind::noise;
   }
+  PFSC_REQUIRE(any_ranks, "Scenario: job list needs at least one non-noise job");
 }
 
 namespace {
@@ -248,7 +194,8 @@ namespace {
 sim::Task noise_writer(lustre::Client& client, std::string path,
                        lustre::StripeSettings settings, Bytes total,
                        Bytes transfer, Seconds arrival) {
-  // Arrival 0 adds no event: desugared legacy noise stays bit-for-bit.
+  // Arrival 0 adds no event: noise that starts with the run schedules
+  // nothing before its create.
   if (arrival > 0.0) co_await client.fs().engine().delay(arrival);
   auto file = co_await client.create(std::move(path), settings);
   if (!file.ok()) co_return;
@@ -293,11 +240,6 @@ struct Rig {
   std::size_t total_bytes_series = 0;
   std::unique_ptr<ctrl::Controller> controller;  // scenario.ctrl.mode != off
 
-  // The sampler stops through start_sampler's watch once the jobs finish;
-  // a tick cap could only cut a long run's timeline short.
-  static constexpr std::size_t kUncapped =
-      std::numeric_limits<std::size_t>::max();
-
   Rig(const Scenario& s, int nprocs, std::uint64_t seed,
       const std::vector<const JobSpec*>& noise_jobs)
       : fs(eng, s.platform, seed),
@@ -310,8 +252,7 @@ struct Rig {
       spawn_noise_job(fs, noise_clients, *job, seed);
     }
     if (s.telemetry_interval > 0.0) {
-      sampler = std::make_unique<trace::Sampler>(eng, s.telemetry_interval,
-                                                 kUncapped);
+      sampler = std::make_unique<trace::Sampler>(eng, s.telemetry_interval);
       // A traced run also mirrors the fabric and scheduler views into the
       // trace, registered ahead of total_bytes (the column order the
       // pinned trace bytes hold).
@@ -748,8 +689,6 @@ Observation run_jobs(const Scenario& s, const JobPlan& plan, std::uint64_t seed)
   // goldens were pinned; every other list the plain per-job mean.
   obs.metric = only_probes ? mean_of(headlines)
                            : obs.total_mbps / static_cast<double>(slots.size());
-  obs.ior = obs.per_job.front();
-  if (slots.size() > 1) obs.ior.write_mbps = obs.metric;
   obs.contention = core::observe(rig.fs.ost_occupancy(files));
   if (admission != nullptr) obs.admissions = admission->take_records();
   rig.finish_run(obs, setup_client.get());
@@ -793,11 +732,7 @@ Observation run_scenario(const Scenario& scenario, std::uint64_t seed) {
   s.validate();
 
   JobPlan plan(s.jobs_desugared());
-  PFSC_REQUIRE(!plan.rank_jobs.empty(),
-               "Scenario: needs at least one non-noise job");
-
   Observation obs = run_jobs(s, plan, seed);
-  obs.workload = scenario.job_list.empty() ? scenario.workload : Workload::jobs;
   obs.seed = seed;
   obs.jobs = std::move(plan.all);
   return obs;

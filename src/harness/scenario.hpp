@@ -10,13 +10,14 @@
 // like resubmitting a batch job — and is what lets ParallelRunner execute
 // plan points on concurrent threads with bit-identical per-seed results.
 //
-// The closed `Workload` enum survives as sugar: the enum plus the
-// single-job fields describe the four historical shapes, and
-// `jobs_desugared()` turns them into the equivalent job list. The factory
-// helpers (`Scenario::single_ior`, `::plfs_ior`, `::multi`, `::probe`)
-// construct those shapes; `Scenario::from_jobs` builds an explicit
-// job-list scenario (what `replay::to_scenario` and the fleet generator
-// produce).
+// A Scenario whose `job_list` is empty is lazy: `jobs_desugared()` turns
+// it into `jobs` IOR jobs of `nprocs` ranks each, all configured by `ior`
+// (kind plfs exactly when ior.hints.driver is ad_plfs). One job keeps
+// ior.test_file and ior.job_id; with more, job k gets test_file + ".k"
+// and JobId k. The factories `single_ior`, `plfs_ior` and `multi` build
+// lazy scenarios; `probe` and `from_jobs` build explicit lists (as do
+// `replay::to_scenario` and the fleet generator), and `add_noise` appends
+// background writers to either.
 //
 // Every list runs through one executor (DESIGN.md §11). How a run starts
 // follows from the list alone:
@@ -27,8 +28,7 @@
 //     comm-splits it by application (the paper's simultaneous submission);
 //   - otherwise each application runs on its own communicator, starting
 //     after its arrival offset.
-// Desugared legacy shapes therefore replay their historical event
-// sequences bit for bit (pinned by the golden and trace-pin tests).
+// The golden and trace-pin tests pin the event sequences this produces.
 //
 // Sweeps and repetitions over a Scenario are described by harness::RunPlan
 // (run_plan.hpp) and executed by harness::ParallelRunner (runner.hpp).
@@ -99,59 +99,23 @@ struct JobSpec {
 };
 
 // ---------------------------------------------------------------------------
-// Background noise (alias).
-//
-// A NoiseSpec with `writers == n` desugars to n JobKind::noise entries with
-// JobIds kNoiseJobBase + i appended to the job list (see jobs_desugared()).
-// ---------------------------------------------------------------------------
-struct NoiseSpec {
-  unsigned writers = 0;
-  Bytes bytes_per_writer = 256_MiB;
-  Bytes transfer_size = 1_MiB;
-  std::uint32_t stripes = 2;  // background users rarely tune
-  Bytes stripe_size = 1_MiB;
-};
-
-// ---------------------------------------------------------------------------
 // Scenario: what to run.
 // ---------------------------------------------------------------------------
 
-enum class Workload {
-  ior,    // one IOR job through MPI-IO (Fig. 1 sweep points, Fig. 5 curves)
-  plfs,   // IOR through ad_plfs with a backend collision census (Tables VIII/IX)
-  multi,  // N simultaneous IOR jobs in one MPI world via comm_split (Figs. 3/4)
-  probe,  // single-OST contention probe (Fig. 2)
-  jobs,   // explicit job list (replay / synthetic fleets)
-};
-
-const char* workload_name(Workload w);
-
 struct Scenario {
-  /// Legacy-shape selector; ignored (reported as Workload::jobs) whenever
-  /// `job_list` is non-empty.
-  Workload workload = Workload::ior;
-
-  /// The job list. Empty: desugared from the legacy fields below by
-  /// `jobs_desugared()`. Non-empty: authoritative (the legacy single-job fields are
-  /// ignored, except `noise`, which appends background jobs).
+  /// The job list. Empty: the lazy IOR shape below, expanded by
+  /// `jobs_desugared()`. Non-empty: authoritative (`jobs`, `nprocs` and
+  /// `ior` are ignored).
   std::vector<JobSpec> job_list;
 
-  // -- legacy job topology (ignored when job_list is non-empty) ----------
-  int nprocs = 1024;        // ranks per job (ior/plfs) or per probe writer set
-  int procs_per_node = 16;
-  int jobs = 4;             // multi only: number of contending jobs
-
-  // -- probe-only knobs ---------------------------------------------------
-  std::uint32_t writers = 1;
-  Bytes bytes_per_writer = 64_MiB;
-
-  // -- workload description (ignored by probe) ----------------------------
+  // -- lazy IOR shape (ignored when job_list is non-empty) ----------------
+  int nprocs = 1024;  // ranks per job
+  int jobs = 1;       // simultaneous IOR jobs
   ior::Config ior;
 
   // -- environment ---------------------------------------------------------
+  int procs_per_node = 16;
   hw::PlatformParams platform = hw::cab_lscratchc();
-  /// Alias: desugars to JobKind::noise entries (see jobs_desugared()).
-  NoiseSpec noise;  // writers == 0: quiet system
 
   /// Model-driven admission control (admission.hpp). The default `always`
   /// is bit-for-bit invisible: no controller is built and jobs start
@@ -179,28 +143,32 @@ struct Scenario {
   /// environment).
   trace::TraceConfig trace;
 
-  // -- factories (the four historical enum shapes + explicit lists) ------
-  /// One IOR job through MPI-IO: `Workload::ior` with `cfg`.
+  // -- factories -----------------------------------------------------------
+  /// One IOR job through MPI-IO configured by `cfg`.
   static Scenario single_ior(ior::Config cfg = {});
-  /// IOR through ad_plfs (forces hints.driver) with the backend census.
+  /// One IOR job through ad_plfs (forces hints.driver).
   static Scenario plfs_ior(ior::Config cfg = {});
-  /// `jobs` simultaneous IOR executions of `nprocs` ranks each; job k gets
-  /// `cfg.test_file + ".k"` and JobId k, exactly the historical desugaring.
+  /// `jobs` simultaneous IOR executions of `nprocs` ranks each.
   static Scenario multi(int jobs, int nprocs, ior::Config cfg = {});
-  /// `writers` single-OST probe writers of `bytes_per_writer` each.
+  /// `writers` (>= 1) single-OST probe writers of `bytes_per_writer`
+  /// each: JobKind::probe_writer entries with JobIds 0 .. writers-1.
   static Scenario probe(std::uint32_t writers, Bytes bytes_per_writer = 64_MiB);
   /// Explicit job-list scenario (replay / fleet generation).
   static Scenario from_jobs(std::vector<JobSpec> list);
 
-  /// The scenario's job list: `job_list` when non-empty, else the legacy
-  /// fields desugared (ior/plfs/multi/probe -> the equivalent JobSpecs).
-  /// Noise writers from the `noise` field are appended as
-  /// JobKind::noise entries in either case.
+  /// Append `writers` background noise jobs (JobKind::noise, JobIds
+  /// kNoiseJobBase + i) after the existing jobs, each streaming `bytes`
+  /// into its own default-layout file of `stripes` stripes. A lazy
+  /// scenario is expanded into its job list first; zero writers is a
+  /// no-op.
+  void add_noise(unsigned writers, Bytes bytes, std::uint32_t stripes = 2);
+
+  /// The scenario's job list: `job_list` when non-empty (with each IOR
+  /// job's ior.job_id set to its JobId), else the lazy IOR shape.
   std::vector<JobSpec> jobs_desugared() const;
 
-  /// Throws UsageError when the fields are inconsistent (e.g. a multi
-  /// scenario routed through ad_plfs, zero jobs/writers, or a job list
-  /// with duplicate JobIds).
+  /// Throws UsageError when the fields are inconsistent (e.g. zero jobs
+  /// or ranks, or a job list with duplicate JobIds).
   void validate() const;
 };
 
@@ -208,16 +176,12 @@ struct Scenario {
 // Observation: everything one scenario run measured.
 // ---------------------------------------------------------------------------
 struct Observation {
-  Workload workload = Workload::ior;
   std::uint64_t seed = 0;
 
   /// The job list that ran (desugared), in spawn order — what fleet
   /// analytics joins per_job results against.
   std::vector<JobSpec> jobs;
 
-  /// One rank-carrying job: that job's result, unmodified. More than one:
-  /// the first job's result with write_mbps set to `metric`.
-  ior::Result ior;
   /// One result per rank-carrying job (ior/plfs/probe_writer), in job-list
   /// order (a single IOR run is a one-entry list; a probe job reports the
   /// sum of its writers' MB/s and the slowest writer's time).

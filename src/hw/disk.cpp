@@ -24,7 +24,6 @@ void DiskModel::enqueue(Request req) {
                  static_cast<double>(queued_ + 1));
   }
   if (it->second.pending.empty()) {
-    ++runnable_;
     // Stream becomes runnable: add to the rotation unless it is the one
     // currently being drained.
     if (!(have_current_ && req.stream == current_stream_)) {
@@ -177,7 +176,6 @@ sim::Task DiskModel::service_loop() {
     q.erase(pick);
     queue_area_.advance(eng_->now(), queued_);
     --queued_;
-    if (q.empty()) --runnable_;
     ++batch_used_;
 
     // Maintain the hot-stream window before costing the request.

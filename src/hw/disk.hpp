@@ -100,7 +100,6 @@ class DiskModel {
   /// Degraded operation (RAID rebuild, media errors): every subsequent
   /// service takes `factor` times as long. 1.0 restores full speed.
   void set_service_multiplier(double factor);
-  double service_multiplier() const { return service_multiplier_; }
 
   // -- statistics ------------------------------------------------------
   Bytes bytes_serviced() const { return bytes_serviced_; }
@@ -109,9 +108,6 @@ class DiskModel {
   std::uint64_t seeks() const { return seeks_; }
   Seconds busy_time() const { return busy_time_; }
   Seconds seek_time_total() const { return seek_time_total_; }
-  /// Streams with at least one queued request right now (O(1): maintained
-  /// incrementally, not recomputed by scanning the stream table).
-  std::size_t runnable_streams() const { return runnable_; }
   std::size_t queue_depth() const { return queued_; }
   /// Time-weighted integral of queue_depth() (`seen` false: no request
   /// ever arrived).
@@ -158,7 +154,6 @@ class DiskModel {
   std::uint32_t batch_used_ = 0;
   std::size_t queued_ = 0;
   QueueArea queue_area_;
-  std::size_t runnable_ = 0;
 
   Bytes bytes_serviced_ = 0;
   std::uint64_t requests_ = 0;

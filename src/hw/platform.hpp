@@ -99,8 +99,6 @@ struct PlatformParams {
   /// assigns it; Scenario::validate rejects any other value, and nothing
   /// else reads it.
   std::uint32_t sim_domains = 1;
-
-  std::uint32_t total_cores() const { return nodes * cores_per_node; }
 };
 
 /// The paper's testbed (Table I): Cab + lscratchc, Lustre 2.4.2.

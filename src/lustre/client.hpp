@@ -73,8 +73,6 @@ class Client {
   FileSystem& fs() { return *fs_; }
   /// Identity of this client's node (clients sharing a NIC share a node).
   const void* node_key() const { return node_nic_; }
-  /// Per-process link statistics (diagnostics/benchmarks).
-  const sim::LinkModel& proc_pipe() const { return *proc_pipe_; }
 
   /// Run-end invariant "every RPC completes, nothing left parked": throws
   /// SimulationError naming this client if an RPC still holds an rpc slot

@@ -286,7 +286,6 @@ sim::Co<Result<InodeId>> FileSystem::create(std::string path,
     file.layout.objects.push_back(next_object_++);
   }
   dir.entries.emplace(leaf, file.id);
-  ++files_created_;
   co_return R::success(file.id);
 }
 

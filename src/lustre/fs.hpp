@@ -160,15 +160,12 @@ class FileSystem {
   const PflSpec& pfl() const { return pfl_; }
 
   // -- statistics ---------------------------------------------------------
-  /// The effective placement policy allocating new-file OST sets.
-  PlacementKind placement_kind() const { return placement_->kind(); }
   /// Objects currently allocated on each OST.
   std::vector<std::uint64_t> objects_per_ost() const { return objects_per_ost_; }
   /// For the given files: how many of them have >= 1 object on each OST.
   std::vector<std::uint32_t> ost_occupancy(std::span<const InodeId> files) const;
   /// Histogram h[k] = number of OSTs used by exactly k of the given files.
   std::vector<std::uint32_t> collision_histogram(std::span<const InodeId> files) const;
-  std::uint64_t files_created() const { return files_created_; }
   Bytes total_bytes_written() const;
 
  private:
@@ -198,7 +195,6 @@ class FileSystem {
   std::vector<std::unique_ptr<Inode>> inodes_;  // index = InodeId - 1
   InodeId root_ = kNoInode;
   ObjectId next_object_ = 1;
-  std::uint64_t files_created_ = 0;
   std::map<std::string, std::vector<OstIndex>, std::less<>> pools_;
 };
 

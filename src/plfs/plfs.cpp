@@ -152,7 +152,8 @@ sim::Co<Result<WriteHandle>> Plfs::open_write(lustre::Client& client,
   }
   const std::string hashdir =
       logical_path + "/" + hashdir_name(rank, params_.num_hash_dirs);
-  const std::string suffix = "." + std::to_string(rank);
+  std::string suffix(1, '.');
+  suffix += std::to_string(rank);
 
   auto data = co_await client.create(hashdir + "/data" + suffix,
                                      params_.backend_stripe);

@@ -81,7 +81,6 @@ class ReadHandle {
   bool resolve(Bytes offset, Bytes length, std::vector<Mapping>& out) const;
 
   Bytes logical_size() const;
-  std::size_t mapping_count() const { return map_.size(); }
 
  private:
   struct Entry {

@@ -9,13 +9,11 @@ void ReplayOptions::apply(harness::Scenario& scenario) const {
   if (!replay_log.empty()) {
     const JobLog log = load_joblog(replay_log);
     scenario.job_list = log.jobs;
-    scenario.workload = harness::Workload::jobs;
     scenario.procs_per_node = log.procs_per_node;
   } else if (fleet_requested) {
     FleetConfig cfg = fleet;
     cfg.procs_per_node = scenario.procs_per_node;
     scenario.job_list = generate_fleet(cfg).jobs;
-    scenario.workload = harness::Workload::jobs;
   }
 }
 

@@ -110,9 +110,8 @@ class Engine {
   /// reclaimed at engine teardown like any unfinished root); the queue
   /// entry is skipped lazily when it reaches the front, without advancing
   /// time or the event count, and its tombstone is erased at that point.
-  /// Null tokens are ignored. Used by trace::Sampler::stop() to drop its
-  /// pending wakeup so a stopped sampler cannot keep the engine alive
-  /// until the next tick.
+  /// Null tokens are ignored. Used by FairSharePipe to re-arm its
+  /// completion timer when the flow set changes.
   void cancel_scheduled(WakeToken tok) {
     if (tok.seq != 0) cancelled_.insert(tok.seq);
   }

@@ -95,7 +95,6 @@ class LinkModel {
   /// Name this link's trace track ("fabric", "oss3", "nic.node0", ...).
   /// Owners set it at construction; unnamed links trace as "link".
   void set_trace_label(std::string label) { trace_label_ = std::move(label); }
-  const std::string& trace_label() const { return trace_label_; }
 
  protected:
   // The three steps of a Transfer, implemented by each policy.

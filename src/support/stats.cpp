@@ -100,12 +100,6 @@ double mean_of(std::span<const double> samples) {
   return stats.mean();
 }
 
-double stddev_of(std::span<const double> samples) {
-  RunningStats stats;
-  for (double s : samples) stats.add(s);
-  return stats.stddev();
-}
-
 double jain_index(std::span<const double> shares) {
   double sum = 0.0;
   double sum_sq = 0.0;

@@ -51,7 +51,6 @@ ConfidenceInterval confidence_interval(const RunningStats& stats,
                                        double confidence = 0.95);
 
 double mean_of(std::span<const double> samples);
-double stddev_of(std::span<const double> samples);
 
 /// Jain fairness index (sum x)^2 / (n * sum x^2) over non-negative shares:
 /// 1.0 for perfectly equal allocations, 1/n when one share takes all.

@@ -5,10 +5,9 @@
 
 namespace pfsc::trace {
 
-Sampler::Sampler(sim::Engine& eng, Seconds interval, std::size_t max_ticks)
-    : eng_(&eng), interval_(interval), max_ticks_(max_ticks) {
+Sampler::Sampler(sim::Engine& eng, Seconds interval)
+    : eng_(&eng), interval_(interval) {
   PFSC_REQUIRE(interval > 0.0, "Sampler: interval must be positive");
-  PFSC_REQUIRE(max_ticks > 0, "Sampler: max_ticks must be positive");
 }
 
 std::size_t Sampler::add_probe(std::string name, Probe probe) {
@@ -49,16 +48,6 @@ void Sampler::start() {
   eng_->spawn(run());
 }
 
-void Sampler::stop() {
-  stopped_ = true;
-  if (pending_wake_) {
-    // The run() coroutine is parked between ticks; drop its wakeup so the
-    // engine is free to drain now. The frame is reclaimed at teardown.
-    eng_->cancel_scheduled(pending_wake_);
-    pending_wake_ = {};
-  }
-}
-
 void Sampler::sample_tick() {
   for (std::size_t i = 0; i < probes_.size(); ++i) {
     series_[i].at.push_back(eng_->now());
@@ -85,10 +74,10 @@ void Sampler::mirror_to_recorder() {
 }
 
 sim::Task Sampler::run() {
-  for (std::size_t tick = 0; tick < max_ticks_ && !stopped_; ++tick) {
+  for (;;) {
     sample_tick();
     if (active_ && !active_()) break;
-    co_await TickWait{this};
+    co_await eng_->delay(interval_);
   }
 }
 

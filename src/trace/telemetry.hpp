@@ -21,7 +21,6 @@
 // assertion instead of undefined behaviour.
 #pragma once
 
-#include <coroutine>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,13 +49,12 @@ class Sampler {
   /// free. Register them before starting the sampler.
   using Probe = std::function<double()>;
 
-  /// `max_ticks` bounds the sampler's lifetime (required for experiments
-  /// that finish by draining the event queue: an unbounded periodic
-  /// process would keep the engine alive forever). Alternatively set a
-  /// watch predicate; sampling stops when it returns false.
-  Sampler(sim::Engine& eng, Seconds interval, std::size_t max_ticks = 100000);
+  /// Ticks every `interval` simulated seconds, starting at start().
+  Sampler(sim::Engine& eng, Seconds interval);
 
-  /// Keep sampling only while `active()` is true (checked after each tick).
+  /// Keep sampling only while `active()` is true (checked after each
+  /// tick). This is how sampling ends: a sampler without a watch keeps
+  /// the engine alive forever, so only run_until() can bound it.
   void watch(std::function<bool()> active) { active_ = std::move(active); }
 
   Sampler(const Sampler&) = delete;
@@ -71,12 +69,8 @@ class Sampler {
   std::size_t add_instruments(InstrumentSet set,
                               std::weak_ptr<const void> alive = {});
 
-  /// Start sampling (spawns the sampler process). Sampling ends when the
-  /// engine drains or `stop()` is called.
+  /// Start sampling (spawns the sampler process; the first tick is now).
   void start();
-  /// Stop sampling. Also cancels the pending between-ticks wakeup, so a
-  /// stopped sampler does not keep the engine alive until the next tick.
-  void stop();
 
   const std::vector<Series>& series() const { return series_; }
   const Series& series(std::size_t idx) const;
@@ -89,30 +83,16 @@ class Sampler {
   std::string to_csv() const;
 
  private:
-  /// delay(interval_) that records the wake token so stop() can cancel it
-  /// through Engine::cancel_scheduled.
-  struct TickWait {
-    Sampler* self;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      self->pending_wake_ = self->eng_->schedule_after(h, self->interval_);
-    }
-    void await_resume() const noexcept { self->pending_wake_ = {}; }
-  };
-
   sim::Task run();
   void sample_tick();
   void mirror_to_recorder();
 
   sim::Engine* eng_;
   Seconds interval_;
-  std::size_t max_ticks_;
   std::function<bool()> active_;
   std::vector<Probe> probes_;
   std::vector<Series> series_;
   bool started_ = false;
-  bool stopped_ = false;
-  sim::WakeToken pending_wake_;
 
   // Recorder mirroring: interned per-series counter names, re-interned
   // when a different recorder shows up (fresh Rig per repetition).

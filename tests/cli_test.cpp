@@ -100,7 +100,9 @@ TEST(CliScenarioFlags, DrivesScenarioAndPlan) {
   Scenario scenario;
   RunPlan plan;
   unsigned threads = 0;
+  JobOptions jobs;
   FlagTable table = scenario_flags(scenario, plan, threads);
+  add_job_flags(table, jobs);
 
   std::vector<std::string> args = {
       "prog",
@@ -119,10 +121,56 @@ TEST(CliScenarioFlags, DrivesScenarioAndPlan) {
   EXPECT_EQ(scenario.procs_per_node, 8);
   EXPECT_EQ(scenario.ior.hints.striping_factor, 16u);
   EXPECT_EQ(scenario.ior.hints.striping_unit, 4_MiB);
-  EXPECT_EQ(scenario.noise.writers, 6u);
+  EXPECT_EQ(jobs.noise_writers, 6u);
   EXPECT_EQ(plan.reps(), 5u);
   EXPECT_EQ(plan.seed(), 99u);
   EXPECT_EQ(threads, 4u);
+}
+
+// pfsc_cli's probe mode: `probe --writers 4 --noise_writers 2` builds four
+// probe writers followed by two 256 MiB noise jobs.
+TEST(CliJobFlags, ProbeWithNoiseBuildsTheJobList) {
+  Scenario scenario;
+  RunPlan plan;
+  unsigned threads = 0;
+  JobOptions jobs;
+  jobs.probe = true;
+  FlagTable table = scenario_flags(scenario, plan, threads);
+  add_job_flags(table, jobs);
+  std::vector<std::string> args = {"prog", "--writers", "4",
+                                   "--noise_writers", "2"};
+  auto argv = argv_of(args);
+  table.parse(static_cast<int>(argv.size()), argv.data(), 1);
+  jobs.apply(scenario);
+
+  ASSERT_EQ(scenario.job_list.size(), 6u);
+  for (std::uint32_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(scenario.job_list[w].kind, JobKind::probe_writer);
+    EXPECT_EQ(scenario.job_list[w].job_id, w);
+    EXPECT_EQ(scenario.job_list[w].bytes, 64_MiB);
+  }
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    const JobSpec& noise = scenario.job_list[4 + i];
+    EXPECT_EQ(noise.kind, JobKind::noise);
+    EXPECT_EQ(noise.job_id, 65536u + i);
+    EXPECT_EQ(noise.bytes, 256_MiB);
+  }
+  EXPECT_NO_THROW(scenario.validate());
+
+  // Without the probe mode the writers flag builds nothing and the noise
+  // follows the lazy IOR job; zero probe writers is an error.
+  Scenario ior;
+  JobOptions noisy;
+  noisy.noise_writers = 1;
+  noisy.apply(ior);
+  ASSERT_EQ(ior.job_list.size(), 2u);
+  EXPECT_EQ(ior.job_list[0].kind, JobKind::ior);
+  EXPECT_EQ(ior.job_list[1].kind, JobKind::noise);
+  JobOptions none;
+  none.probe = true;
+  none.writers = 0;
+  Scenario probe;
+  EXPECT_THROW(none.apply(probe), UsageError);
 }
 
 TEST(CliScenarioFlags, HintsStringRejectsUnknownKey) {
@@ -623,7 +671,6 @@ TEST(CliReplayFlags, ApplyResolvesIntoTheJobList) {
   Scenario scenario;
   opts.apply(scenario);
   ASSERT_EQ(scenario.job_list.size(), 1u);
-  EXPECT_EQ(scenario.workload, Workload::jobs);
   EXPECT_EQ(scenario.procs_per_node, 8);  // meta ppn wins
   EXPECT_EQ(scenario.job_list.front().ior.test_file, "/cli.dat");
   std::remove(path.c_str());
@@ -634,7 +681,6 @@ TEST(CliReplayFlags, ApplyResolvesIntoTheJobList) {
   Scenario s2;
   fleet_opts.apply(s2);
   EXPECT_EQ(s2.job_list.size(), 6u);
-  EXPECT_EQ(s2.workload, Workload::jobs);
 }
 
 TEST(CliReplayFlags, UsageListsReplayFlags) {

@@ -99,13 +99,14 @@ TEST(TableMisuse, PendingRowMismatchThrows) {
 
 TEST(SamplerWithRunUntil, PartialWindowObserved) {
   sim::Engine eng;
-  trace::Sampler sampler(eng, 1.0, 1000);
+  trace::Sampler sampler(eng, 1.0);
   sampler.add_probe("t", [&] { return eng.now(); });
+  sampler.watch([&] { return eng.now() < 7.0; });
   sampler.start();
   EXPECT_FALSE(eng.run_until(5.5));  // sampler still armed
   EXPECT_EQ(sampler.series(0).size(), 6u);  // t = 0..5
-  sampler.stop();
-  eng.run();  // drains the final armed tick
+  eng.run();  // ticks at t = 6 and 7, then the watch ends it
+  EXPECT_EQ(sampler.series(0).size(), 8u);
 }
 
 TEST(AdvisorBoundary, BudgetExactlyOneNeedsNoOverlap) {

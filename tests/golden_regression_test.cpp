@@ -64,13 +64,13 @@ TEST(GoldenFifo, Fig1StripeSweep) {
       harness::Scenario scen = fig1_base();
       scen.ior.hints.striping_factor = counts[c];
       scen.ior.hints.striping_unit = sizes[s];
-      const auto obs = harness::run_scenario(scen, 0xF1D0);
-      ASSERT_EQ(obs.ior.err, lustre::Errno::ok);
-      ASSERT_TRUE(obs.ior.verified);
+      const auto res = harness::run_scenario(scen, 0xF1D0).per_job.front();
+      ASSERT_EQ(res.err, lustre::Errno::ok);
+      ASSERT_TRUE(res.verified);
       char what[64];
       std::snprintf(what, sizeof(what), "fig1[%zu][%zu]", c, s);
-      check(what, obs.ior.write_mbps, golden[c][s]);
-      best = std::max(best, obs.ior.write_mbps);
+      check(what, res.write_mbps, golden[c][s]);
+      best = std::max(best, res.write_mbps);
     }
   }
   // The optimum sits at the largest stripe count, as in the paper.
@@ -91,10 +91,7 @@ TEST(GoldenFifo, Fig2ContentionCurve) {
       21.318108696473729,
   };
   for (std::size_t i = 0; i < writers.size(); ++i) {
-    harness::Scenario s;
-    s.workload = harness::Workload::probe;
-    s.writers = writers[i];
-    s.bytes_per_writer = 16_MiB;
+    const harness::Scenario s = harness::Scenario::probe(writers[i], 16_MiB);
     const auto obs = harness::run_scenario(s, 0xF2D0);
     char what[64];
     std::snprintf(what, sizeof(what), "fig2[%zu]", i);
@@ -106,10 +103,7 @@ TEST(GoldenFifo, Fig2ContentionCurve) {
 // Two tuned 32-rank jobs running simultaneously.
 
 TEST(GoldenFifo, Fig3PerJobBandwidth) {
-  harness::Scenario s;
-  s.workload = harness::Workload::multi;
-  s.jobs = 2;
-  s.nprocs = 32;
+  harness::Scenario s = harness::Scenario::multi(2, 32);
   s.procs_per_node = 16;
   s.ior.segment_count = 10;
   s.ior.hints.driver = mpiio::Driver::ad_lustre;
@@ -142,25 +136,19 @@ TEST(GoldenFifo, SchedFifoPreservesEveryFigure) {
     scen.platform.oss_sched_policy = lustre::sched::SchedPolicy::fifo;
     scen.ior.hints.striping_factor = 64;
     scen.ior.hints.striping_unit = 4_MiB;
-    const auto obs = harness::run_scenario(scen, 0xF1D0);
-    ASSERT_EQ(obs.ior.err, lustre::Errno::ok);
-    check("sched_fifo.fig1[2][0]", obs.ior.write_mbps, 7454.4042488345267);
+    const auto res = harness::run_scenario(scen, 0xF1D0).per_job.front();
+    ASSERT_EQ(res.err, lustre::Errno::ok);
+    check("sched_fifo.fig1[2][0]", res.write_mbps, 7454.4042488345267);
   }
   {
-    harness::Scenario s;
-    s.workload = harness::Workload::probe;
+    harness::Scenario s = harness::Scenario::probe(8, 16_MiB);
     s.platform.oss_sched_policy = lustre::sched::SchedPolicy::fifo;
-    s.writers = 8;
-    s.bytes_per_writer = 16_MiB;
     const auto obs = harness::run_scenario(s, 0xF2D0);
     check("sched_fifo.fig2[3]", obs.metric, 21.318108696473729);
   }
   {
-    harness::Scenario s;
-    s.workload = harness::Workload::multi;
+    harness::Scenario s = harness::Scenario::multi(2, 32);
     s.platform.oss_sched_policy = lustre::sched::SchedPolicy::fifo;
-    s.jobs = 2;
-    s.nprocs = 32;
     s.procs_per_node = 16;
     s.ior.segment_count = 10;
     s.ior.hints.driver = mpiio::Driver::ad_lustre;

@@ -103,10 +103,8 @@ TEST(Noise, BackgroundWritersConsumeBandwidth) {
     spec.ior.block_size = 4_MiB;
     spec.ior.transfer_size = 1_MiB;
     spec.ior.segment_count = 8;
-    spec.noise.writers = writers;
-    spec.noise.bytes_per_writer = 64_MiB;
-    spec.noise.stripes = 2;
-    const auto res = harness::run_scenario(spec, 123).ior;
+    spec.add_noise(writers, 64_MiB);
+    const auto res = harness::run_scenario(spec, 123).per_job.front();
     PFSC_ASSERT(res.err == lustre::Errno::ok);
     return res.write_mbps;
   };
@@ -119,8 +117,7 @@ TEST(Noise, BackgroundWritersConsumeBandwidth) {
 TEST(Noise, WritersActuallyWriteData) {
   harness::Scenario s = harness::Scenario::probe(1, 1_MiB);
   s.platform = hw::tiny_test_platform();
-  s.noise.writers = 3;
-  s.noise.bytes_per_writer = 8_MiB;
+  s.add_noise(3, 8_MiB);
   s.trace.mode = trace::TraceMode::summary;
   const auto obs = harness::run_scenario(s, 5);
   for (std::uint32_t w = 0; w < 3; ++w) {

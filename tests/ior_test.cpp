@@ -106,11 +106,8 @@ TEST(Ior, MoreStripesIsFasterOnQuietSystem) {
 }
 
 TEST(Probe, SingleWriterBaseline) {
-  harness::Scenario spec;
-  spec.workload = harness::Workload::probe;
+  harness::Scenario spec = harness::Scenario::probe(1, 16_MiB);
   spec.platform = hw::tiny_test_platform();
-  spec.writers = 1;
-  spec.bytes_per_writer = 16_MiB;
   const auto obs = harness::run_scenario(spec, 3);
   ASSERT_EQ(obs.per_job.size(), 1u);
   EXPECT_GT(obs.metric, 0.0);
@@ -129,8 +126,8 @@ TEST(Probe, TelemetryReturnsBandwidthTimeline) {
 }
 
 TEST(Probe, TelemetryTimelineCoversTheWholeRun) {
-  // More ticks than the sampler's default cap: the harness sampler stops
-  // with the job, not at a tick budget, so the timeline reaches the end.
+  // 300,000 ticks: the harness sampler stops with the job, not at a tick
+  // budget, so the timeline reaches the end.
   harness::Scenario spec = harness::Scenario::probe(2, 16_MiB);
   spec.platform = hw::tiny_test_platform();
   const Seconds write_time =
@@ -144,11 +141,9 @@ TEST(Probe, TelemetryTimelineCoversTheWholeRun) {
 
 TEST(Probe, ContentionDegradesPerProcessBandwidth) {
   auto mean_bw = [](std::uint32_t writers) {
-    harness::Scenario spec;
-    spec.workload = harness::Workload::probe;
+    // 64 MiB each: long enough to reach steady state.
+    harness::Scenario spec = harness::Scenario::probe(writers, 64_MiB);
     spec.platform = hw::tiny_test_platform();
-    spec.writers = writers;
-    spec.bytes_per_writer = 64_MiB;  // long enough to reach steady state
     return harness::run_scenario(spec, 3).metric;
   };
   const double bw1 = mean_bw(1);
@@ -160,13 +155,10 @@ TEST(Probe, ContentionDegradesPerProcessBandwidth) {
 }
 
 TEST(Harness, MultiJobRunsAllJobs) {
-  harness::Scenario spec;
-  spec.workload = harness::Workload::multi;
+  harness::Scenario spec =
+      harness::Scenario::multi(2, 4, small_config(mpiio::Driver::ad_lustre));
   spec.platform = hw::tiny_test_platform();
-  spec.jobs = 2;
-  spec.nprocs = 4;
   spec.procs_per_node = 4;
-  spec.ior = small_config(mpiio::Driver::ad_lustre);
   const auto res = harness::run_scenario(spec, 11);
   ASSERT_EQ(res.per_job.size(), 2u);
   for (const auto& job : res.per_job) {
@@ -194,15 +186,11 @@ TEST(Harness, ContendedJobsSlowerThanSolo) {
   solo.nprocs = 4;
   solo.procs_per_node = 4;
   solo.ior = cfg;
-  const double solo_bw = harness::run_scenario(solo, 13).ior.write_mbps;
+  const double solo_bw =
+      harness::run_scenario(solo, 13).per_job.front().write_mbps;
 
-  harness::Scenario multi;
-  multi.workload = harness::Workload::multi;
-  multi.platform = hw::tiny_test_platform();
+  harness::Scenario multi = solo;
   multi.jobs = 3;
-  multi.nprocs = 4;
-  multi.procs_per_node = 4;
-  multi.ior = cfg;
   const auto res = harness::run_scenario(multi, 13);
   for (const auto& job : res.per_job) {
     EXPECT_LT(job.write_mbps, solo_bw);
@@ -210,11 +198,8 @@ TEST(Harness, ContendedJobsSlowerThanSolo) {
 }
 
 TEST(Harness, RunnerComputesCi) {
-  harness::Scenario spec;
-  spec.workload = harness::Workload::probe;
+  harness::Scenario spec = harness::Scenario::probe(2, 8_MiB);
   spec.platform = hw::tiny_test_platform();
-  spec.writers = 2;
-  spec.bytes_per_writer = 8_MiB;
   harness::RunPlan plan;
   plan.repetitions(5).base_seed(17);
   const auto set = harness::ParallelRunner(1).run(spec, plan);
@@ -227,13 +212,12 @@ TEST(Harness, RunnerComputesCi) {
 
 TEST(Harness, PlfsRunReportsBackendCensus) {
   harness::Scenario spec;
-  spec.workload = harness::Workload::plfs;
   spec.platform = hw::tiny_test_platform();
   spec.nprocs = 8;
   spec.procs_per_node = 4;
   spec.ior = small_config(mpiio::Driver::ad_plfs);
   const auto res = harness::run_scenario(spec, 19);
-  EXPECT_EQ(res.ior.err, Errno::ok);
+  EXPECT_EQ(res.per_job.front().err, Errno::ok);
   // 8 data files x 2 stripes = 16 stripe placements.
   EXPECT_DOUBLE_EQ(res.contention.d_req, 16.0);
   EXPECT_GT(res.contention.d_load, 1.0);  // 16 stripes on 8 OSTs must collide

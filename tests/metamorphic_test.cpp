@@ -104,8 +104,8 @@ TEST(Determinism, SameSeedSameResult) {
   spec.ior.hints.driver = mpiio::Driver::ad_lustre;
   spec.ior.hints.striping_factor = 4;
   spec.ior.hints.striping_unit = 1_MiB;
-  const auto a = harness::run_scenario(spec, 12345).ior;
-  const auto b = harness::run_scenario(spec, 12345).ior;
+  const auto a = harness::run_scenario(spec, 12345).per_job.front();
+  const auto b = harness::run_scenario(spec, 12345).per_job.front();
   EXPECT_DOUBLE_EQ(a.write_mbps, b.write_mbps);
   EXPECT_DOUBLE_EQ(a.write_time, b.write_time);
 }

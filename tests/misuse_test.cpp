@@ -81,26 +81,18 @@ TEST(Misuse, FileSystemGuards) {
 TEST(Misuse, SamplerGuards) {
   sim::Engine eng;
   EXPECT_THROW(trace::Sampler(eng, 0.0), UsageError);
-  EXPECT_THROW(trace::Sampler(eng, 1.0, 0), UsageError);
-  trace::Sampler sampler(eng, 1.0, 1);
+  EXPECT_THROW(trace::Sampler(eng, -1.0), UsageError);
+  trace::Sampler sampler(eng, 1.0);
   EXPECT_THROW(sampler.add_probe("x", nullptr), UsageError);
   EXPECT_THROW(sampler.series(0), UsageError);
 }
 
 TEST(Misuse, ScenarioGuards) {
   harness::Scenario bad;
-  bad.workload = harness::Workload::multi;
   bad.jobs = 0;
   EXPECT_THROW(bad.validate(), UsageError);
 
-  harness::Scenario plfs_spec;  // plfs workload needs the ad_plfs driver
-  plfs_spec.workload = harness::Workload::plfs;
-  EXPECT_THROW(plfs_spec.validate(), UsageError);
-
-  harness::Scenario no_writers;
-  no_writers.workload = harness::Workload::probe;
-  no_writers.writers = 0;
-  EXPECT_THROW(no_writers.validate(), UsageError);
+  EXPECT_THROW(harness::Scenario::probe(0), UsageError);
 
   harness::Scenario no_procs;
   no_procs.nprocs = 0;

@@ -20,10 +20,9 @@ TEST_P(PredictionSweep, MeasuredCensusTracksEquations) {
   RunningStats load;
   Rng seeder(0xCAFE + r);
   for (int rep = 0; rep < 3; ++rep) {
-    harness::Scenario spec;
-    spec.workload = harness::Workload::multi;
-    spec.jobs = static_cast<int>(jobs);
-    spec.nprocs = 16;  // small jobs: the census depends only on layout
+    // Small jobs: the census depends only on layout.
+    harness::Scenario spec =
+        harness::Scenario::multi(static_cast<int>(jobs), 16);
     spec.ior.segment_count = 2;
     spec.ior.hints.driver = mpiio::Driver::ad_lustre;
     spec.ior.hints.striping_factor = r;
@@ -50,13 +49,12 @@ INSTANTIATE_TEST_SUITE_P(StripeSweep, PredictionSweep,
 TEST(PredictionPlfs, BackendLoadTracksEq6) {
   for (int procs : {128, 512}) {
     harness::Scenario spec;
-    spec.workload = harness::Workload::plfs;
     spec.nprocs = procs;
     spec.ior.segment_count = 2;
     spec.ior.hints.driver = mpiio::Driver::ad_plfs;
     const auto res =
         harness::run_scenario(spec, 0xFACE + static_cast<unsigned>(procs));
-    ASSERT_EQ(res.ior.err, lustre::Errno::ok);
+    ASSERT_EQ(res.per_job.front().err, lustre::Errno::ok);
     const double pred = core::plfs_d_load(static_cast<unsigned>(procs), 480);
     EXPECT_NEAR(res.contention.d_load, pred, pred * 0.08) << procs << " procs";
   }
@@ -73,12 +71,10 @@ TEST(PredictionSlowdown, OrderStatisticsBeatMeanLoadAtFullScale) {
   solo.ior.hints.driver = mpiio::Driver::ad_lustre;
   solo.ior.hints.striping_factor = 160;
   solo.ior.hints.striping_unit = 128_MiB;
-  const double solo_bw = harness::run_scenario(solo, 0xBEEF).ior.write_mbps;
+  const double solo_bw =
+      harness::run_scenario(solo, 0xBEEF).per_job.front().write_mbps;
 
-  harness::Scenario multi;
-  multi.workload = harness::Workload::multi;
-  multi.jobs = 4;
-  multi.nprocs = 1024;
+  harness::Scenario multi = harness::Scenario::multi(4, 1024);
   multi.ior.hints = solo.ior.hints;
   const auto res = harness::run_scenario(multi, 0xBEEF);
   const double measured_slowdown = solo_bw / res.metric;

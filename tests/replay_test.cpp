@@ -6,8 +6,8 @@
 // origin:line and the offending field; malformed logs never half-parse)
 // and round-trip canonicality (emit . parse == identity on emitted text).
 // The golden test replays the bundled Fig. 3 quartet log and requires
-// exact (==, not near) per-job bandwidth equality with the legacy
-// Scenario::multi desugaring, plus pinned absolute numbers.
+// exact (==, not near) per-job bandwidth equality with the lazy
+// Scenario::multi it was recorded from, plus pinned absolute numbers.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -91,14 +91,14 @@ TEST(JobLogRoundTrip, ScenarioLoweringRoundTrips) {
   const JobLog log = sample_log();
   const Scenario s = to_scenario(log);
   EXPECT_EQ(s.procs_per_node, 8);
-  EXPECT_EQ(s.workload, harness::Workload::jobs);
+  EXPECT_EQ(s.job_list.size(), log.jobs.size());
   const JobLog back = from_scenario(s);
   EXPECT_EQ(emit_joblog(back), emit_joblog(log));
 }
 
 TEST(JobLogRoundTrip, LegacyMultiExportsAndReplays) {
-  // A legacy enum scenario exports its *desugared* job list, so the log is
-  // replayable without knowing about Workload::multi at all.
+  // A lazy multi scenario exports its expanded job list, so the log
+  // replays as an explicit list.
   ior::Config cfg;
   cfg.segment_count = 2;
   cfg.hints.driver = mpiio::Driver::ad_lustre;
@@ -271,8 +271,8 @@ TEST(ReplayGolden, DayMixRunsEveryKind) {
 // -- job-list execution semantics -------------------------------------------
 
 TEST(JobListExec, ExplicitListMatchesLegacyDesugaring) {
-  // from_jobs(list) where list == the multi desugaring must reproduce the
-  // legacy run exactly (same event sequence, same numbers).
+  // from_jobs(list) where list == the lazy multi expansion must reproduce
+  // the lazy run exactly (same event sequence, same numbers).
   ior::Config cfg;
   cfg.segment_count = 2;
   cfg.hints.driver = mpiio::Driver::ad_lustre;
@@ -289,28 +289,86 @@ TEST(JobListExec, ExplicitListMatchesLegacyDesugaring) {
     EXPECT_EQ(a.per_job[j].write_mbps, b.per_job[j].write_mbps);
   }
   EXPECT_EQ(a.total_mbps, b.total_mbps);
-  EXPECT_EQ(b.workload, harness::Workload::jobs);
 }
 
-TEST(JobListExec, NoiseSpecFoldsIntoJobList) {
-  // The deprecated NoiseSpec alias and explicit JobKind::noise entries are
-  // the same jobs: identical results either way.
+TEST(JobListExec, AddNoiseAppendsNoiseJobs) {
+  // add_noise expands a lazy scenario and appends JobKind::noise entries
+  // with ids kNoiseJobBase + i: the same jobs as a list built by hand.
   ior::Config cfg;
   cfg.segment_count = 2;
-  Scenario with_field = Scenario::single_ior(cfg);
-  with_field.nprocs = 8;
-  with_field.noise.writers = 2;
-  with_field.noise.bytes_per_writer = 16_MiB;
+  Scenario helper = Scenario::single_ior(cfg);
+  helper.nprocs = 8;
+  helper.add_noise(0, 16_MiB);
+  EXPECT_TRUE(helper.job_list.empty());  // no writers: still lazy
+  helper.add_noise(2, 16_MiB);
 
-  Scenario with_jobs = Scenario::from_jobs(with_field.jobs_desugared());
-  with_jobs.procs_per_node = with_field.procs_per_node;
+  std::vector<JobSpec> list = Scenario::single_ior(cfg).jobs_desugared();
+  list.front().nprocs = 8;
+  for (std::uint32_t w = 0; w < 2; ++w) {
+    JobSpec n;
+    n.kind = JobKind::noise;
+    n.job_id = lustre::sched::kNoiseJobBase + w;
+    n.bytes = 16_MiB;
+    list.push_back(n);
+  }
+  const Scenario by_hand = Scenario::from_jobs(list);
+  EXPECT_EQ(emit_joblog(from_scenario(helper)),
+            emit_joblog(from_scenario(by_hand)));
 
-  const auto a = harness::run_scenario(with_field, 5);
-  const auto b = harness::run_scenario(with_jobs, 5);
-  EXPECT_EQ(a.ior.write_mbps, b.ior.write_mbps);
-  ASSERT_EQ(b.jobs.size(), 3u);
-  EXPECT_EQ(b.jobs[1].job_id, lustre::sched::kNoiseJobBase);
-  EXPECT_EQ(b.jobs[2].job_id, lustre::sched::kNoiseJobBase + 1);
+  const auto a = harness::run_scenario(helper, 5);
+  const auto b = harness::run_scenario(by_hand, 5);
+  EXPECT_EQ(a.per_job.front().write_mbps, b.per_job.front().write_mbps);
+  ASSERT_EQ(a.jobs.size(), 3u);
+  EXPECT_EQ(a.jobs[1].job_id, lustre::sched::kNoiseJobBase);
+  EXPECT_EQ(a.jobs[2].job_id, lustre::sched::kNoiseJobBase + 1);
+}
+
+TEST(ScenarioShape, LazyShapeRule) {
+  ior::Config cfg;
+  cfg.test_file = "/shape.dat";
+  cfg.job_id = 7;
+
+  // One job keeps the configured file name and JobId.
+  const auto one = Scenario::single_ior(cfg).jobs_desugared();
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].kind, JobKind::ior);
+  EXPECT_EQ(one[0].ior.test_file, "/shape.dat");
+  EXPECT_EQ(one[0].job_id, 7u);
+  EXPECT_EQ(one[0].ior.job_id, 7u);
+  EXPECT_EQ(one[0].nprocs, 1024);
+
+  // More jobs suffix the file name with the job index, which is the JobId.
+  const auto three = Scenario::multi(3, 16, cfg).jobs_desugared();
+  ASSERT_EQ(three.size(), 3u);
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(three[k].kind, JobKind::ior);
+    EXPECT_EQ(three[k].ior.test_file, "/shape.dat." + std::to_string(k));
+    EXPECT_EQ(three[k].job_id, k);
+    EXPECT_EQ(three[k].ior.job_id, k);
+    EXPECT_EQ(three[k].nprocs, 16);
+  }
+
+  // The driver picks the kind: ad_plfs jobs are JobKind::plfs.
+  const auto plfs = Scenario::plfs_ior(cfg).jobs_desugared();
+  ASSERT_EQ(plfs.size(), 1u);
+  EXPECT_EQ(plfs[0].kind, JobKind::plfs);
+  cfg.hints.driver = mpiio::Driver::ad_plfs;
+  for (const JobSpec& j : Scenario::multi(2, 8, cfg).jobs_desugared()) {
+    EXPECT_EQ(j.kind, JobKind::plfs);
+  }
+}
+
+TEST(ScenarioShape, ProbeBuildsProbeWriterEntries) {
+  const Scenario s = Scenario::probe(3, 4_MiB);
+  ASSERT_EQ(s.job_list.size(), 3u);
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(s.job_list[w].kind, JobKind::probe_writer);
+    EXPECT_EQ(s.job_list[w].job_id, w);
+    EXPECT_EQ(s.job_list[w].nprocs, 1);
+    EXPECT_EQ(s.job_list[w].bytes, 4_MiB);
+    EXPECT_EQ(s.job_list[w].target_ost, -1);
+  }
+  EXPECT_NO_THROW(s.validate());
 }
 
 TEST(JobListExec, TotalMbpsUniformAcrossWorkloads) {
@@ -361,7 +419,7 @@ TEST(JobListExec, ObservationEchoesTheJobList) {
   const auto obs = harness::run_scenario(s, 1);
   ASSERT_EQ(obs.jobs.size(), 2u);
   EXPECT_EQ(obs.jobs[0].kind, JobKind::probe_writer);
-  EXPECT_EQ(obs.workload, harness::Workload::probe);
+  EXPECT_EQ(obs.jobs[1].job_id, 1u);
 }
 
 TEST(JobListExec, ValidatesJobLists) {
@@ -378,12 +436,6 @@ TEST(JobListExec, ValidatesJobLists) {
     n.kind = JobKind::noise;
     EXPECT_THROW(harness::run_scenario(Scenario::from_jobs({n}), 1),
                  UsageError);
-  }
-  // Empty explicit list.
-  {
-    Scenario s;
-    s.workload = harness::Workload::jobs;
-    EXPECT_THROW(harness::run_scenario(s, 1), UsageError);
   }
   // kind=ior routed through ad_plfs must use kind=plfs.
   {

@@ -46,8 +46,10 @@ TEST(Runner, ThreadCountDoesNotChangeResults) {
     ASSERT_EQ(a.reps.size(), b.reps.size());
     for (std::size_t r = 0; r < a.reps.size(); ++r) {
       EXPECT_EQ(a.reps[r].seed, b.reps[r].seed);
-      EXPECT_DOUBLE_EQ(a.reps[r].ior.write_mbps, b.reps[r].ior.write_mbps);
-      EXPECT_DOUBLE_EQ(a.reps[r].ior.write_time, b.reps[r].ior.write_time);
+      EXPECT_DOUBLE_EQ(a.reps[r].per_job.front().write_mbps,
+                       b.reps[r].per_job.front().write_mbps);
+      EXPECT_DOUBLE_EQ(a.reps[r].per_job.front().write_time,
+                       b.reps[r].per_job.front().write_time);
     }
   }
 }
@@ -103,7 +105,7 @@ TEST(Runner, CsvHasHeaderAndOneRowPerRep) {
 
 TEST(Runner, InvalidScenarioThrowsBeforeRunning) {
   harness::Scenario bad = tiny_ior_scenario();
-  bad.workload = harness::Workload::plfs;  // driver is still ad_lustre
+  bad.jobs = 0;  // no IOR job to run
   harness::RunPlan plan;
   EXPECT_THROW(harness::ParallelRunner(2).run(bad, plan), UsageError);
 }

@@ -403,9 +403,15 @@ void run_two_job_write(SchedPolicy policy) {
   EXPECT_EQ(a.job(), 0u);
   EXPECT_EQ(b.job(), 1u);
 
-  trace::Sampler sampler(eng, 1.0e-3, /*max_ticks=*/200);
+  trace::Sampler sampler(eng, 1.0e-3);
   const std::size_t first = sampler.add_instruments(
       trace::sched_instruments(fs, {0, 1}), fs.liveness());
+  // Sample until both jobs' bytes have been served.
+  sampler.watch([&fs] {
+    Bytes served = 0;
+    for (const auto& [job, bytes] : fs.sched_served_by_job()) served += bytes;
+    return served < 16_MiB;
+  });
   sampler.start();
 
   eng.spawn(write_file(a, "/a.dat", 8_MiB));

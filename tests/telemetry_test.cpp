@@ -10,9 +10,10 @@ namespace {
 
 TEST(Sampler, TicksAtInterval) {
   sim::Engine eng;
-  Sampler sampler(eng, 1.0, /*max_ticks=*/5);
+  Sampler sampler(eng, 1.0);
   int calls = 0;
   sampler.add_probe("calls", [&] { return static_cast<double>(++calls); });
+  sampler.watch([&] { return calls < 5; });
   sampler.start();
   eng.run();
   const Series& s = sampler.series(0);
@@ -34,58 +35,28 @@ TEST(Sampler, WatchPredicateStopsSampling) {
   EXPECT_EQ(sampler.series(0).size(), 3u);
 }
 
+// The watch is how sampling ends: here it reads state another process
+// changes, and the sampler ends at the first tick after the change.
 TEST(Sampler, StopEndsEarly) {
   sim::Engine eng;
   Sampler sampler(eng, 1.0);
   sampler.add_probe("x", [] { return 1.0; });
+  bool working = true;
+  sampler.watch([&] { return working; });
   sampler.start();
-  eng.spawn([](sim::Engine& e, Sampler& s) -> sim::Task {
+  eng.spawn([](sim::Engine& e, bool& w) -> sim::Task {
     co_await e.delay(2.5);
-    s.stop();
-  }(eng, sampler));
-  eng.run();
-  EXPECT_EQ(sampler.series(0).size(), 3u);  // t = 0, 1, 2
-}
-
-// watch() and stop() compose: the predicate keeps the sampler alive, but
-// an explicit stop() ends it immediately — and cancels the pending wake,
-// so the engine drains instead of ticking out the watch predicate.
-TEST(Sampler, StopOverridesWatchPredicate) {
-  sim::Engine eng;
-  Sampler sampler(eng, 1.0);
-  sampler.add_probe("x", [] { return 1.0; });
-  sampler.watch([] { return true; });  // would run to max_ticks
-  sampler.start();
-  eng.spawn([](sim::Engine& e, Sampler& s) -> sim::Task {
-    co_await e.delay(3.5);
-    s.stop();
-  }(eng, sampler));
+    w = false;
+  }(eng, working));
   eng.run();
   EXPECT_EQ(sampler.series(0).size(), 4u);  // t = 0, 1, 2, 3
-  EXPECT_LT(eng.now(), 5.0);  // no orphaned tick timer kept the engine alive
-}
-
-// stop() is idempotent: calling it again (including after the engine has
-// drained) must not throw or cancel someone else's timer.
-TEST(Sampler, StopIsIdempotent) {
-  sim::Engine eng;
-  Sampler sampler(eng, 1.0, /*max_ticks=*/2);
-  sampler.add_probe("x", [] { return 0.0; });
-  sampler.start();
-  eng.spawn([](sim::Engine& e, Sampler& s) -> sim::Task {
-    co_await e.delay(0.5);
-    s.stop();
-    s.stop();
-  }(eng, sampler));
-  eng.run();
-  EXPECT_NO_THROW(sampler.stop());
-  EXPECT_EQ(sampler.series(0).size(), 1u);  // only the t=0 tick landed
 }
 
 TEST(Sampler, RegistrationAfterStartRejected) {
   sim::Engine eng;
-  Sampler sampler(eng, 1.0, 1);
+  Sampler sampler(eng, 1.0);
   sampler.add_probe("x", [] { return 0.0; });
+  sampler.watch([] { return false; });
   sampler.start();
   EXPECT_THROW(sampler.add_probe("y", [] { return 0.0; }), UsageError);
   EXPECT_THROW(sampler.start(), UsageError);
@@ -107,9 +78,10 @@ TEST(Sampler, BandwidthTimelineDifferentiates) {
 
 TEST(Sampler, CsvHasHeaderAndRows) {
   sim::Engine eng;
-  Sampler sampler(eng, 1.0, 2);
+  Sampler sampler(eng, 1.0);
   sampler.add_probe("a", [] { return 1.5; });
   sampler.add_probe("b", [] { return 2.5; });
+  sampler.watch([&eng] { return eng.now() < 1.0; });  // ticks at t = 0, 1
   sampler.start();
   eng.run();
   const std::string csv = sampler.to_csv();
@@ -122,7 +94,7 @@ TEST(Sampler, ObservesRealWorkload) {
   sim::Engine eng;
   lustre::FileSystem fs(eng, hw::tiny_test_platform(), 3);
   lustre::Client client(fs, "c");
-  Sampler sampler(eng, 0.05, 2000);
+  Sampler sampler(eng, 0.05);
   const auto bytes_idx = sampler.add_instruments(
       trace::total_bytes_instruments(fs), fs.liveness());
   sampler.add_instruments(trace::ost_instruments(fs, 0), fs.liveness());
@@ -163,7 +135,7 @@ TEST(Sampler, LinkProbePacksCoverBothPolicies) {
     lustre::Client client(fs, "c");
     // Each 4 MiB OSS transfer lasts ~5 ms on the tiny platform; sample
     // well below that so ticks land inside in-flight windows.
-    Sampler sampler(eng, 0.5e-3, 5000);
+    Sampler sampler(eng, 0.5e-3);
     const auto fabric_idx = sampler.add_instruments(
         trace::link_instruments("fabric", fs.fabric()), fs.liveness());
     const auto oss_idx = sampler.add_instruments(

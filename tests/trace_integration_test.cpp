@@ -25,7 +25,6 @@ namespace {
 using harness::Observation;
 using harness::RunPlan;
 using harness::Scenario;
-using harness::Workload;
 
 std::size_t spans_in(const trace::Recorder& rec, trace::Cat cat) {
   std::size_t n = 0;
@@ -74,10 +73,7 @@ TEST(TraceIntegration, EveryLayerEmitsSpans) {
 }
 
 Scenario small_multi() {
-  Scenario s;
-  s.workload = Workload::multi;
-  s.jobs = 2;
-  s.nprocs = 4;
+  Scenario s = Scenario::multi(2, 4);
   s.procs_per_node = 2;
   s.ior.block_size = 2_MiB;
   s.ior.transfer_size = 1_MiB;
@@ -103,9 +99,7 @@ TEST(TraceIntegration, ScenarioFullTraceCoversAllLayers) {
 }
 
 TEST(TraceIntegration, PlfsWorkloadEmitsPlfsSpans) {
-  Scenario s;
-  s.workload = Workload::plfs;
-  s.ior.hints.driver = mpiio::Driver::ad_plfs;
+  Scenario s = Scenario::plfs_ior();
   s.nprocs = 4;
   s.procs_per_node = 2;
   s.ior.block_size = 1_MiB;
@@ -284,8 +278,7 @@ TracePin full_trace_pin(Scenario s, std::uint64_t seed) {
 
 TEST(TraceIntegration, ProbeTraceBytesArePinned) {
   Scenario s = Scenario::probe(4, 4_MiB);
-  s.noise.writers = 2;
-  s.noise.bytes_per_writer = 16_MiB;
+  s.add_noise(2, 16_MiB);
   const TracePin pin = full_trace_pin(s, /*seed=*/23);
   EXPECT_EQ(pin.size, 154804u);
   EXPECT_EQ(pin.hash, 15874259520775555259ull);
@@ -297,8 +290,7 @@ TEST(TraceIntegration, SingleJobTraceBytesArePinned) {
   cfg.hints.striping_factor = 8;
   Scenario s = Scenario::single_ior(cfg);
   s.nprocs = 16;
-  s.noise.writers = 3;
-  s.noise.bytes_per_writer = 16_MiB;
+  s.add_noise(3, 16_MiB);
   s.telemetry_interval = 0.01;
   const TracePin pin = full_trace_pin(s, /*seed=*/29);
   EXPECT_EQ(pin.size, 628813u);
@@ -366,20 +358,22 @@ TEST(TraceIntegration, EnvironmentOverrideEnablesTracing) {
   EXPECT_EQ(quiet.bandwidth.size(), 0u);
 }
 
-TEST(SamplerStop, CancelsPendingWakeup) {
+TEST(SamplerStop, WatchLeavesNoPendingWakeup) {
   sim::Engine eng;
   trace::Sampler sampler(eng, /*interval=*/1.0);
   sampler.add_probe("one", [] { return 1.0; });
+  bool working = true;
+  sampler.watch([&working] { return working; });
   sampler.start();
-  eng.spawn([](sim::Engine& e, trace::Sampler& s) -> sim::Task {
+  eng.spawn([](sim::Engine& e, bool& w) -> sim::Task {
     co_await e.delay(2.5);
-    s.stop();
-  }(eng, sampler));
+    w = false;
+  }(eng, working));
   eng.run();
-  // Ticks at t=0,1,2 happened; the t=3 wakeup was cancelled, so the
-  // engine drains at the stop time instead of one interval later.
-  EXPECT_EQ(sampler.series(0).size(), 3u);
-  EXPECT_DOUBLE_EQ(eng.now(), 2.5);
+  // Ticks at t=0,1,2,3; the t=3 tick sees the work done and arms no
+  // further wakeup, so the engine drains there instead of ticking on.
+  EXPECT_EQ(sampler.series(0).size(), 4u);
+  EXPECT_DOUBLE_EQ(eng.now(), 3.0);
 }
 
 TEST(ProbeLifetime, LivenessTokenExpiresWithFileSystem) {
