@@ -27,10 +27,7 @@ int main() {
 
   harness::RunPlan plan;
   plan.sweep_nprocs({64, 256, 1024});
-  harness::Axis driver_axis;
-  driver_axis.name = "driver";
-  driver_axis.values = {0, 1};
-  driver_axis.apply = [](harness::Scenario& s, double v) {
+  plan.sweep("driver", {0, 1}, [](harness::Scenario& s, double v) {
     if (v == 0) {
       s.ior.hints.driver = mpiio::Driver::ad_lustre;
       s.ior.hints.striping_factor = 160;
@@ -39,11 +36,7 @@ int main() {
       s.ior.hints = mpiio::Hints{};
       s.ior.hints.driver = mpiio::Driver::ad_plfs;
     }
-  };
-  driver_axis.label = [](double v) {
-    return v == 0 ? std::string("lustre") : std::string("plfs");
-  };
-  plan.sweep(std::move(driver_axis));
+  });
   // Axes apply in declaration order, so nprocs is set by the time the
   // reorder axis computes its shift.
   plan.sweep("reorder", {0, 1}, [](harness::Scenario& s, double v) {

@@ -42,23 +42,17 @@ int main() {
 
   harness::Scenario base;
   harness::RunPlan plan;
-  harness::Axis driver_axis;
-  driver_axis.name = "driver";
-  driver_axis.values = {0, 1};
-  driver_axis.apply = [](harness::Scenario& s, double v) {
-    if (v == 0) {  // tuned Lustre
-      s.ior.hints.driver = mpiio::Driver::ad_lustre;
-      s.ior.hints.striping_factor = 160;
-      s.ior.hints.striping_unit = 128_MiB;
-    } else {  // PLFS: backend files keep the file-system default layout
-      s.ior.hints = mpiio::Hints{};
-      s.ior.hints.driver = mpiio::Driver::ad_plfs;
-    }
-  };
-  driver_axis.label = [](double v) {
-    return v == 0 ? std::string("lustre") : std::string("plfs");
-  };
-  plan.sweep(std::move(driver_axis))
+  plan.sweep("driver", {0, 1},
+             [](harness::Scenario& s, double v) {
+               if (v == 0) {  // tuned Lustre
+                 s.ior.hints.driver = mpiio::Driver::ad_lustre;
+                 s.ior.hints.striping_factor = 160;
+                 s.ior.hints.striping_unit = 128_MiB;
+               } else {  // PLFS: backend files keep the default layout
+                 s.ior.hints = mpiio::Hints{};
+                 s.ior.hints.driver = mpiio::Driver::ad_plfs;
+               }
+             })
       .sweep_nprocs(procs_values)
       .repetitions(reps)
       .base_seed(0xF5'0000)

@@ -56,17 +56,15 @@ FsHealthReport collect_health_report(const lustre::FileSystem& fs,
   }
   std::sort(footprints.begin(), footprints.end(),
             [](const FileFootprint& a, const FileFootprint& b) {
-              return a.stripe_count > b.stripe_count;
+              if (a.stripe_count != b.stripe_count) {
+                return a.stripe_count > b.stripe_count;
+              }
+              return a.path < b.path;
             });
   if (footprints.size() > top_n) footprints.resize(top_n);
   report.top_consumers = std::move(footprints);
   report.mean_stripe_request =
       report.files > 0 ? stripe_sum / static_cast<double>(report.files) : 0.0;
-
-  for (const auto& name : fs.pool_names()) {
-    auto members = fs.pool_members(name);
-    report.pools.emplace_back(name, members.ok() ? members.value.size() : 0);
-  }
 
   // Project: Eq. 1 seeded with the observed D_inuse, then k more mean-shape
   // requests arrive.
@@ -112,14 +110,6 @@ std::string format_health_report(const FsHealthReport& report) {
       top.end_row();
     }
     out << "Widest layouts:\n" << top.to_string();
-  }
-
-  if (!report.pools.empty()) {
-    out << "Pools:";
-    for (const auto& [name, size] : report.pools) {
-      out << " " << name << "(" << size << ")";
-    }
-    out << "\n";
   }
 
   if (!report.projected_load.empty()) {

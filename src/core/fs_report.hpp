@@ -28,10 +28,9 @@ struct FsHealthReport {
   std::uint64_t files = 0;
   /// Occupancy census over every file currently in the namespace.
   ObservedContention occupancy;
-  /// Files with the widest layouts (the stripe hogs), widest first.
+  /// Files with the widest layouts (the stripe hogs), widest first and
+  /// by path among equal widths.
   std::vector<FileFootprint> top_consumers;
-  /// Pools and their sizes.
-  std::vector<std::pair<std::string, std::size_t>> pools;
   /// Mean stripe request across files (the "average workload" the paper's
   /// purchasing discussion reasons about).
   double mean_stripe_request = 0.0;

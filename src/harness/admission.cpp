@@ -10,15 +10,6 @@
 
 namespace pfsc::harness {
 
-const char* admission_policy_name(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::always: return "always";
-    case AdmissionPolicy::threshold: return "threshold";
-    case AdmissionPolicy::detune: return "detune";
-  }
-  return "?";
-}
-
 const char* admission_action_name(AdmissionAction action) {
   switch (action) {
     case AdmissionAction::admitted: return "admitted";
@@ -108,12 +99,6 @@ double AdmissionController::dload_with(const std::vector<double>& extra) const {
   if (inuse <= 0.0) return 0.0;
   const double total = std::accumulate(all.begin(), all.end(), 0.0);
   return total / inuse;  // Eq. 4's heterogeneous form: D_req / D_inuse
-}
-
-double AdmissionController::predicted_dload(const JobSpec* candidate) const {
-  return dload_with(candidate != nullptr
-                        ? job_requests(*candidate, params_)
-                        : std::vector<double>{});
 }
 
 void AdmissionController::pump() {

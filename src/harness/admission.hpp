@@ -47,8 +47,6 @@ enum class AdmissionPolicy : std::uint8_t {
   detune,     // reduce stripe count until predicted D_load fits
 };
 
-const char* admission_policy_name(AdmissionPolicy policy);
-
 struct AdmissionConfig {
   AdmissionPolicy policy = AdmissionPolicy::always;
   /// threshold/detune: largest predicted D_load (running mix + candidate)
@@ -105,9 +103,6 @@ class AdmissionController {
   static std::vector<double> job_requests(const JobSpec& job,
                                           const hw::PlatformParams& platform,
                                           std::uint32_t stripes_override = 0);
-
-  /// Predicted D_load of the running mix, plus `candidate` when non-null.
-  double predicted_dload(const JobSpec* candidate = nullptr) const;
 
   std::size_t running_jobs() const { return running_.size(); }
   std::size_t queued_jobs() const { return queue_.size(); }

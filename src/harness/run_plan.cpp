@@ -1,7 +1,6 @@
 #include "harness/run_plan.hpp"
 
 #include "support/rng.hpp"
-#include "support/table.hpp"
 
 namespace pfsc::harness {
 
@@ -40,14 +39,9 @@ RunPlan& RunPlan::sweep_striping_factor(std::vector<double> values) {
 }
 
 RunPlan& RunPlan::sweep_striping_unit(std::vector<double> values) {
-  Axis axis;
-  axis.name = "striping_unit";
-  axis.values = std::move(values);
-  axis.apply = [](Scenario& s, double v) {
+  return sweep("striping_unit", std::move(values), [](Scenario& s, double v) {
     s.ior.hints.striping_unit = static_cast<Bytes>(v);
-  };
-  axis.label = [](double v) { return format_bytes(static_cast<Bytes>(v)); };
-  return sweep(std::move(axis));
+  });
 }
 
 RunPlan& RunPlan::repetitions(unsigned reps) {
@@ -117,15 +111,6 @@ std::vector<PlanPoint> RunPlan::expand(const Scenario& base) const {
     out.push_back(std::move(point));
   }
   return out;
-}
-
-std::string RunPlan::format_value(std::size_t axis, double value) const {
-  PFSC_REQUIRE(axis < axes_.size(), "RunPlan: bad axis index");
-  if (axes_[axis].label) return axes_[axis].label(value);
-  if (value == static_cast<double>(static_cast<long long>(value))) {
-    return fmt_int(static_cast<long long>(value));
-  }
-  return fmt_double(value, 3);
 }
 
 }  // namespace pfsc::harness

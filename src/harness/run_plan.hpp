@@ -20,13 +20,11 @@ namespace pfsc::harness {
 
 /// One sweep dimension: a field name, the values to visit, and the setter
 /// that applies a value to a Scenario. Values are doubles (large-enough for
-/// byte sizes and process counts); `label` customises how a value prints in
-/// tables/CSV (e.g. "128M" for a stripe size).
+/// byte sizes and process counts).
 struct Axis {
   std::string name;
   std::vector<double> values;
   std::function<void(Scenario&, double)> apply;
-  std::function<std::string(double)> label;  // optional
 };
 
 /// A fully-expanded plan point: the grid coordinates (one value per axis),
@@ -71,9 +69,6 @@ class RunPlan {
   /// Materialise the cartesian grid over `base`. Axes apply in the order
   /// they were added; the last axis varies fastest.
   std::vector<PlanPoint> expand(const Scenario& base) const;
-
-  /// Format one axis value using the axis label when present.
-  std::string format_value(std::size_t axis, double value) const;
 
  private:
   std::vector<Axis> axes_;

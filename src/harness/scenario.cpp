@@ -1,6 +1,7 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -31,6 +32,7 @@ const std::string& JobSpec::display_app() const {
 void JobSpec::validate(std::size_t index) const {
   const std::string where = "JobSpec[" + std::to_string(index) + "]: ";
   PFSC_REQUIRE(arrival >= 0.0, where + "arrival must be non-negative");
+  PFSC_REQUIRE(std::isfinite(arrival), where + "arrival must be finite");
   switch (kind) {
     case JobKind::ior:
       PFSC_REQUIRE(nprocs >= 1, where + "nprocs must be positive");

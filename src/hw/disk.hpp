@@ -108,9 +108,8 @@ class DiskModel {
   std::uint64_t seeks() const { return seeks_; }
   Seconds busy_time() const { return busy_time_; }
   Seconds seek_time_total() const { return seek_time_total_; }
-  std::size_t queue_depth() const { return queued_; }
-  /// Time-weighted integral of queue_depth() (`seen` false: no request
-  /// ever arrived).
+  /// Time-weighted integral of the number of queued requests (`seen`
+  /// false: no request ever arrived).
   const QueueArea& queue_area() const { return queue_area_; }
   /// High-water mark of concurrently runnable streams.
   std::size_t max_runnable_streams() const { return max_runnable_; }

@@ -8,9 +8,12 @@ IorJob::IorJob(mpi::Communicator& comm, lustre::FileSystem& fs, Config config,
                plfs::Plfs* plfs)
     : comm_(&comm), fs_(&fs), config_(std::move(config)), plfs_(plfs) {
   PFSC_REQUIRE(config_.transfer_size > 0, "IOR: transfer size must be positive");
+  PFSC_REQUIRE(config_.block_size > 0, "IOR: block size must be positive");
   PFSC_REQUIRE(config_.block_size % config_.transfer_size == 0,
                "IOR: block size must be a multiple of transfer size");
   PFSC_REQUIRE(config_.segment_count > 0, "IOR: segment count must be positive");
+  PFSC_REQUIRE(config_.write_file || config_.read_file,
+               "IOR: write and read phases are both off; the job moves nothing");
   // IOR knows each file's final size up front; declare it so a PFL spec
   // can pick the stripe count by size class. An explicit hint wins.
   if (config_.hints.expected_file_size == 0) {

@@ -103,10 +103,6 @@ sim::Task Client::serve(Rpc* rpc) {
   x.rpcs.child_done(rpc->index);
 }
 
-sim::Co<void> Client::local_copy(Bytes bytes) {
-  if (bytes > 0) co_await proc_pipe_->transfer(bytes);
-}
-
 sim::Task Client::drain_buffered(InodeId file, Bytes offset, Bytes length) {
   const Errno e = co_await io(file, offset, length, /*is_write=*/true);
   if (e != Errno::ok && async_err_ == Errno::ok) async_err_ = e;

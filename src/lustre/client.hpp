@@ -57,11 +57,6 @@ class Client {
   /// asynchronous error, if any (fsync semantics).
   sim::Co<Errno> flush();
 
-  /// Cost of staging `bytes` through this process (collective-buffer
-  /// shuffle, scatter after collective reads): occupies the per-process
-  /// pipe but moves nothing over the I/O fabric.
-  sim::Co<void> local_copy(Bytes bytes);
-
   /// Tag this client's RPCs as belonging to `job` (OSS schedulers account
   /// and arbitrate per JobId). Untagged clients are job 0.
   void set_job(sched::JobId job) { job_ = job; }

@@ -90,32 +90,4 @@ bool ExtentMap::covers(Bytes offset, Bytes length) const {
   return it->start <= offset && it->end >= offset + length;
 }
 
-Bytes ExtentMap::covered_bytes(Bytes offset, Bytes length) const {
-  if (length == 0) return 0;
-  settle();
-  const Bytes end = offset + length;
-  Bytes covered = 0;
-  auto it = std::upper_bound(
-      extents_.begin(), extents_.end(), offset,
-      [](Bytes off, const Extent& e) { return off < e.start; });
-  if (it != extents_.begin() && (it - 1)->end > offset) --it;
-  for (; it != extents_.end() && it->start < end; ++it) {
-    const Bytes lo = std::max(offset, it->start);
-    const Bytes hi = std::min(end, it->end);
-    if (hi > lo) covered += hi - lo;
-  }
-  return covered;
-}
-
-Bytes ExtentMap::end_offset() const {
-  settle();
-  return extents_.empty() ? 0 : extents_.back().end;
-}
-
-void ExtentMap::clear() {
-  extents_.clear();
-  sorted_ = 0;
-  total_ = 0;
-}
-
 }  // namespace pfsc::lustre

@@ -31,23 +31,16 @@ class ExtentMap {
   /// True iff every byte of [offset, offset+length) has been written.
   bool covers(Bytes offset, Bytes length) const;
 
-  /// Bytes of [offset, offset+length) that have been written.
-  Bytes covered_bytes(Bytes offset, Bytes length) const;
-
   /// Total distinct bytes written.
   Bytes total_bytes() const {
     settle();
     return total_;
   }
 
-  /// One past the highest written byte (file size under append semantics).
-  Bytes end_offset() const;
-
   std::size_t extent_count() const {
     settle();
     return extents_.size();
   }
-  void clear();
 
  private:
   struct Extent {

@@ -136,18 +136,11 @@ sim::Co<void> FileSystem::mds_op(Seconds cost) {
   mds_slots_.release();
 }
 
-StripeSettings FileSystem::effective_settings(const Inode& dir,
-                                              StripeSettings req) const {
+StripeSettings FileSystem::effective_settings(StripeSettings req) const {
   StripeSettings eff = req;
-  if (dir.has_dir_default) {
-    if (eff.stripe_count == 0) eff.stripe_count = dir.dir_default.stripe_count;
-    if (eff.stripe_size == 0) eff.stripe_size = dir.dir_default.stripe_size;
-    if (eff.stripe_offset < 0) eff.stripe_offset = dir.dir_default.stripe_offset;
-    if (eff.pool.empty()) eff.pool = dir.dir_default.pool;
-  }
-  // PFL: a create that still defaults its stripe count but declares an
-  // expected size gets the count of its size class. Explicit requests and
-  // directory defaults both outrank the progressive layout, as in Lustre.
+  // PFL: a create that defaults its stripe count but declares an expected
+  // size gets the count of its size class. An explicit request outranks
+  // the progressive layout, as in Lustre.
   if (eff.stripe_count == 0 && eff.size_hint > 0 && !pfl_.empty()) {
     eff.stripe_count = pfl_.choose(eff.size_hint);
   }
@@ -163,65 +156,12 @@ void FileSystem::set_pfl(PflSpec spec) {
   pfl_ = std::move(spec);
 }
 
-Errno FileSystem::pool_new(const std::string& name) {
-  if (name.empty()) return Errno::einval;
-  auto [it, inserted] = pools_.try_emplace(name);
-  return inserted ? Errno::ok : Errno::eexist;
-}
-
-Errno FileSystem::pool_add(const std::string& name,
-                           std::span<const OstIndex> osts) {
-  auto it = pools_.find(name);
-  if (it == pools_.end()) return Errno::enoent;
-  for (OstIndex ost : osts) {
-    if (ost >= params_.ost_count) return Errno::einval;
-    if (std::find(it->second.begin(), it->second.end(), ost) == it->second.end()) {
-      it->second.push_back(ost);
-    }
-  }
-  return Errno::ok;
-}
-
-Result<std::vector<OstIndex>> FileSystem::pool_members(
-    const std::string& name) const {
-  using R = Result<std::vector<OstIndex>>;
-  auto it = pools_.find(name);
-  if (it == pools_.end()) return R::failure(Errno::enoent);
-  return R::success(it->second);
-}
-
-std::vector<std::string> FileSystem::pool_names() const {
-  std::vector<std::string> names;
-  names.reserve(pools_.size());
-  for (const auto& [name, members] : pools_) names.push_back(name);
-  return names;
-}
-
 Result<std::vector<OstIndex>> FileSystem::allocate_osts(
     const StripeSettings& settings) {
   using R = Result<std::vector<OstIndex>>;
   const std::uint32_t want = settings.stripe_count;
   if (want == 0 || want > params_.ost_count) return R::failure(Errno::einval);
   if (healthy_ost_count() < want) return R::failure(Errno::enospc);
-
-  // Pool-constrained allocation: sample uniformly from the healthy pool
-  // members (explicit stripe_offset and round-robin ignore pools, like the
-  // real allocator when given explicit placement).
-  if (!settings.pool.empty() && settings.stripe_offset < 0) {
-    auto it = pools_.find(settings.pool.view());
-    if (it == pools_.end()) return R::failure(Errno::einval);
-    std::vector<OstIndex> healthy;
-    for (OstIndex ost : it->second) {
-      if (!ost_failed_[ost]) healthy.push_back(ost);
-    }
-    if (healthy.size() < want) return R::failure(Errno::enospc);
-    auto picks = rng_.sample_without_replacement(
-        static_cast<std::uint32_t>(healthy.size()), want);
-    std::vector<OstIndex> chosen;
-    chosen.reserve(want);
-    for (auto p : picks) chosen.push_back(healthy[p]);
-    return R::success(std::move(chosen));
-  }
 
   std::vector<OstIndex> chosen;
   chosen.reserve(want);
@@ -255,7 +195,7 @@ sim::Co<Result<InodeId>> FileSystem::create(std::string path,
   Inode& dir = inode(dir_id);
   if (dir.entries.contains(leaf)) co_return R::failure(Errno::eexist);
 
-  const StripeSettings eff = effective_settings(dir, settings);
+  const StripeSettings eff = effective_settings(settings);
   auto osts = allocate_osts(eff);
   if (!osts.ok()) co_return R::failure(osts.err);
 
@@ -309,9 +249,6 @@ sim::Co<Result<InodeId>> FileSystem::mkdir(std::string path) {
   Inode& dir = inode(dir_id);
   if (dir.entries.contains(leaf)) co_return R::failure(Errno::eexist);
   Inode& child = new_inode(/*is_dir=*/true, dir_id, leaf);
-  // New directories inherit the parent's default layout (Lustre semantics).
-  child.has_dir_default = dir.has_dir_default;
-  child.dir_default = dir.dir_default;
   dir.entries.emplace(leaf, child.id);
   co_return R::success(child.id);
 }
@@ -351,18 +288,6 @@ sim::Co<Result<std::vector<std::string>>> FileSystem::readdir(std::string path) 
   names.reserve(dir.entries.size());
   for (const auto& [name, id] : dir.entries) names.push_back(name);
   co_return R::success(std::move(names));
-}
-
-sim::Co<Errno> FileSystem::set_dir_stripe(std::string path,
-                                          StripeSettings settings) {
-  co_await mds_op(params_.mds_open_time);
-  auto r = resolve(path);
-  if (!r.ok()) co_return r.err;
-  Inode& dir = inode(r.value);
-  if (!dir.is_dir) co_return Errno::enotdir;
-  dir.dir_default = settings;
-  dir.has_dir_default = true;
-  co_return Errno::ok;
 }
 
 hw::DiskModel& FileSystem::ost_disk(OstIndex ost) {
@@ -455,16 +380,6 @@ std::vector<std::uint32_t> FileSystem::ost_occupancy(
     for (OstIndex ost : file.layout.osts) ++per_ost[ost];
   }
   return per_ost;
-}
-
-std::vector<std::uint32_t> FileSystem::collision_histogram(
-    std::span<const InodeId> files) const {
-  auto per_ost = ost_occupancy(files);
-  std::uint32_t max_k = 0;
-  for (auto k : per_ost) max_k = std::max(max_k, k);
-  std::vector<std::uint32_t> hist(max_k + 1, 0);
-  for (auto k : per_ost) ++hist[k];
-  return hist;
 }
 
 Bytes FileSystem::total_bytes_written() const {

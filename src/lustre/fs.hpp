@@ -54,8 +54,6 @@ struct Inode {
 
   // -- directories -------------------------------------------------------
   std::map<std::string, InodeId, std::less<>> entries;
-  StripeSettings dir_default;  // lfs setstripe on a directory
-  bool has_dir_default = false;
 };
 
 class FileSystem {
@@ -71,8 +69,6 @@ class FileSystem {
   sim::Co<Result<InodeId>> mkdir(std::string path);
   sim::Co<Errno> unlink(std::string path);
   sim::Co<Result<std::vector<std::string>>> readdir(std::string path);
-  /// lfs setstripe on a directory: default layout for files created inside.
-  sim::Co<Errno> set_dir_stripe(std::string path, StripeSettings settings);
 
   // -- instantaneous inspection (tests, statistics; no simulated cost) --
   Inode* find(std::string_view path);
@@ -122,21 +118,12 @@ class FileSystem {
   /// its own depth as it changes.
   double sched_mean_queue_depth() const;
   /// The same for the requests queued in the OST disk elevators
-  /// (DiskModel::queue_depth), where a FIFO run does its waiting.
+  /// (DiskModel::queue_area), where a FIFO run does its waiting.
   double disk_mean_queue_depth() const;
   /// Served bytes per job, merged across all OSS schedulers.
   std::map<sched::JobId, Bytes> sched_served_by_job() const;
   /// Jain fairness index over the merged per-job served bytes.
   double sched_jain() const;
-
-  // -- OST pools (lfs pool_* semantics) ----------------------------------
-  /// Create an empty pool; EEXIST if it already exists.
-  Errno pool_new(const std::string& name);
-  /// Add OSTs to a pool; ENOENT if the pool does not exist.
-  Errno pool_add(const std::string& name, std::span<const OstIndex> osts);
-  /// Members of a pool; ENOENT if it does not exist.
-  Result<std::vector<OstIndex>> pool_members(const std::string& name) const;
-  std::vector<std::string> pool_names() const;
 
   // -- health / failure injection ----------------------------------------
   void fail_ost(OstIndex ost);
@@ -164,8 +151,6 @@ class FileSystem {
   std::vector<std::uint64_t> objects_per_ost() const { return objects_per_ost_; }
   /// For the given files: how many of them have >= 1 object on each OST.
   std::vector<std::uint32_t> ost_occupancy(std::span<const InodeId> files) const;
-  /// Histogram h[k] = number of OSTs used by exactly k of the given files.
-  std::vector<std::uint32_t> collision_histogram(std::span<const InodeId> files) const;
   Bytes total_bytes_written() const;
 
  private:
@@ -174,7 +159,7 @@ class FileSystem {
   /// Resolve all but the last component; returns (parent inode, leaf name).
   Result<std::pair<InodeId, std::string>> resolve_parent(std::string_view path) const;
   Result<std::vector<OstIndex>> allocate_osts(const StripeSettings& settings);
-  StripeSettings effective_settings(const Inode& dir, StripeSettings req) const;
+  StripeSettings effective_settings(StripeSettings req) const;
   Inode& new_inode(bool is_dir, InodeId parent, std::string name);
 
   sim::Engine* eng_;
@@ -195,7 +180,6 @@ class FileSystem {
   std::vector<std::unique_ptr<Inode>> inodes_;  // index = InodeId - 1
   InodeId root_ = kNoInode;
   ObjectId next_object_ = 1;
-  std::map<std::string, std::vector<OstIndex>, std::less<>> pools_;
 };
 
 /// Split "/a/b/c" into components; rejects empty components.

@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/units.hpp"
@@ -19,56 +18,11 @@ namespace pfsc::lustre {
 using OstIndex = std::uint32_t;
 using ObjectId = std::uint64_t;
 
-/// Fixed-capacity OST-pool name.
-///
-/// StripeSettings travels by value through coroutine parameters, and GCC
-/// 12's coroutine codegen double-frees by-value aggregate parameters with
-/// non-trivially-destructible members (verified with a minimal repro).
-/// Keeping the settings trivially destructible sidesteps the bug; 31
-/// characters matches Lustre's own pool-name limit (LOV_MAXPOOLNAME = 15
-/// in old releases, 31 later).
-struct PoolName {
-  char chars[32] = {};
-
-  PoolName() = default;
-  PoolName(std::string_view name) {  // NOLINT: implicit by design
-    assign(name);
-  }
-  PoolName(const char* name) : PoolName(std::string_view(name)) {}  // NOLINT
-  PoolName& operator=(const char* name) {
-    assign(std::string_view(name));
-    return *this;
-  }
-  PoolName& operator=(std::string_view name) {
-    assign(name);
-    return *this;
-  }
-
-  void assign(std::string_view name) {
-    const std::size_t n = name.size() < sizeof(chars) - 1
-                              ? name.size()
-                              : sizeof(chars) - 1;
-    std::memcpy(chars, name.data(), n);
-    chars[n] = '\0';
-  }
-
-  bool empty() const { return chars[0] == '\0'; }
-  std::string_view view() const { return std::string_view(chars); }
-  friend bool operator==(const PoolName& a, const PoolName& b) {
-    return a.view() == b.view();
-  }
-};
-static_assert(std::is_trivially_destructible_v<PoolName>);
-
-/// What a user asks for (MPI-IO hints / lfs setstripe).
+/// What a user asks for (MPI-IO hints).
 struct StripeSettings {
   StripeSettings() = default;
-  StripeSettings(std::uint32_t count, Bytes size, std::int32_t offset = -1,
-                 PoolName pool_name = {})
-      : stripe_count(count),
-        stripe_size(size),
-        stripe_offset(offset),
-        pool(pool_name) {}
+  StripeSettings(std::uint32_t count, Bytes size, std::int32_t offset = -1)
+      : stripe_count(count), stripe_size(size), stripe_offset(offset) {}
 
   std::uint32_t stripe_count = 0;  // 0 = file-system default
   Bytes stripe_size = 0;           // 0 = file-system default
@@ -76,9 +30,6 @@ struct StripeSettings {
   /// offset, OSTs are assigned sequentially from that index (real Lustre
   /// semantics for the stripe_offset hint).
   std::int32_t stripe_offset = -1;
-  /// OST pool to allocate from (lfs pool_new/pool_add); empty = any OST.
-  /// Pools isolate workloads from each other's contention.
-  PoolName pool;
   /// Expected final file size (0 = unknown). Never changes the layout by
   /// itself: when the stripe count is otherwise defaulted and the file
   /// system carries a PflSpec, the MDS picks the count from this hint's
@@ -86,9 +37,13 @@ struct StripeSettings {
   /// layout's first matching component.
   Bytes size_hint = 0;
 };
+// StripeSettings travels by value through coroutine parameters, and GCC
+// 12's coroutine codegen double-frees by-value aggregate parameters with
+// non-trivially-destructible members (verified with a minimal repro).
+// Keeping the settings trivially destructible sidesteps the bug.
 static_assert(std::is_trivially_destructible_v<StripeSettings>,
               "StripeSettings crosses coroutine parameter boundaries by "
-              "value; see PoolName for why it must stay trivial");
+              "value and must stay trivially destructible (GCC 12)");
 
 /// A resolved layout: stripe size plus the ordered OSTs and their objects.
 struct StripeLayout {

@@ -2,23 +2,13 @@
 
 namespace pfsc::lustre {
 
-sim::Co<Errno> lfs_setstripe(FileSystem& fs, std::string dir_path,
-                             StripeSettings settings) {
-  co_return co_await fs.set_dir_stripe(std::move(dir_path), settings);
-}
-
 Result<StripeInfo> lfs_getstripe(const FileSystem& fs, std::string_view path) {
   const Inode* node = fs.find(path);
   if (node == nullptr) return Result<StripeInfo>::failure(Errno::enoent);
   StripeInfo info;
   if (node->is_dir) {
-    const StripeSettings& d = node->dir_default;
-    info.stripe_count = node->has_dir_default && d.stripe_count > 0
-                            ? d.stripe_count
-                            : fs.params().default_stripe_count;
-    info.stripe_size = node->has_dir_default && d.stripe_size > 0
-                           ? d.stripe_size
-                           : fs.params().default_stripe_size;
+    info.stripe_count = fs.params().default_stripe_count;
+    info.stripe_size = fs.params().default_stripe_size;
   } else {
     info.stripe_count = node->layout.stripe_count();
     info.stripe_size = node->layout.stripe_size;
@@ -36,20 +26,6 @@ std::vector<DfEntry> lfs_df(const FileSystem& fs) {
     out.push_back(DfEntry{ost, usage[i], fs.ost_failed(ost)});
   }
   return out;
-}
-
-Errno lfs_pool_new(FileSystem& fs, const std::string& pool) {
-  return fs.pool_new(pool);
-}
-
-Errno lfs_pool_add(FileSystem& fs, const std::string& pool,
-                   std::span<const OstIndex> osts) {
-  return fs.pool_add(pool, osts);
-}
-
-Result<std::vector<OstIndex>> lfs_pool_list(const FileSystem& fs,
-                                            const std::string& pool) {
-  return fs.pool_members(pool);
 }
 
 }  // namespace pfsc::lustre

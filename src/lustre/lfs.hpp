@@ -1,5 +1,5 @@
-// `lfs`-style administrative helpers (setstripe / getstripe / df), matching
-// the control operations the paper mentions ("unless otherwise specified
+// `lfs`-style administrative helpers (getstripe / df), matching the
+// control operations the paper mentions ("unless otherwise specified
 // using the lfs control program").
 #pragma once
 
@@ -10,15 +10,11 @@ namespace pfsc::lustre {
 struct StripeInfo {
   std::uint32_t stripe_count = 0;
   Bytes stripe_size = 0;
-  std::vector<OstIndex> osts;  // empty for directory defaults
+  std::vector<OstIndex> osts;  // empty for a directory
 };
 
-/// `lfs setstripe <dir>`: set the default layout for files created in `dir`.
-sim::Co<Errno> lfs_setstripe(FileSystem& fs, std::string dir_path,
-                             StripeSettings settings);
-
-/// `lfs getstripe <path>`: report the layout of a file, or the default
-/// layout of a directory (falls back to file-system defaults).
+/// `lfs getstripe <path>`: report the layout of a file, or the file-system
+/// default layout for a directory.
 Result<StripeInfo> lfs_getstripe(const FileSystem& fs, std::string_view path);
 
 struct DfEntry {
@@ -29,14 +25,5 @@ struct DfEntry {
 
 /// `lfs df`-style per-OST usage summary.
 std::vector<DfEntry> lfs_df(const FileSystem& fs);
-
-/// `lfs pool_new <fsname>.<pool>`.
-Errno lfs_pool_new(FileSystem& fs, const std::string& pool);
-/// `lfs pool_add <fsname>.<pool> <osts>`.
-Errno lfs_pool_add(FileSystem& fs, const std::string& pool,
-                   std::span<const OstIndex> osts);
-/// `lfs pool_list <fsname>.<pool>`.
-Result<std::vector<OstIndex>> lfs_pool_list(const FileSystem& fs,
-                                            const std::string& pool);
 
 }  // namespace pfsc::lustre

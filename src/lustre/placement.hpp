@@ -1,5 +1,5 @@
 // MDS-side OST placement policies: how the allocator picks the OST set of
-// a new file when the caller gives no explicit stripe_offset or pool.
+// a new file when the caller gives no explicit stripe_offset.
 //
 // The paper's lscratchc assigns "targets at random (based on current
 // usage, to maintain an approximately even capacity)" — that is

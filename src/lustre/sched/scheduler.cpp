@@ -86,15 +86,6 @@ Bytes Scheduler::served_bytes(JobId job) const {
   return it == served_.end() ? 0 : it->second;
 }
 
-double Scheduler::jain() const {
-  std::vector<double> shares;
-  shares.reserve(served_.size());
-  for (const auto& [job, bytes] : served_) {
-    shares.push_back(static_cast<double>(bytes));
-  }
-  return jain_index(shares);
-}
-
 void Scheduler::check_invariants() const {
   if (admitted_bytes_ > submitted_bytes_) {
     throw SimulationError("Scheduler: admitted more bytes than submitted");

@@ -87,8 +87,6 @@ class Scheduler {
   Bytes served_bytes() const { return served_bytes_; }
   Bytes served_bytes(JobId job) const;
   const std::map<JobId, Bytes>& served_by_job() const { return served_; }
-  /// Jain fairness index over per-job served bytes (1.0 when idle).
-  double jain() const;
 
   const SchedTuning& tuning() const { return tuning_; }
 

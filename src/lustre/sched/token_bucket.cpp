@@ -121,14 +121,6 @@ void TokenBucketSched::on_retune(const SchedTuning& previous) {
   for (const JobId job : jobs) drain(job);
 }
 
-double TokenBucketSched::tokens(JobId job) const {
-  const auto it = buckets_.find(job);
-  if (it == buckets_.end()) return static_cast<double>(tuning_.bucket_depth);
-  const Bucket& b = it->second;
-  return std::min(static_cast<double>(tuning_.bucket_depth),
-                  b.tokens + tuning_.job_rate * (eng_->now() - b.last));
-}
-
 void TokenBucketSched::check_invariants() const {
   Scheduler::check_invariants();
   std::size_t pending = 0;

@@ -34,10 +34,6 @@ class TokenBucketSched final : public Scheduler {
   SchedPolicy policy() const override { return SchedPolicy::token_bucket; }
   void check_invariants() const override;
 
-  /// Current token balance of a job's bucket (diagnostics/tests); may be
-  /// negative while the bucket pays off an oversized grant.
-  double tokens(JobId job) const;
-
  private:
   struct Pending {
     Bytes bytes = 0;

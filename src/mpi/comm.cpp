@@ -21,12 +21,6 @@ sim::Co<void> Communicator::barrier(int rank) {
   co_await allreduce(rank, 0.0, ReduceOp::sum);
 }
 
-sim::Co<double> Communicator::bcast(int rank, int root, double value) {
-  PFSC_REQUIRE(root >= 0 && root < size_, "bcast: bad root");
-  // Implemented as an allreduce where only the root contributes.
-  co_return co_await allreduce(rank, rank == root ? value : 0.0, ReduceOp::sum);
-}
-
 // Shared rendezvous skeleton. `complete` runs exactly once (in the last
 // arriver); `extract` runs in every rank while the state is still alive.
 namespace {
@@ -64,34 +58,6 @@ sim::Co<double> Communicator::allreduce(int rank, double value, ReduceOp op) {
     co_await p.done->wait();
   }
   const double result = pending_.at(seq).scalar;
-  if (++pending_.at(seq).consumed == size_) pending_.erase(seq);
-  co_await eng_->delay(collective_latency());
-  co_return result;
-}
-
-sim::Co<std::vector<double>> Communicator::allgather(int rank, double value) {
-  PFSC_REQUIRE(rank >= 0 && rank < size_, "allgather: bad rank");
-  const std::uint64_t seq = next_seq_[static_cast<std::size_t>(rank)]++;
-  Pending& p = pending_[seq];
-  if (p.contribs.empty()) {
-    p.contribs.resize(static_cast<std::size_t>(size_));
-    p.present.assign(static_cast<std::size_t>(size_), false);
-    p.done = std::make_unique<sim::Event>(*eng_);
-  }
-  PFSC_ASSERT(!p.present[static_cast<std::size_t>(rank)]);
-  p.present[static_cast<std::size_t>(rank)] = true;
-  p.contribs[static_cast<std::size_t>(rank)].value = value;
-  ++p.arrived;
-  if (p.arrived == size_) {
-    p.vec.resize(static_cast<std::size_t>(size_));
-    for (int r = 0; r < size_; ++r) {
-      p.vec[static_cast<std::size_t>(r)] = p.contribs[static_cast<std::size_t>(r)].value;
-    }
-    p.done->trigger();
-  } else {
-    co_await p.done->wait();
-  }
-  std::vector<double> result = pending_.at(seq).vec;
   if (++pending_.at(seq).consumed == size_) pending_.erase(seq);
   co_await eng_->delay(collective_latency());
   co_return result;

@@ -1,7 +1,7 @@
 // SimMPI communicators.
 //
 // A Communicator groups rank coroutines and gives them MPI-style collective
-// operations: barrier, bcast, allreduce, allgather and comm_split. Payload
+// operations: barrier, allreduce and comm_split. Payload
 // bytes are not modelled (the apps in this study only exchange control-sized
 // messages); each collective costs a latency term of
 // 2 * ceil(log2(size)) * collective_hop_latency, the usual tree bound.
@@ -38,16 +38,10 @@ class Communicator {
   /// MPI_Barrier.
   sim::Co<void> barrier(int rank);
 
-  /// MPI_Bcast of a double (value significant only at `root`).
-  sim::Co<double> bcast(int rank, int root, double value);
-
   enum class ReduceOp { sum, min, max };
 
   /// MPI_Allreduce on a double.
   sim::Co<double> allreduce(int rank, double value, ReduceOp op);
-
-  /// MPI_Allgather of one double per rank; result indexed by rank.
-  sim::Co<std::vector<double>> allgather(int rank, double value);
 
   /// MPI_Comm_split. Ranks with the same colour form a sub-communicator;
   /// ranks are ordered by (key, old rank). Returns the sub-communicator
@@ -79,7 +73,6 @@ class Communicator {
     std::unique_ptr<sim::Event> done;
     // Results:
     double scalar = 0.0;
-    std::vector<double> vec;
     std::vector<Communicator*> split_comm_of_rank;
     std::vector<int> split_rank_of_rank;
   };

@@ -296,35 +296,6 @@ sim::Co<Errno> Plfs::read(lustre::Client& client, ReadHandle& h,
   co_return Errno::ok;
 }
 
-sim::Co<Errno> Plfs::remove(lustre::Client& client, std::string logical_path) {
-  if (!is_container(logical_path)) co_return Errno::enoent;
-  // Depth-first: unlink data/index files, then hash dirs, then the marker
-  // and the container directory itself.
-  auto top = co_await fs_->readdir(logical_path);
-  if (!top.ok()) co_return top.err;
-  for (const auto& entry : top.value) {
-    const std::string child = logical_path + "/" + entry;
-    const lustre::Inode* node = fs_->find(child);
-    if (node == nullptr) continue;
-    if (node->is_dir) {
-      auto listing = co_await fs_->readdir(child);
-      if (!listing.ok()) co_return listing.err;
-      for (const auto& name : listing.value) {
-        if (Errno e = co_await client.unlink(child + "/" + name); e != Errno::ok) {
-          co_return e;
-        }
-      }
-      if (Errno e = co_await client.unlink(child); e != Errno::ok) co_return e;
-    } else {
-      if (Errno e = co_await client.unlink(child); e != Errno::ok) co_return e;
-    }
-  }
-  if (Errno e = co_await client.unlink(logical_path); e != Errno::ok) co_return e;
-  shadow_index_.erase(logical_path);
-  shadow_data_files_.erase(logical_path);
-  co_return Errno::ok;
-}
-
 bool Plfs::is_container(std::string_view logical_path) const {
   const lustre::Inode* node = fs_->find(logical_path);
   return node != nullptr && node->is_dir && node->entries.contains("access");

@@ -8,10 +8,9 @@
 // records. Readers merge all index logs into one logical->physical map.
 //
 // Because each backend file is created through POSIX with the file-system
-// default layout (2 x 1 MiB stripes on lscratchc, unless lfs setstripe says
-// otherwise), a run with n ranks scatters 2n stripes over the OSTs — the
-// self-contention that Section VI of the paper quantifies with
-// Equations 5-6.
+// default layout (2 x 1 MiB stripes on lscratchc), a run with n ranks
+// scatters 2n stripes over the OSTs — the self-contention that Section VI
+// of the paper quantifies with Equations 5-6.
 #pragma once
 
 #include <cstdint>
@@ -112,10 +111,6 @@ class Plfs {
                                                 std::string logical_path);
   sim::Co<lustre::Errno> read(lustre::Client& client, ReadHandle& h,
                               Bytes logical_offset, Bytes length);
-
-  /// Remove a container and every backend file in it (plfs_rm/rmdir).
-  sim::Co<lustre::Errno> remove(lustre::Client& client,
-                                std::string logical_path);
 
   // -- inspection ---------------------------------------------------------
   bool is_container(std::string_view logical_path) const;

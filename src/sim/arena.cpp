@@ -33,8 +33,6 @@ FrameArena* FrameArena::exchange_current(FrameArena* arena) {
   return prev;
 }
 
-FrameArena* FrameArena::current() { return t_current_arena; }
-
 void* FrameArena::allocate_frame(std::size_t bytes) {
   FrameArena* arena = t_current_arena;
   const std::size_t total = sizeof(Header) + bytes;

@@ -41,7 +41,6 @@ class FrameArena {
   /// Make `arena` the calling thread's current arena (nullptr allowed);
   /// returns the previous one so callers can restore it (Engine does).
   static FrameArena* exchange_current(FrameArena* arena);
-  static FrameArena* current();
 
   /// Allocate a frame of `bytes` through the thread's current arena (or
   /// the global allocator when none is installed / the size is huge).

@@ -1,6 +1,5 @@
 #include "support/rng.hpp"
 
-#include <cmath>
 #include <numeric>
 
 namespace pfsc {
@@ -22,7 +21,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-  have_spare_ = false;
 }
 
 std::uint64_t Rng::next_u64() {
@@ -62,25 +60,6 @@ double Rng::uniform_double(double lo, double hi) {
   return lo + (hi - lo) * uniform_double();
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (have_spare_) {
-    have_spare_ = false;
-    return mean + stddev * spare_;
-  }
-  double u = 0.0;
-  double v = 0.0;
-  double s = 0.0;
-  do {
-    u = uniform_double(-1.0, 1.0);
-    v = uniform_double(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_ = v * factor;
-  have_spare_ = true;
-  return mean + stddev * u * factor;
-}
-
 std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n, std::uint32_t k) {
   PFSC_REQUIRE(k <= n, "sample_without_replacement: k exceeds population");
   std::vector<std::uint32_t> pool(n);
@@ -91,13 +70,6 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n, std:
   }
   pool.resize(k);
   return pool;
-}
-
-Rng Rng::split() {
-  Rng child;
-  std::uint64_t sm = next_u64();
-  for (auto& word : child.s_) word = splitmix64(sm);
-  return child;
 }
 
 }  // namespace pfsc

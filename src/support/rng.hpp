@@ -32,9 +32,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform_double(double lo, double hi);
 
-  /// Truncated normal sample (mean, stddev), clamped to [lo, hi].
-  double normal(double mean, double stddev);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) {
@@ -48,14 +45,8 @@ class Rng {
   /// Sample `k` distinct values from [0, n) uniformly (partial Fisher–Yates).
   std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n, std::uint32_t k);
 
-  /// Split off an independent child stream (for per-repetition seeding).
-  Rng split();
-
  private:
   std::array<std::uint64_t, 4> s_{};
-  // Cached spare for normal() (Marsaglia polar method).
-  bool have_spare_ = false;
-  double spare_ = 0.0;
 };
 
 }  // namespace pfsc

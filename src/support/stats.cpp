@@ -112,17 +112,6 @@ double jain_index(std::span<const double> shares) {
   return (sum * sum) / (static_cast<double>(shares.size()) * sum_sq);
 }
 
-double percentile(std::vector<double> samples, double p) {
-  PFSC_REQUIRE(!samples.empty(), "percentile: empty sample set");
-  PFSC_REQUIRE(p >= 0.0 && p <= 1.0, "percentile: p outside [0,1]");
-  std::sort(samples.begin(), samples.end());
-  const double idx = p * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const auto hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
 void QueueArea::advance(double now, std::size_t depth) {
   if (!seen) {
     seen = true;

@@ -57,9 +57,6 @@ double mean_of(std::span<const double> samples);
 /// Empty or all-zero inputs count as perfectly fair (1.0).
 double jain_index(std::span<const double> shares);
 
-/// Population percentile by linear interpolation (p in [0,1]).
-double percentile(std::vector<double> samples, double p);
-
 /// Time-weighted integral of a queue's depth, kept exactly as the depth
 /// changes, between its first and its last change (`seen` false: the
 /// depth never changed).

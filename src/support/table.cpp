@@ -68,20 +68,6 @@ std::string TextTable::to_string() const {
   return out.str();
 }
 
-std::string TextTable::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 void TextTable::print(const std::string& caption) const {
   if (!caption.empty()) std::printf("%s\n", caption.c_str());
   std::fputs(to_string().c_str(), stdout);

@@ -23,7 +23,6 @@ class TextTable {
   void end_row();
 
   std::string to_string() const;
-  std::string to_csv() const;
   /// Print to stdout with an optional caption line.
   void print(const std::string& caption = "") const;
 

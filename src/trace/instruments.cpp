@@ -46,16 +46,6 @@ InstrumentSet total_bytes_instruments(lustre::FileSystem& fs) {
   return out;
 }
 
-InstrumentSet ost_instruments(lustre::FileSystem& fs, lustre::OstIndex ost) {
-  InstrumentSet out;
-  out.push_back({"ost" + std::to_string(ost) + "_busy",
-                 [&fs, ost] { return fs.ost_disk(ost).busy_time(); }});
-  out.push_back({"ost" + std::to_string(ost) + "_queue", [&fs, ost] {
-                   return static_cast<double>(fs.ost_disk(ost).queue_depth());
-                 }});
-  return out;
-}
-
 RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec) {
   RunSummary s;
   for (const auto& [job, bytes] : fs.sched_served_by_job()) {

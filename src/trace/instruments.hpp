@@ -44,10 +44,6 @@ InstrumentSet sched_instruments(lustre::FileSystem& fs,
 /// Cumulative bytes written to all OSTs of `fs` (`total_bytes`).
 InstrumentSet total_bytes_instruments(lustre::FileSystem& fs);
 
-/// One OST disk: `ostN_busy` (cumulative busy seconds) and `ostN_queue`
-/// (instantaneous queue depth).
-InstrumentSet ost_instruments(lustre::FileSystem& fs, lustre::OstIndex ost);
-
 /// Roll a finished run up into a RunSummary. Per-job bytes, the Jain
 /// index and the mean queue depth come straight from FileSystem::sched_*
 /// (so they match the schedulers' own accounting bit for bit and cover

@@ -15,15 +15,6 @@ const char* cat_name(Cat c) {
   return "?";
 }
 
-const char* trace_mode_name(TraceMode mode) {
-  switch (mode) {
-    case TraceMode::off: return "off";
-    case TraceMode::summary: return "summary";
-    case TraceMode::full: return "full";
-  }
-  return "?";
-}
-
 unsigned trace_categories(TraceMode mode) {
   switch (mode) {
     case TraceMode::off: return 0;

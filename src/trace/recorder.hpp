@@ -81,7 +81,6 @@ struct Event {
 
 enum class TraceMode : std::uint8_t { off, summary, full };
 
-const char* trace_mode_name(TraceMode mode);
 /// Category enable mask a mode implies (off -> 0).
 unsigned trace_categories(TraceMode mode);
 /// Parse "off" / "summary" / "full" into `out`; false on anything else.

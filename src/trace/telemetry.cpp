@@ -1,6 +1,5 @@
 #include "trace/telemetry.hpp"
 
-#include <sstream>
 #include <utility>
 
 namespace pfsc::trace {
@@ -97,20 +96,6 @@ Series Sampler::bandwidth_timeline(const Series& cumulative_bytes) {
     out.value.push_back(to_mbps(db / dt));
   }
   return out;
-}
-
-std::string Sampler::to_csv() const {
-  std::ostringstream out;
-  out << "time";
-  for (const auto& s : series_) out << ',' << s.name;
-  out << '\n';
-  const std::size_t ticks = series_.empty() ? 0 : series_.front().size();
-  for (std::size_t t = 0; t < ticks; ++t) {
-    out << series_.front().at[t];
-    for (const auto& s : series_) out << ',' << s.value[t];
-    out << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace pfsc::trace

@@ -78,10 +78,6 @@ class Sampler {
   /// Differentiate a cumulative byte series into MB/s per interval.
   static Series bandwidth_timeline(const Series& cumulative_bytes);
 
-  /// CSV with a time column plus one column per series (missing points
-  /// are not possible: all series share the tick).
-  std::string to_csv() const;
-
  private:
   sim::Task run();
   void sample_tick();

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/metrics.hpp"
 #include "harness/admission.hpp"
+#include "harness/cli.hpp"
+#include "harness/run_plan.hpp"
 #include "harness/scenario.hpp"
 #include "lustre/layout.hpp"
 #include "lustre/placement.hpp"
@@ -129,14 +133,6 @@ TEST(ContentionTable, MatchesPointwiseEvaluation) {
   }
 }
 
-TEST(PoolNameHygiene, EmbeddedInSettingsConstructor) {
-  const lustre::StripeSettings s(4, 1_MiB, -1, "flash");
-  EXPECT_EQ(s.pool.view(), "flash");
-  const lustre::StripeSettings plain(4, 1_MiB);
-  EXPECT_TRUE(plain.pool.empty());
-  EXPECT_EQ(plain.stripe_offset, -1);
-}
-
 TEST(PlacementEdge, NodeAffineInfeasibleBandReturnsEmpty) {
   // Two healthy OSTs can never host a 3-wide band; the policy reports the
   // infeasibility (empty set) instead of wrapping or shrinking.
@@ -217,15 +213,22 @@ harness::JobSpec ior_job(std::uint32_t id, Seconds arrival,
 TEST(AdmissionEdge, PolicyAndActionNamesMatchCliSpelling) {
   using harness::AdmissionAction;
   using harness::AdmissionPolicy;
-  EXPECT_STREQ(harness::admission_policy_name(AdmissionPolicy::always),
-               "always");
-  EXPECT_STREQ(harness::admission_policy_name(AdmissionPolicy::threshold),
-               "threshold");
-  EXPECT_STREQ(harness::admission_policy_name(AdmissionPolicy::detune),
-               "detune");
-  EXPECT_STREQ(harness::admission_policy_name(
-                   static_cast<AdmissionPolicy>(0xEE)),
-               "?");
+  // A policy is named only by the CLI's --admission spelling.
+  const std::pair<std::string, AdmissionPolicy> policies[] = {
+      {"always", AdmissionPolicy::always},
+      {"threshold", AdmissionPolicy::threshold},
+      {"detune", AdmissionPolicy::detune}};
+  for (auto [text, policy] : policies) {
+    harness::Scenario scenario;
+    harness::RunPlan plan;
+    unsigned threads = 0;
+    const auto table = harness::cli::scenario_flags(scenario, plan, threads);
+    std::string prog = "prog";
+    std::string flag = "--admission";
+    char* argv[] = {prog.data(), flag.data(), text.data()};
+    table.parse(3, argv, 1);
+    EXPECT_EQ(scenario.admission.policy, policy) << text;
+  }
   EXPECT_STREQ(harness::admission_action_name(AdmissionAction::admitted),
                "admitted");
   EXPECT_STREQ(harness::admission_action_name(AdmissionAction::delayed),
@@ -266,10 +269,8 @@ TEST(AdmissionEdge, FinishedUnknownJobIsIdempotent) {
   spec.job_id = 42;
   ac.finished(spec);  // never admitted: must be a no-op, not a crash
   EXPECT_EQ(ac.running_jobs(), 0u);
-  EXPECT_EQ(ac.predicted_dload(), 0.0);
-  // The candidate overload predicts the would-be load of an empty system
-  // plus one default-layout job: exactly 1.0x (no sharing).
-  EXPECT_DOUBLE_EQ(ac.predicted_dload(&spec), 1.0);
+  EXPECT_EQ(ac.queued_jobs(), 0u);
+  EXPECT_TRUE(ac.records().empty());
 }
 
 TEST(AdmissionEdge, DetuneReleasesNonDetunableJobsUnchanged) {

@@ -395,7 +395,7 @@ TEST(FrameArenaTest, TeardownReclaimsUnfinishedRoots) {
 TEST(FrameArenaTest, FramesWithoutAnEngineUseTheGlobalAllocator) {
   // No engine alive: the thread has no current arena, so frame new/delete
   // must fall back to ::operator new/delete and still pair up correctly.
-  ASSERT_EQ(FrameArena::current(), nullptr);
+  ASSERT_EQ(FrameArena::exchange_current(nullptr), nullptr);
   std::coroutine_handle<> h;
   int fired = 0;
   {
@@ -406,14 +406,18 @@ TEST(FrameArenaTest, FramesWithoutAnEngineUseTheGlobalAllocator) {
 }
 
 TEST(FrameArenaTest, EnginesNestAndRestoreTheCurrentArena) {
+  // A new frame lands in the arena of the innermost live engine; once that
+  // engine is gone, frames go to the outer engine's arena again.
+  std::coroutine_handle<> h;
   Engine outer;
-  const FrameArena* outer_arena = &outer.frame_arena();
-  EXPECT_EQ(FrameArena::current(), outer_arena);
   {
     Engine inner;
-    EXPECT_EQ(FrameArena::current(), &inner.frame_arena());
+    const Task t = suspend_forever(&h);
+    EXPECT_EQ(inner.frame_arena().outstanding(), 1u);
+    EXPECT_EQ(outer.frame_arena().outstanding(), 0u);
   }
-  EXPECT_EQ(FrameArena::current(), outer_arena);
+  const Task t = suspend_forever(&h);
+  EXPECT_EQ(outer.frame_arena().outstanding(), 1u);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ TEST(ExtentMap, EmptyCoversNothing) {
   EXPECT_TRUE(m.covers(0, 0));
   EXPECT_FALSE(m.covers(0, 1));
   EXPECT_EQ(m.total_bytes(), 0u);
-  EXPECT_EQ(m.end_offset(), 0u);
 }
 
 TEST(ExtentMap, SingleInsert) {
@@ -31,7 +30,6 @@ TEST(ExtentMap, SingleInsert) {
   EXPECT_FALSE(m.covers(99, 2));
   EXPECT_FALSE(m.covers(149, 2));
   EXPECT_EQ(m.total_bytes(), 50u);
-  EXPECT_EQ(m.end_offset(), 150u);
 }
 
 TEST(ExtentMap, AdjacentExtentsCoalesce) {
@@ -75,31 +73,15 @@ TEST(ExtentMap, DisjointExtentsStaySeparate) {
   m.insert(100, 10);
   EXPECT_EQ(m.extent_count(), 2u);
   EXPECT_FALSE(m.covers(0, 110));
-  EXPECT_EQ(m.covered_bytes(0, 110), 20u);
-}
-
-TEST(ExtentMap, CoveredBytesPartial) {
-  ExtentMap m;
-  m.insert(10, 10);
-  m.insert(30, 10);
-  EXPECT_EQ(m.covered_bytes(0, 100), 20u);
-  EXPECT_EQ(m.covered_bytes(15, 20), 10u);  // 5 from first, 5 from second
-  EXPECT_EQ(m.covered_bytes(50, 10), 0u);
-  EXPECT_EQ(m.covered_bytes(10, 0), 0u);
+  EXPECT_FALSE(m.covers(10, 1));
+  EXPECT_TRUE(m.covers(100, 10));
+  EXPECT_EQ(m.total_bytes(), 20u);
 }
 
 TEST(ExtentMap, ZeroLengthInsertIgnored) {
   ExtentMap m;
   m.insert(5, 0);
   EXPECT_EQ(m.extent_count(), 0u);
-}
-
-TEST(ExtentMap, ClearResets) {
-  ExtentMap m;
-  m.insert(0, 10);
-  m.clear();
-  EXPECT_EQ(m.total_bytes(), 0u);
-  EXPECT_FALSE(m.covers(0, 1));
 }
 
 // Property test: random insertion order against a reference bitmap.
@@ -124,12 +106,14 @@ TEST_P(ExtentMapRandom, MatchesReferenceBitmap) {
     const Bytes off = rng.uniform(kSpan - 1);
     const Bytes len = 1 + rng.uniform(32);
     bool ref_covers = off + len <= kSpan;
-    Bytes ref_count = 0;
     for (Bytes b = off; b < off + len && b < kSpan; ++b) {
-      if (ref[b]) ++ref_count; else ref_covers = false;
+      if (!ref[b]) ref_covers = false;
     }
     EXPECT_EQ(m.covers(off, len), ref_covers) << "off=" << off << " len=" << len;
-    EXPECT_EQ(m.covered_bytes(off, len), ref_count);
+  }
+  // Every byte answers like the bitmap.
+  for (Bytes b = 0; b < kSpan; ++b) {
+    EXPECT_EQ(m.covers(b, 1), ref[b]) << "byte " << b;
   }
 }
 
@@ -167,16 +151,33 @@ struct IntervalOracle {
     }
     return false;
   }
-  Bytes covered(Bytes off, Bytes len) const {
-    Bytes c = 0;
-    for (const auto& [s, e] : iv) {
-      const Bytes lo = std::max(off, s);
-      const Bytes hi = std::min(off + len, e);
-      if (hi > lo) c += hi - lo;
-    }
-    return c;
-  }
 };
+
+// An ExtentMap holds exactly `extents` (sorted, disjoint [start, end)
+// pairs) when it covers each of them and its byte total is theirs: a
+// superset with the same size is the same set.
+template <typename Extents>
+::testing::AssertionResult holds_exactly(const ExtentMap& m,
+                                         const Extents& extents) {
+  Bytes total = 0;
+  for (const auto& [s, e] : extents) {
+    if (!m.covers(s, e - s)) {
+      return ::testing::AssertionFailure()
+             << "[" << s << ", " << e << ") not covered";
+    }
+    total += e - s;
+  }
+  if (m.total_bytes() != total) {
+    return ::testing::AssertionFailure()
+           << m.total_bytes() << " bytes held, " << total << " expected";
+  }
+  if (m.extent_count() != extents.size()) {
+    return ::testing::AssertionFailure()
+           << m.extent_count() << " extents held, " << extents.size()
+           << " expected";
+  }
+  return ::testing::AssertionSuccess();
+}
 
 // Which path of ExtentMap::insert an insert of [off, off+len) takes.
 enum class InsertCase { fresh, contained, pred_growth, succ_absorb, bridging };
@@ -199,14 +200,11 @@ InsertCase classify(const IntervalOracle& o, Bytes off, Bytes len) {
 void expect_matches(const ExtentMap& m, const IntervalOracle& o, Rng& rng,
                     Bytes span, int step) {
   ASSERT_EQ(m.total_bytes(), o.total()) << "step " << step;
-  ASSERT_EQ(m.extent_count(), o.iv.size()) << "step " << step;
-  ASSERT_EQ(m.end_offset(), o.iv.empty() ? 0 : o.iv.back().second);
+  ASSERT_TRUE(holds_exactly(m, o.iv)) << "step " << step;
   for (int q = 0; q < 8; ++q) {
     const Bytes off = rng.uniform(span);
     const Bytes len = rng.uniform(48);
     ASSERT_EQ(m.covers(off, len), o.covers(off, len))
-        << "step " << step << " off=" << off << " len=" << len;
-    ASSERT_EQ(m.covered_bytes(off, len), o.covered(off, len))
         << "step " << step << " off=" << off << " len=" << len;
   }
 }
@@ -280,16 +278,6 @@ struct MapReference {
     --it;
     return it->first <= off && it->second >= off + len;
   }
-  Bytes covered(Bytes off, Bytes len) const {
-    Bytes c = 0;
-    for (const auto& [s, e] : m) {
-      const Bytes lo = std::max(off, s);
-      const Bytes hi = std::min(off + len, e);
-      if (hi > lo) c += hi - lo;
-    }
-    return c;
-  }
-  Bytes end_offset() const { return m.empty() ? 0 : m.rbegin()->second; }
 };
 
 /// Insert streams the data path produces, plus plain random ones.
@@ -347,14 +335,11 @@ TEST_P(ExtentMapVsMap, EveryQueryMatchesAfterEveryInsert) {
     // Query only every few steps so pending tails build up in between.
     if (step % 7 != 0 && step != 1499) continue;
     ASSERT_EQ(m.total_bytes(), ref.total()) << "step " << step;
-    ASSERT_EQ(m.extent_count(), ref.m.size()) << "step " << step;
-    ASSERT_EQ(m.end_offset(), ref.end_offset()) << "step " << step;
+    ASSERT_TRUE(holds_exactly(m, ref.m)) << "step " << step;
     for (int q = 0; q < 16; ++q) {
       const Bytes qoff = rng.uniform(kSpan + 512);
       const Bytes qlen = rng.uniform(4) == 0 ? rng.uniform(4096) : rng.uniform(64);
       ASSERT_EQ(m.covers(qoff, qlen), ref.covers(qoff, qlen))
-          << "step " << step << " off=" << qoff << " len=" << qlen;
-      ASSERT_EQ(m.covered_bytes(qoff, qlen), ref.covered(qoff, qlen))
           << "step " << step << " off=" << qoff << " len=" << qlen;
     }
   }
@@ -377,8 +362,9 @@ TEST(ExtentMap, QueriesMergeAPendingTailExactly) {
   EXPECT_EQ(m.extent_count(), 1u);
   EXPECT_TRUE(m.covers(0, 1010));
   m.insert(500, 2000);
-  EXPECT_EQ(m.end_offset(), 2500u);
-  EXPECT_EQ(m.covered_bytes(0, 5000), 2500u);
+  EXPECT_EQ(m.total_bytes(), 2500u);
+  EXPECT_TRUE(m.covers(0, 2500));
+  EXPECT_FALSE(m.covers(2500, 1));
 }
 
 }  // namespace

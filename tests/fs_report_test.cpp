@@ -1,6 +1,9 @@
 // Tests for the file-system health report and degraded-OST mode.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/fs_report.hpp"
 #include "lustre/client.hpp"
 
@@ -73,15 +76,21 @@ TEST_F(ReportFixture, ProjectionFollowsEq1) {
   }
 }
 
-TEST_F(ReportFixture, PoolsListed) {
-  ASSERT_EQ(fs.pool_new("flash"), Errno::ok);
-  const std::vector<lustre::OstIndex> members{0, 1};
-  ASSERT_EQ(fs.pool_add("flash", members), Errno::ok);
+TEST_F(ReportFixture, EqualWidthsListByPath) {
+  // The namespace walk visits /c before the files in /b and /a, and the
+  // widest file comes first whatever its path.
+  for (const char* dir : {"/a", "/b", "/d"}) {
+    ASSERT_TRUE(run(fs.mkdir(dir)).ok());
+  }
+  ASSERT_TRUE(run(fs.create("/z", StripeSettings{4, 1_MiB, 0})).ok());
+  for (const char* path : {"/e", "/d/w", "/c", "/b/x", "/a/y"}) {
+    ASSERT_TRUE(run(fs.create(path, StripeSettings{2, 1_MiB, 0})).ok());
+  }
   const auto report = collect_health_report(fs);
-  ASSERT_EQ(report.pools.size(), 1u);
-  EXPECT_EQ(report.pools[0].first, "flash");
-  EXPECT_EQ(report.pools[0].second, 2u);
-  EXPECT_NE(format_health_report(report).find("flash(2)"), std::string::npos);
+  std::vector<std::string> paths;
+  for (const auto& fp : report.top_consumers) paths.push_back(fp.path);
+  EXPECT_EQ(paths, (std::vector<std::string>{"/z", "/a/y", "/b/x", "/c",
+                                             "/d/w"}));
 }
 
 TEST_F(ReportFixture, FormatContainsKeyNumbers) {

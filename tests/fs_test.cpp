@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 
+#include "core/metrics.hpp"
 #include "lustre/fs.hpp"
 #include "lustre/lfs.hpp"
 
@@ -44,6 +45,8 @@ TEST_F(FsFixture, CreateAppliesDefaults) {
   EXPECT_EQ(node.layout.stripe_size, params.default_stripe_size);
   EXPECT_FALSE(node.is_dir);
   EXPECT_EQ(node.size, 0u);
+  // A count and size alone leave the starting OST to the allocator.
+  EXPECT_EQ(StripeSettings(4, 1_MiB).stripe_offset, -1);
 }
 
 TEST_F(FsFixture, CreateHonoursExplicitSettings) {
@@ -141,21 +144,6 @@ TEST_F(FsFixture, UnlinkNonEmptyDirectoryFails) {
   EXPECT_EQ(run(fs.unlink("/d")), Errno::ok);
 }
 
-TEST_F(FsFixture, DirDefaultStripingInherited) {
-  ASSERT_TRUE(run(fs.mkdir("/d")).ok());
-  EXPECT_EQ(run(fs.set_dir_stripe("/d", StripeSettings{4, 4_MiB, -1})), Errno::ok);
-  // New subdirectories inherit the default (Lustre semantics).
-  ASSERT_TRUE(run(fs.mkdir("/d/sub")).ok());
-  auto r = run(fs.create("/d/sub/f", StripeSettings{}));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(fs.inode(r.value).layout.stripe_count(), 4u);
-  EXPECT_EQ(fs.inode(r.value).layout.stripe_size, 4_MiB);
-  // Explicit settings override the directory default.
-  auto r2 = run(fs.create("/d/sub/g", StripeSettings{1, 1_MiB, -1}));
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(fs.inode(r2.value).layout.stripe_count(), 1u);
-}
-
 TEST_F(FsFixture, FailedOstExcludedFromAllocation) {
   fs.fail_ost(0);
   fs.fail_ost(1);
@@ -188,7 +176,7 @@ TEST_F(FsFixture, OccupancyAndCollisionHistogram) {
   EXPECT_EQ(occ[0], 1u);
   EXPECT_EQ(occ[1], 2u);
   EXPECT_EQ(occ[2], 1u);
-  const auto hist = fs.collision_histogram(files);
+  const auto hist = core::observe(occ).histogram;
   ASSERT_EQ(hist.size(), 3u);
   EXPECT_EQ(hist[0], params.ost_count - 3);
   EXPECT_EQ(hist[1], 2u);
@@ -258,13 +246,11 @@ TEST_F(FsFixture, LfsGetstripeReportsLayout) {
 
 TEST_F(FsFixture, LfsGetstripeDirectoryDefaults) {
   ASSERT_TRUE(run(fs.mkdir("/d")).ok());
-  auto before = lfs_getstripe(fs, "/d");
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before.value.stripe_count, params.default_stripe_count);
-  EXPECT_EQ(run(lfs_setstripe(fs, "/d", StripeSettings{4, 4_MiB, -1})), Errno::ok);
-  auto after = lfs_getstripe(fs, "/d");
-  EXPECT_EQ(after.value.stripe_count, 4u);
-  EXPECT_EQ(after.value.stripe_size, 4_MiB);
+  auto info = lfs_getstripe(fs, "/d");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value.stripe_count, params.default_stripe_count);
+  EXPECT_EQ(info.value.stripe_size, params.default_stripe_size);
+  EXPECT_TRUE(info.value.osts.empty());
 }
 
 TEST_F(FsFixture, LfsDfReportsUsage) {

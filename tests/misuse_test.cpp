@@ -28,7 +28,7 @@ TEST(Misuse, CommunicatorBadRanks) {
   EXPECT_THROW(
       {
         eng.spawn([](mpi::Communicator& c) -> sim::Task {
-          co_await c.bcast(0, 9, 1.0);  // bad root
+          co_await c.split(9, 0, 0);
         }(comm));
         eng.run();
       },
@@ -97,6 +97,15 @@ TEST(Misuse, ScenarioGuards) {
   harness::Scenario no_procs;
   no_procs.nprocs = 0;
   EXPECT_THROW(no_procs.validate(), UsageError);
+
+  // An IOR job that would move nothing is rejected by name.
+  harness::Scenario no_block;
+  no_block.ior.block_size = 0;
+  EXPECT_THROW(harness::run_scenario(no_block, 1), UsageError);
+  harness::Scenario no_phase;
+  no_phase.ior.write_file = false;
+  no_phase.ior.read_file = false;
+  EXPECT_THROW(harness::run_scenario(no_phase, 1), UsageError);
 }
 
 TEST(Misuse, SimDomainsOtherThanOneNamesTheRemovedEngine) {

@@ -61,29 +61,6 @@ TEST_F(MpiFixture, AllreduceOps) {
   }
 }
 
-TEST_F(MpiFixture, BcastDeliversRootValue) {
-  Runtime rt(fs, 4, 4);
-  std::vector<double> got(4);
-  rt.run_to_completion([&](int rank) -> sim::Task {
-    got[static_cast<std::size_t>(rank)] =
-        co_await rt.world().bcast(rank, 2, rank == 2 ? 7.5 : -1.0);
-  });
-  for (double v : got) EXPECT_DOUBLE_EQ(v, 7.5);
-}
-
-TEST_F(MpiFixture, AllgatherCollectsByRank) {
-  Runtime rt(fs, 4, 4);
-  std::vector<std::vector<double>> got(4);
-  rt.run_to_completion([&](int rank) -> sim::Task {
-    got[static_cast<std::size_t>(rank)] =
-        co_await rt.world().allgather(rank, static_cast<double>(rank * 10));
-  });
-  for (const auto& v : got) {
-    ASSERT_EQ(v.size(), 4u);
-    for (int r = 0; r < 4; ++r) EXPECT_DOUBLE_EQ(v[static_cast<std::size_t>(r)], r * 10.0);
-  }
-}
-
 TEST_F(MpiFixture, CollectivesCostLatency) {
   Runtime rt(fs, 8, 4, /*hop_latency=*/1.0e-3);
   rt.run_to_completion([&](int rank) -> sim::Task {

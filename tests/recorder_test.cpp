@@ -210,7 +210,6 @@ TEST(TraceConfig, ModeNamesRoundTrip) {
   EXPECT_EQ(mode, TraceMode::full);
   EXPECT_FALSE(parse_trace_mode("verbose", mode));
   EXPECT_FALSE(parse_trace_mode("", mode));
-  EXPECT_STREQ(trace_mode_name(TraceMode::summary), "summary");
   EXPECT_EQ(trace_categories(TraceMode::off), 0u);
   EXPECT_EQ(trace_categories(TraceMode::full), kAllCats);
   EXPECT_EQ(trace_categories(TraceMode::summary), kSummaryCats);

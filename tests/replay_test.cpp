@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -443,6 +444,27 @@ TEST(JobListExec, ValidatesJobLists) {
     j.ior.hints.driver = mpiio::Driver::ad_plfs;
     EXPECT_THROW(harness::run_scenario(Scenario::from_jobs({j}), 1),
                  UsageError);
+  }
+}
+
+TEST(JobListExec, RejectsJobsThatNeverArriveOrMoveNothing) {
+  // Each line parses, but its run would report NaN or 0 MB/s and exit 0.
+  const std::string head = "#PFSC-JOBLOG v1\njob id=0 kind=ior nprocs=4 ";
+  const std::pair<std::string, std::string> cases[] = {
+      {"arrival=inf", "JobSpec[0]: arrival must be finite"},
+      {"block=0", "IOR: block size must be positive"},
+      {"write=0 read=0", "IOR: write and read phases are both off"},
+  };
+  for (const auto& [fields, needle] : cases) {
+    try {
+      Scenario s = to_scenario(parse_joblog(head + fields + "\n", "log"));
+      s.platform = hw::tiny_test_platform();
+      harness::run_scenario(s, 1);
+      ADD_FAILURE() << fields << ": expected UsageError";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << fields << ": " << e.what();
+    }
   }
 }
 

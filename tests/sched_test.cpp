@@ -109,7 +109,6 @@ TEST(FifoSched, GrantsInstantlyInArrivalOrder) {
   EXPECT_EQ(s.served_bytes(0), 4 * 1_MiB);
   EXPECT_EQ(s.served_bytes(1), 4 * 1_MiB);
   EXPECT_EQ(s.served_bytes(99), 0u);
-  EXPECT_DOUBLE_EQ(s.jain(), 1.0);
   EXPECT_NO_THROW(s.check_invariants());
 }
 
@@ -334,9 +333,8 @@ TEST(TokenBucketSched, OversizedRequestGrantsViaDebt) {
   eng.spawn(request(eng, s, 0, 8_MiB, 0.0, order, 0));
   // The next 1 MiB request must wait for the debt plus its own need.
   eng.spawn(request(eng, s, 0, 1_MiB, 0.0, order, 1));
-  eng.spawn(at_time_zero([&] {
+  eng.spawn(at_time_zero([&order] {
     EXPECT_EQ(order, (std::vector<int>{0}));
-    EXPECT_LT(s.tokens(0), 0.0);
   }));
   eng.run();
   EXPECT_EQ(order.size(), 2u);
@@ -361,7 +359,6 @@ TEST(TokenBucketSched, JobsAreIndependent) {
   eng.run();
   EXPECT_EQ(s.served_bytes(0), 2_MiB);
   EXPECT_EQ(s.served_bytes(1), 1_MiB);
-  EXPECT_DOUBLE_EQ(s.tokens(2), static_cast<double>(t.bucket_depth));
 }
 
 TEST(TokenBucketSched, FifoWithinOneJob) {

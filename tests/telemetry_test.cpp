@@ -77,17 +77,22 @@ TEST(Sampler, BandwidthTimelineDifferentiates) {
 }
 
 TEST(Sampler, CsvHasHeaderAndRows) {
+  // Every tick reaches the counters CSV through the engine's recorder.
   sim::Engine eng;
+  Recorder rec(1024, cat_bit(Cat::sampler));
+  eng.set_recorder(&rec);
   Sampler sampler(eng, 1.0);
   sampler.add_probe("a", [] { return 1.5; });
   sampler.add_probe("b", [] { return 2.5; });
   sampler.watch([&eng] { return eng.now() < 1.0; });  // ticks at t = 0, 1
   sampler.start();
   eng.run();
-  const std::string csv = sampler.to_csv();
-  EXPECT_NE(csv.find("time,a,b\n"), std::string::npos);
-  EXPECT_NE(csv.find("0,1.5,2.5\n"), std::string::npos);
-  EXPECT_NE(csv.find("1,1.5,2.5\n"), std::string::npos);
+  const std::string csv = export_counters_csv(rec);
+  EXPECT_EQ(csv.rfind("time,track,name,value\n", 0), 0u);
+  EXPECT_NE(csv.find("0,sampler,a,1.5\n"), std::string::npos);
+  EXPECT_NE(csv.find("0,sampler,b,2.5\n"), std::string::npos);
+  EXPECT_NE(csv.find("1,sampler,a,1.5\n"), std::string::npos);
+  EXPECT_NE(csv.find("1,sampler,b,2.5\n"), std::string::npos);
 }
 
 TEST(Sampler, ObservesRealWorkload) {
@@ -97,7 +102,6 @@ TEST(Sampler, ObservesRealWorkload) {
   Sampler sampler(eng, 0.05);
   const auto bytes_idx = sampler.add_instruments(
       trace::total_bytes_instruments(fs), fs.liveness());
-  sampler.add_instruments(trace::ost_instruments(fs, 0), fs.liveness());
   bool writing = true;
   sampler.watch([&] { return writing; });
   sampler.start();
