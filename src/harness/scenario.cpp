@@ -33,6 +33,12 @@ void JobSpec::validate(std::size_t index) const {
   const std::string where = "JobSpec[" + std::to_string(index) + "]: ";
   PFSC_REQUIRE(arrival >= 0.0, where + "arrival must be non-negative");
   PFSC_REQUIRE(std::isfinite(arrival), where + "arrival must be finite");
+  // Past about 1.7e7 s the double clock steps by more than 2 ns, below
+  // the resolution of the link model's 1 ns slack: such a run reports
+  // 0 MB/s instead of a measurement.
+  PFSC_REQUIRE(arrival + 1e-9 != arrival,
+               where + "arrival is too late for the simulated clock to "
+                       "resolve 1 ns");
   switch (kind) {
     case JobKind::ior:
       PFSC_REQUIRE(nprocs >= 1, where + "nprocs must be positive");

@@ -34,7 +34,7 @@ sim::Co<Errno> Client::unlink(std::string path) {
   co_return co_await fs_->unlink(std::move(path));
 }
 
-void Client::begin_span(Rpc& rpc) {
+void Client::begin_span(Rpc& rpc, bool is_write) {
   // Async span per RPC on this client's track, issue -> completion; the
   // layers underneath (link flows, scheduler wait, disk service) emit
   // their own spans, so the lifecycle stages line up in the viewer.
@@ -42,30 +42,35 @@ void Client::begin_span(Rpc& rpc) {
       rec != nullptr && rec->enabled(trace::Cat::client)) {
     rpc.span = rec->next_id();
     rec->begin(trace::Cat::client, track_.get(*rec, trace_label_),
-               rpc.extent->is_write ? "write_rpc" : "read_rpc", eng_->now(),
+               is_write ? "write_rpc" : "read_rpc", eng_->now(),
                rpc.span, static_cast<std::int64_t>(job_),
                static_cast<std::int64_t>(rpc.ost),
                static_cast<double>(rpc.bytes));
   }
 }
 
-void Client::end_span(const Rpc& rpc) {
+void Client::end_span(const Rpc& rpc, bool is_write) {
   if (rpc.span == 0) return;
   if (auto* rec = eng_->recorder();
       rec != nullptr && rec->enabled(trace::Cat::client)) {
     rec->end(trace::Cat::client, track_.get(*rec, trace_label_),
-             rpc.extent->is_write ? "write_rpc" : "read_rpc", eng_->now(),
+             is_write ? "write_rpc" : "read_rpc", eng_->now(),
              rpc.span, static_cast<std::int64_t>(job_),
              static_cast<std::int64_t>(rpc.ost));
   }
 }
 
+Client::Extent& Client::Rpc::owner() {
+  return part ? *static_cast<Part*>(this)->extent : static_cast<Extent&>(*this);
+}
+
 void Client::Rpc::wake() {
-  Client& c = *extent->client;
-  if (!queued) {
-    c.begin_span(*this);
+  const Call& call = *owner().call;
+  Client& c = *call.client;
+  if (phase != Phase::queued) {
+    c.begin_span(*this, call.is_write);
     if (!c.rpc_slots_.acquire_or_queue(*this)) {
-      queued = true;
+      phase = Phase::queued;
       return;
     }
   }
@@ -73,7 +78,7 @@ void Client::Rpc::wake() {
 }
 
 sim::Task Client::serve(Rpc* rpc) {
-  Extent& x = *rpc->extent;
+  Extent& x = rpc->owner();
   if (fs_->ost_failed(rpc->ost)) {
     if (x.err == Errno::ok) x.err = Errno::eio;
   } else {
@@ -93,14 +98,14 @@ sim::Task Client::serve(Rpc* rpc) {
     co_await sched.admit(job_, bytes);
     co_await fs_->oss_pipe_for_ost(rpc->ost).transfer(bytes);
     co_await fs_->ost_disk(rpc->ost).submit(rpc->object, rpc->object_offset,
-                                            bytes, x.is_write);
+                                            bytes, x.call->is_write);
     sched.complete(job_, bytes);
     co_await eng_->delay(hop);
     if (fs_->ost_failed(rpc->ost) && x.err == Errno::ok) x.err = Errno::eio;
   }
   rpc_slots_.release();
-  end_span(*rpc);
-  x.rpcs.child_done(rpc->index);
+  end_span(*rpc, x.call->is_write);
+  x.rpc_done(*rpc);
 }
 
 sim::Task Client::drain_buffered(InodeId file, Bytes offset, Bytes length) {
@@ -134,105 +139,143 @@ sim::Co<Errno> Client::flush() {
   co_return e;
 }
 
-void Client::Extent::init(Client& c, InodeId f, Bytes off, Bytes len,
-                        bool write) {
-  client = &c;
-  file = f;
-  offset = off;
-  length = len;
-  is_write = write;
-}
-
 bool Client::Extent::issue() {
-  if (length == 0 && is_write) return false;
-  Client& c = *client;
-  node = &c.fs_->inode(file);
+  Call& k = *call;
+  const Bytes length = bytes;
+  if (length == 0 && k.is_write) return false;
+  Client& c = *k.client;
+  if (k.node == nullptr) k.node = &c.fs_->inode(k.file);
+  const Inode& node = *k.node;
   // Reading past EOF is an error for the simulated apps (they always read
   // back what was written); holes inside the file read as zeros.
-  if (!is_write && !node->is_dir && offset + length > node->size) {
+  if (!k.is_write && !node.is_dir && offset + length > node.size) {
     err = Errno::einval;
     return false;
   }
   if (length == 0) return false;
-  if (node->is_dir) {
+  if (node.is_dir) {
     err = Errno::eisdir;
     return false;
   }
-  PFSC_REQUIRE(!node->layout.osts.empty(), "io: file has no layout");
+  PFSC_REQUIRE(!node.layout.osts.empty(), "io: file has no layout");
 
-  const StripeLayout& layout = node->layout;
+  const StripeLayout& layout = node.layout;
   const Bytes max_rpc = c.fs_->params().max_rpc_size;
   const LayoutSegment first = locate(layout, offset);
-  std::span<Rpc> out;
   if (length <= first.length && length <= max_rpc) {
-    // One stripe, one RPC (every RPC of a stripe-aligned transfer): no
-    // segments() or RPC vector.
-    one.ost = layout.osts[first.layout_index];
-    one.object = layout.objects[first.layout_index];
-    one.object_offset = first.object_offset;
-    one.bytes = length;
-    out = std::span<Rpc>(&one, 1);
-  } else {
-    // Split each per-object run into bulk RPCs of at most max_rpc_size.
-    const std::vector<LayoutSegment> segs = segments(layout, offset, length);
-    std::size_t count = 0;
-    for (const LayoutSegment& seg : segs) {
-      count += static_cast<std::size_t>((seg.length + max_rpc - 1) / max_rpc);
-    }
-    many = std::make_unique<Rpc[]>(count);
-    std::size_t i = 0;
-    for (const LayoutSegment& seg : segs) {
-      for (Bytes done_bytes = 0; done_bytes < seg.length; done_bytes += max_rpc) {
-        Rpc& r = many[i++];
-        r.ost = layout.osts[seg.layout_index];
-        r.object = layout.objects[seg.layout_index];
-        r.object_offset = seg.object_offset + done_bytes;
-        r.bytes = std::min<Bytes>(max_rpc, seg.length - done_bytes);
-      }
-    }
-    out = std::span<Rpc>(many.get(), count);
+    // One stripe, one RPC (every RPC of a stripe-aligned transfer): this
+    // record is the RPC; no segments() or side array.
+    ost = layout.osts[first.layout_index];
+    object = layout.objects[first.layout_index];
+    object_offset = first.object_offset;
+    phase = Phase::rpc;
+    c.eng_->schedule(*this, c.eng_->now());
+    return true;
   }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].extent = this;
-    out[i].index = static_cast<std::uint32_t>(i);
-    c.eng_->schedule(out[i], c.eng_->now());
+  // Split each per-object run into bulk RPCs of at most max_rpc_size.
+  const std::vector<LayoutSegment> segs = segments(layout, offset, length);
+  std::size_t n = 0;
+  for (const LayoutSegment& seg : segs) {
+    n += static_cast<std::size_t>((seg.length + max_rpc - 1) / max_rpc);
   }
-  // A batch member is its own joiner; io()'s frame joins by co_await.
-  rpcs.arm(*c.eng_, out,
-           batch != nullptr ? sim::Wakeup(*this) : sim::Wakeup());
+  parts = std::make_unique<Part[]>(n);
+  count = static_cast<std::uint32_t>(n);
+  std::size_t i = 0;
+  for (const LayoutSegment& seg : segs) {
+    for (Bytes done_bytes = 0; done_bytes < seg.length; done_bytes += max_rpc) {
+      Part& p = parts[i++];
+      p.ost = layout.osts[seg.layout_index];
+      p.object = layout.objects[seg.layout_index];
+      p.object_offset = seg.object_offset + done_bytes;
+      p.bytes = std::min<Bytes>(max_rpc, seg.length - done_bytes);
+      p.phase = Phase::rpc;
+      p.part = true;
+      p.extent = this;
+      c.eng_->schedule(p, c.eng_->now());
+    }
+  }
+  phase = Phase::join_wait;
   return true;
+}
+
+void Client::Extent::rpc_done(Rpc& rpc) {
+  // An OrderedJoin of the RPCs: the joiner waits on the lowest part still
+  // out and is scheduled at now() when that part is back.
+  if (count != 0) {
+    rpc.done = true;
+    if (phase != Phase::join_wait ||
+        static_cast<Part*>(&rpc) != &parts[next]) {
+      return;
+    }
+  }
+  phase = Phase::join_due;
+  sim::Engine& eng = *call->client->eng_;
+  eng.schedule(*this, eng.now());
 }
 
 void Client::Extent::commit() {
   if (err != Errno::ok) return;
-  if (is_write) {
-    node->written.insert(offset, length);
-    node->size = std::max(node->size, offset + length);
-    client->bytes_written_ += length;
+  Call& k = *call;
+  if (k.is_write) {
+    k.node->written.insert(offset, bytes);
+    k.node->size = std::max(k.node->size, offset + bytes);
+    k.client->bytes_written_ += bytes;
   } else {
-    client->bytes_read_ += length;
+    k.client->bytes_read_ += bytes;
   }
+}
+
+void Client::Extent::finish() {
+  if (call->waiter) {
+    call->waiter();  // io()'s frame: it may free this record
+    return;
+  }
+  Batch& batch = static_cast<Batch&>(*call);
+  if (err != Errno::ok && batch.err == Errno::ok) batch.err = err;
+  batch.join.child_done(index);
 }
 
 void Client::Extent::wake() {
-  if (!issued) {
-    issued = true;
-    if (issue()) return;  // the joined RPCs wake this record again
-  } else {
-    commit();
+  switch (phase) {
+    case Phase::start:
+      if (issue()) return;  // its RPCs wake this record again
+      break;
+    case Phase::rpc:
+    case Phase::queued:
+      Rpc::wake();
+      return;
+    case Phase::join_wait:
+    case Phase::join_due:
+      while (next < count && parts[next].done) ++next;
+      if (next < count) {
+        phase = Phase::join_wait;
+        return;
+      }
+      commit();
+      break;
   }
-  if (err != Errno::ok && batch->err == Errno::ok) batch->err = err;
-  batch->join.child_done(index);
+  finish();
 }
 
 sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_write) {
-  // The extent record lives in this frame, which outlives its RPCs: the
-  // join below returns only once every one of them is back.
+  // The records live in this frame, which outlives the RPCs: the extent
+  // resumes it only once every one of them is back.
+  Call call;
+  call.client = this;
+  call.file = file;
+  call.is_write = is_write;
   Extent x;
-  x.init(*this, file, offset, length, is_write);
+  x.call = &call;
+  x.offset = offset;
+  x.bytes = length;
   if (x.issue()) {
-    co_await x.rpcs;
-    x.commit();
+    struct Await {
+      Call& call;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) noexcept { call.waiter = h; }
+      void await_resume() const noexcept {}
+    };
+    co_await Await{call};
   }
   co_return x.err;
 }
@@ -244,11 +287,15 @@ sim::Co<Errno> Client::io_extents(
   // Each extent starts on its own wakeup, like a spawned task, and the
   // batch joins them in list order; their records live in this frame.
   Batch batch;
+  batch.client = this;
+  batch.file = file;
+  batch.is_write = is_write;
   std::vector<Extent> records(extents.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     Extent& x = records[i];
-    x.init(*this, file, extents[i].first, extents[i].second, is_write);
-    x.batch = &batch;
+    x.call = &batch;
+    x.offset = extents[i].first;
+    x.bytes = extents[i].second;
     x.index = static_cast<std::uint32_t>(i);
     eng_->schedule(x, eng_->now());
   }

@@ -75,60 +75,88 @@ class Client {
   void check_quiescent() const;
 
  private:
+  struct Call;
   struct Extent;
+
+  /// Which role a record's next wake plays.
+  enum class Phase : std::uint8_t {
+    start,      // batch member: its start wakeup issues it
+    rpc,        // the RPC's start: take a free slot or queue for one
+    queued,     // parked for a slot: the wake is the slot hand-off
+    join_wait,  // the join waits for the lowest part still out
+    join_due,   // the join's wakeup is scheduled
+  };
 
   /// One bulk RPC. Until it holds an rpc slot it is this record (in the
   /// engine's queue, then in rpc_slots_' FIFO); only then does a serve()
-  /// frame exist for it.
-  struct Rpc final : sim::Wakeable {
-    Extent* extent = nullptr;
-    std::uint32_t index = 0;  // position in the extent's join
-    OstIndex ost = 0;
+  /// frame exist for it. An extent that maps to one RPC is its own RPC;
+  /// any other extent keeps its RPCs as a side array of Parts.
+  struct Rpc : sim::Wakeable {
     ObjectId object = 0;
     Bytes object_offset = 0;
-    Bytes bytes = 0;
+    Bytes bytes = 0;  // an Extent: its length, which its one RPC moves
     std::uint64_t span = 0;  // trace span id, 0 when untraced
-    bool queued = false;     // parked for a slot: the next wake holds one
-    bool done = false;       // set by the extent's join
+    OstIndex ost = 0;
+    Phase phase = Phase::start;
+    bool done = false;  // set by the join this record is a child of
+    bool part = false;  // a Part, not an Extent
 
-    /// First wake: the RPC starts and takes a free slot or queues for
-    /// one. A queued RPC's wake is the slot hand-off.
+    /// The extent this RPC moves part or all of.
+    Extent& owner();
+    /// RPC start: take a free slot or queue for one. A queued RPC's wake
+    /// is the slot hand-off.
     void wake() override;
+
+   protected:
+    ~Rpc() = default;
   };
 
-  struct Batch;
+  /// One RPC of an extent that needs several.
+  struct Part final : Rpc {
+    Extent* extent = nullptr;
+  };
 
-  /// One extent (what one write()/read() moves) as a record: its RPCs,
-  /// their in-order join and the commit once they are all back. io()
-  /// keeps one in its frame; io_extents() keeps one per extent.
-  struct Extent final : sim::Wakeable {
-    Client* client = nullptr;
-    InodeId file = kNoInode;
+  /// One extent (what one write()/read() moves) as a record. It plays
+  /// every role of its life on the wakeups the engine delivers to it:
+  /// its start (a batch member), its RPC's start and slot hand-off (a
+  /// one-RPC extent), and the in-order join of its RPCs and the commit
+  /// once they are all back. A one-child join is "on the reply, wake the
+  /// joiner at now()", so a one-RPC extent schedules itself. io() keeps
+  /// one in its frame; io_extents() keeps one per extent.
+  struct Extent final : Rpc {
+    Call* call = nullptr;
     Bytes offset = 0;
-    Bytes length = 0;
-    bool is_write = false;
-    bool issued = false;  // batch member: its start wakeup has run
-    bool done = false;  // set by the batch's join
-    Errno err = Errno::ok;
-    Inode* node = nullptr;
-    Rpc one;                      // the RPC of a one-RPC extent
-    std::unique_ptr<Rpc[]> many;  // the RPCs of any other extent
-    sim::OrderedJoin<Rpc> rpcs;
-    Batch* batch = nullptr;  // io_extents() members only
+    std::unique_ptr<Part[]> parts;  // the RPCs of a multi-RPC extent
+    std::uint32_t count = 0;  // parts' size; 0 for a one-RPC extent
+    std::uint32_t next = 0;   // the first part the join still waits for
     std::uint32_t index = 0;  // position in the batch's join
+    Errno err = Errno::ok;
 
-    void init(Client& c, InodeId f, Bytes off, Bytes len, bool write);
     /// Validate and issue the RPCs (one start wakeup each); false when
     /// the extent finished without any, `err` saying how.
     bool issue();
+    /// `rpc` is back: a one-RPC extent schedules its join, a multi-RPC
+    /// one when the join waits for that part.
+    void rpc_done(Rpc& rpc);
     /// The RPCs are back: on success record what was moved.
     void commit();
-    /// Batch member: the first wake issues, the joined RPCs' wake commits
-    /// and reports to the batch.
+    /// Hand the extent's end to io()'s frame or the batch's join.
+    void finish();
     void wake() override;
   };
 
-  struct Batch {
+  /// What every extent of one io() or io_extents() call shares; it lives
+  /// in that call's frame.
+  struct Call {
+    Client* client = nullptr;
+    InodeId file = kNoInode;
+    bool is_write = false;
+    Inode* node = nullptr;  // resolved when the first extent starts
+    sim::Wakeup waiter;  // io(): its frame, resumed once the extent is back
+  };
+
+  /// io_extents(): its members join in list order.
+  struct Batch final : Call {
     sim::OrderedJoin<Extent> join;
     Errno err = Errno::ok;
   };
@@ -136,8 +164,8 @@ class Client {
   sim::Co<Errno> io(InodeId file, Bytes offset, Bytes length, bool is_write);
   /// An RPC's service, from slot to reply; the frame lives only this long.
   sim::Task serve(Rpc* rpc);
-  void begin_span(Rpc& rpc);
-  void end_span(const Rpc& rpc);
+  void begin_span(Rpc& rpc, bool is_write);
+  void end_span(const Rpc& rpc, bool is_write);
   sim::Task drain_buffered(InodeId file, Bytes offset, Bytes length);
 
   FileSystem* fs_;

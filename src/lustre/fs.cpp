@@ -164,8 +164,8 @@ Result<std::vector<OstIndex>> FileSystem::allocate_osts(
   if (healthy_ost_count() < want) return R::failure(Errno::enospc);
 
   std::vector<OstIndex> chosen;
-  chosen.reserve(want);
   if (settings.stripe_offset >= 0) {
+    chosen.reserve(want);
     // Explicit placement: sequential from the requested index, skipping
     // failed targets (real clients get EIO later; we refuse up front).
     auto idx = static_cast<std::uint32_t>(settings.stripe_offset) % params_.ost_count;

@@ -20,6 +20,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "counting_new.hpp"
 #include "harness/scenario.hpp"
@@ -93,6 +95,47 @@ TEST(AllocationGate, IdleRankAllocatesNoQueueStorage) {
   EXPECT_EQ(bytes_per_rank, 472.0)
       << "Client " << sizeof(lustre::Client) << " B, FifoPipe "
       << sizeof(sim::FifoPipe) << " B";
+#endif
+}
+
+/// Bytes io_extents() allocates to rewrite `n` stripe-aligned 1 MiB
+/// extents of a file whose written map already covers them, on a client
+/// whose queues an earlier 32-extent batch has grown.
+[[maybe_unused]] std::uint64_t batch_bytes(std::uint32_t n) {
+  sim::Engine eng;
+  lustre::FileSystem fs(eng, hw::cab_lscratchc(), 1);
+  lustre::Client client(fs, "c0");
+  std::uint64_t bytes = 0;
+  eng.spawn([](lustre::Client& c, std::uint32_t n,
+               std::uint64_t& bytes) -> sim::Task {
+    const auto file = co_await c.create("/f", lustre::StripeSettings{4, 1_MiB, 0});
+    PFSC_ASSERT(file.ok());
+    std::vector<std::pair<Bytes, Bytes>> warm;
+    for (Bytes i = 0; i < 32; ++i) warm.emplace_back(i * 1_MiB, 1_MiB);
+    PFSC_ASSERT(co_await c.io_extents(file.value, warm, true) == lustre::Errno::ok);
+    const std::vector<std::pair<Bytes, Bytes>> extents(warm.begin(),
+                                                       warm.begin() + n);
+    const std::uint64_t before = counting::heap_count().bytes;
+    PFSC_ASSERT(co_await c.io_extents(file.value, extents, true) ==
+                lustre::Errno::ok);
+    bytes = counting::heap_count().bytes - before;
+  }(client, n, bytes));
+  eng.run();
+  return bytes;
+}
+
+TEST(AllocationGate, BatchedOneRpcExtentCostsAtMost96Bytes) {
+#ifdef PFSC_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes replace operator new";
+#else
+  // Every extent of the quartet's two-phase rounds is one RPC; thousands
+  // of batches are in flight at its peak. Sixteen more extents cost
+  // sixteen more records: the batch's fixed part cancels.
+  const std::uint64_t small = batch_bytes(16);
+  const std::uint64_t large = batch_bytes(32);
+  const double bytes_per_extent = static_cast<double>(large - small) / 16.0;
+  RecordProperty("bytes_per_extent", std::to_string(bytes_per_extent));
+  EXPECT_LE(bytes_per_extent, 96.0);
 #endif
 }
 

@@ -452,6 +452,9 @@ TEST(JobListExec, RejectsJobsThatNeverArriveOrMoveNothing) {
   const std::string head = "#PFSC-JOBLOG v1\njob id=0 kind=ior nprocs=4 ";
   const std::pair<std::string, std::string> cases[] = {
       {"arrival=inf", "JobSpec[0]: arrival must be finite"},
+      {"arrival=1e300",
+       "JobSpec[0]: arrival is too late for the simulated clock to resolve "
+       "1 ns"},
       {"block=0", "IOR: block size must be positive"},
       {"write=0 read=0", "IOR: write and read phases are both off"},
   };

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "mpiio/file.hpp"
 #include "sim/task.hpp"
 #include "support/rng.hpp"
+#include "trace/recorder.hpp"
 
 namespace pfsc {
 namespace {
@@ -275,6 +278,123 @@ TEST(RpcFaultPaths, FailureAndRestoreMidRun) {
   EXPECT_EQ(r.mbps, 592.69871086970511);
   EXPECT_EQ(r.events, 1995u);
   EXPECT_EQ(r.failed_ost_bytes, 22_MiB);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch order of mixed extents
+// ---------------------------------------------------------------------------
+
+/// FNV-1a, fed one 64-bit word at a time.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  void add(lustre::Errno e) { add(static_cast<std::uint64_t>(e)); }
+};
+
+/// Records the time and errno of each call's completion, in order.
+struct Completions {
+  std::vector<std::pair<Seconds, lustre::Errno>> log;
+  void note(const sim::Engine& eng, lustre::Errno e) {
+    log.emplace_back(eng.now(), e);
+  }
+};
+
+using ExtentList = std::vector<std::pair<Bytes, Bytes>>;
+
+sim::Task batches(sim::Engine& eng, lustre::FileSystem& fs, lustre::Client& c,
+                  Completions& done) {
+  const auto f = co_await c.create("/f", lustre::StripeSettings{4, 2_MiB, 0});
+  const auto d = co_await c.mkdir("/d");
+  PFSC_ASSERT(f.ok() && d.ok());
+  // One-RPC, multi-RPC (across stripes and within one), zero-length: more
+  // RPCs than the client's two rpc slots, so most queue for one.
+  const ExtentList writes = {{0, 1_MiB},      {1_MiB + 256_KiB, 3_MiB},
+                             {9_MiB, 0},      {4_MiB, 1_MiB},
+                             {6_MiB, 2_MiB},  {5_MiB, 512_KiB}};
+  done.note(eng, co_await c.io_extents(f.value, writes, true));
+  // Reads, one past EOF, one zero-length.
+  const ExtentList reads = {
+      {0, 1_MiB}, {512_KiB, 3_MiB}, {100_MiB, 1_MiB}, {2_MiB, 0}, {6_MiB, 1_MiB}};
+  done.note(eng, co_await c.io_extents(f.value, reads, false));
+  const ExtentList into_dir = {{0, 1_MiB}};
+  done.note(eng, co_await c.io_extents(d.value, into_dir, true));
+  // An OST fails under a batch: its RPCs report EIO.
+  const lustre::OstIndex ost = fs.inode(f.value).layout.osts[1];
+  fs.fail_ost(ost);
+  const ExtentList across = {{0, 1_MiB}, {2_MiB, 1_MiB}, {3_MiB, 2_MiB}};
+  done.note(eng, co_await c.io_extents(f.value, across, true));
+  fs.restore_ost(ost);
+}
+
+sim::Task singles(sim::Engine& eng, lustre::Client& c, Completions& done) {
+  co_await eng.delay(1e-3);
+  const auto f = co_await c.open("/f");
+  PFSC_ASSERT(f.ok());
+  done.note(eng, co_await c.write(f.value, 10_MiB, 1_MiB));
+  done.note(eng, co_await c.write(f.value, 11_MiB + 512_KiB, 2_MiB));
+  done.note(eng, co_await c.write(f.value, 14_MiB, 0));
+  done.note(eng, co_await c.read(f.value, 10_MiB, 3_MiB));
+  done.note(eng, co_await c.read(f.value, 200_MiB, 1_MiB));
+}
+
+TEST(ExtentRecords, MixedBatchDispatchOrderIsPinned) {
+  // Every engine dispatch opens a span (engine_sample_every 1) carrying
+  // its time and ordinal; between two of them lie the spans each layer
+  // recorded there, so the trace fixes which role ran at which dispatch.
+  // With the final schedule seq and each call's (t, errno), the hash
+  // pins the records' wakeups to the schedule calls that enter them.
+  sim::Engine eng;
+  trace::Recorder rec(std::size_t{1} << 16, trace::kAllCats, 1);
+  eng.set_recorder(&rec);
+  hw::PlatformParams params = hw::tiny_test_platform();
+  params.max_rpc_size = 1_MiB;
+  params.client_max_rpcs_in_flight = 2;
+  lustre::FileSystem fs(eng, params, 5);
+  lustre::Client c(fs, "c");
+  Completions done;
+  eng.spawn(batches(eng, fs, c, done));
+  eng.spawn(singles(eng, c, done));
+  eng.run();
+  c.check_quiescent();
+
+  std::vector<lustre::Errno> errs;
+  Fnv fnv;
+  for (const auto& [t, e] : done.log) {
+    errs.push_back(e);
+    fnv.add(t);
+    fnv.add(e);
+  }
+  using E = lustre::Errno;
+  EXPECT_EQ(errs, (std::vector<E>{E::ok, E::ok, E::einval, E::eisdir, E::ok,
+                                  E::ok, E::eio, E::eio, E::einval}));
+  ASSERT_EQ(rec.dropped(), 0u);
+  for (const trace::Event& ev : rec.events()) {
+    fnv.add(ev.t);
+    for (const char* p = ev.name; *p != '\0'; ++p) {
+      fnv.add(static_cast<std::uint64_t>(*p));
+    }
+    fnv.add(ev.value);
+    fnv.add(ev.id);
+    fnv.add(static_cast<std::uint64_t>(ev.arg0));
+    fnv.add(static_cast<std::uint64_t>(ev.arg1));
+    fnv.add(static_cast<std::uint64_t>(ev.track));
+    fnv.add(static_cast<std::uint64_t>(ev.kind));
+    fnv.add(static_cast<std::uint64_t>(ev.cat));
+  }
+  struct Nop final : sim::Wakeable {
+    void wake() override {}
+  } nop;
+  fnv.add(eng.schedule(nop, eng.now()).seq);
+  fnv.add(eng.executed_events());
+  eng.run();
+  RecordProperty("events", std::to_string(rec.events().size()));
+  EXPECT_EQ(fnv.h, 16326690136968988803ull);
 }
 
 // ---------------------------------------------------------------------------
