@@ -303,6 +303,7 @@ struct Rig {
     for (const auto& client : noise_clients) client->check_quiescent();
     if (setup != nullptr) setup->check_quiescent();
     obs.peak_frames = eng.frame_arena().peak_outstanding();
+    obs.carved_frame_bytes = eng.frame_arena().carved_bytes();
   }
 
   /// Harvest the controller's decision log into the observation.
@@ -526,17 +527,15 @@ void collect_parents(const std::string& path, std::vector<std::string>& out) {
   }
 }
 
-/// The rank main every world rank runs. A split start is the paper's
-/// simultaneous-submission design: all world ranks barrier, then carve the
-/// world into one sub-communicator per application. Otherwise the rank
-/// sleeps until its job's arrival and uses its application's pre-built
+/// The rank main every world rank runs, started by its RankStart once the
+/// job directories exist and, on a free-running start, its job has
+/// arrived. A split start is the paper's simultaneous-submission design:
+/// all world ranks barrier, then carve the world into one sub-communicator
+/// per application. Otherwise the rank uses its application's pre-built
 /// communicator, so later jobs find the system in whatever state the
 /// earlier ones left it.
 sim::Task rank_main(Run& run, int world_rank) {
   JobSlot& slot = run.slots[run.plan.job_of(world_rank)];
-  if (run.setup_done != nullptr && !run.setup_done->fired()) {
-    co_await run.setup_done->wait();
-  }
   mpi::Communicator* comm = nullptr;
   int rank = 0;
   if (run.split) {
@@ -548,7 +547,6 @@ sim::Task rank_main(Run& run, int world_rank) {
   } else {
     comm = run.app_comm[static_cast<std::size_t>(slot.app)].get();
     rank = world_rank - run.app_base[static_cast<std::size_t>(slot.app)];
-    if (slot.spec->arrival > 0.0) co_await run.rig.eng.delay(slot.spec->arrival);
   }
   lustre::Client& client = run.rig.rt.client(world_rank);
   if (slot.spec->kind == JobKind::probe_writer) {
@@ -575,6 +573,41 @@ sim::Task rank_main(Run& run, int world_rank) {
     run.admission->finished(*slot.spec);
   }
 }
+
+/// A world rank before its rank main starts (DESIGN.md §10, "Idle
+/// footprint"): 24 B instead of a coroutine frame. It takes the wakeups
+/// that precede the start, from the same schedule calls in the same order
+/// as a rank main awaiting them would: the spawn wake (run_jobs, in rank
+/// order), the setup_done notify, and on a free-running start the job's
+/// arrival delay. Its last wake starts rank_main inline, so a rank whose
+/// job has not arrived holds no frame.
+class RankStart final : public sim::Wakeable {
+ public:
+  Run* run = nullptr;
+  int world_rank = 0;
+
+  void wake() override {
+    if (!arrived_) {
+      // The setup notify wakes the record with setup_done fired.
+      if (run->setup_done != nullptr && !run->setup_done->fired()) {
+        run->setup_done->park(*this);
+        return;
+      }
+      const Seconds arrival =
+          run->slots[run->plan.job_of(world_rank)].spec->arrival;
+      if (!run->split && arrival > 0.0) {
+        arrived_ = true;  // the next wake is the arrival
+        run->rig.eng.schedule_after(*this, arrival);
+        return;
+      }
+    }
+    run->rig.eng.start(rank_main(*run, world_rank));
+  }
+
+ private:
+  bool arrived_ = false;
+};
+static_assert(sizeof(RankStart) <= 24, "a waiting rank is a 24 B record");
 
 /// Fold one probe job's per-writer outcomes into an ior::Result so fleet
 /// aggregation is uniform: write_mbps is the job's aggregate bandwidth.
@@ -664,8 +697,14 @@ Observation run_jobs(const Scenario& s, const JobPlan& plan, std::uint64_t seed)
     return std::all_of(slots.begin(), slots.end(),
                        [](const JobSlot& slot) { return slot.finished(); });
   });
-  rig.rt.run_to_completion(
-      [&run](int world_rank) -> sim::Task { return rank_main(run, world_rank); });
+  std::vector<RankStart> ranks(static_cast<std::size_t>(plan.total_ranks));
+  for (int r = 0; r < plan.total_ranks; ++r) {
+    RankStart& rec = ranks[static_cast<std::size_t>(r)];
+    rec.run = &run;
+    rec.world_rank = r;
+    rig.eng.schedule(rec, rig.eng.now());
+  }
+  rig.eng.run();
 
   Observation obs;
   std::vector<lustre::InodeId> files;

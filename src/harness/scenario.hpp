@@ -222,6 +222,10 @@ struct Observation {
   /// The most coroutine frames live at once (FrameArena high-water mark):
   /// the simulator's parked-work footprint, not a simulated quantity.
   std::uint64_t peak_frames = 0;
+  /// Bytes the frame arena carved from the system allocator (its size
+  /// classes, headers included). The arena keeps every frame it carves,
+  /// so this is what coroutine frames hold until the run ends.
+  std::uint64_t carved_frame_bytes = 0;
 };
 
 /// Run one scenario to completion on a fresh deterministic simulation.

@@ -142,7 +142,9 @@ std::vector<MixEntry> parse_fleet_mix(std::string_view flag,
 
 JobLog generate_fleet(const FleetConfig& cfg) {
   PFSC_REQUIRE(cfg.jobs > 0, "fleet: jobs must be positive");
-  PFSC_REQUIRE(cfg.span >= 0.0, "fleet: span must be non-negative");
+  // A NaN or infinite span would otherwise fail later, as a job's arrival.
+  PFSC_REQUIRE(std::isfinite(cfg.span) && cfg.span >= 0.0,
+               "fleet: span must be finite and non-negative");
   const std::vector<MixEntry> mix = parse_fleet_mix("fleet mix", cfg.mix);
   std::uint64_t total_weight = 0;
   for (const MixEntry& e : mix) total_weight += e.weight;

@@ -53,7 +53,7 @@ struct FleetConfig {
 
 /// Deterministically generate a fleet log: `cfg.jobs` jobs drawn from the
 /// weighted mix, JobIds 1..jobs, files under "/fleet/". Throws UsageError
-/// on an unknown mix entry or jobs == 0.
+/// on an unknown mix entry, jobs == 0, or a negative or non-finite span.
 JobLog generate_fleet(const FleetConfig& cfg);
 
 }  // namespace pfsc::replay

@@ -69,8 +69,9 @@ void* FrameArena::bucket_alloc(std::size_t size_class) {
     return header + 1;
   }
   ++fresh_;
-  auto* header =
-      static_cast<Header*>(::operator new((size_class + 1) * kGranularity));
+  const std::size_t bytes = (size_class + 1) * kGranularity;
+  carved_bytes_ += bytes;
+  auto* header = static_cast<Header*>(::operator new(bytes));
   header->arena = this;
   header->size_class = size_class;
   return header + 1;

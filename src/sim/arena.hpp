@@ -51,6 +51,10 @@ class FrameArena {
   // -- statistics (microbenchmarks + reuse tests) ------------------------
   /// Frames carved fresh from the system allocator.
   std::uint64_t fresh_allocations() const { return fresh_; }
+  /// Bytes carved fresh from the system allocator: every fresh frame's
+  /// size class, header included. The arena never returns them before it
+  /// dies, so this is the frames' share of the heap at the end of a run.
+  std::uint64_t carved_bytes() const { return carved_bytes_; }
   /// Frames recycled from a free list.
   std::uint64_t reused_allocations() const { return reused_; }
   /// Frames currently live (allocated, not yet freed).
@@ -72,6 +76,7 @@ class FrameArena {
 
   void* free_lists_[kClasses] = {};
   std::uint64_t fresh_ = 0;
+  std::uint64_t carved_bytes_ = 0;
   std::uint64_t reused_ = 0;
   std::uint64_t outstanding_ = 0;
   std::uint64_t peak_ = 0;

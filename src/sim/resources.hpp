@@ -1,6 +1,7 @@
 // Synchronisation primitives for simulation processes.
 //
-//  * Event          — one-shot (resettable) broadcast signal.
+//  * Event          — one-shot (resettable) broadcast signal; waiters are
+//                     coroutines or parked Wakeable records.
 //  * Condition      — condition-variable-like signal (no latched state).
 //  * Resource       — counting semaphore with FIFO hand-off.
 //  * Barrier        — reusable N-party barrier (generation-counted).
@@ -26,11 +27,12 @@ class Event {
 
   bool fired() const { return fired_; }
 
-  /// Fire the event, waking all current waiters at the current time.
+  /// Fire the event, waking all current waiters at the current time, in
+  /// the order they waited or were parked.
   void trigger() {
     if (fired_) return;
     fired_ = true;
-    for (auto h : waiters_) eng_->schedule(h, eng_->now());
+    for (const Wakeup w : waiters_) eng_->schedule(w, eng_->now());
     waiters_.clear();
   }
 
@@ -50,10 +52,17 @@ class Event {
     return Awaiter{*this};
   }
 
+  /// Queue record `w` to be woken at the trigger. A record has no
+  /// await_ready, so the event must not have fired yet.
+  void park(Wakeable& w) {
+    PFSC_ASSERT(!fired_);
+    waiters_.push_back(w);
+  }
+
  private:
   Engine* eng_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<Wakeup> waiters_;
 };
 
 /// Condition-variable-like signal: wait() always suspends until the next

@@ -40,13 +40,17 @@ inline HeapCount heap_count() {
 
 }  // namespace pfsc::counting
 
+// Not inlined: gcc would otherwise see `free` applied to a pointer from
+// `operator new` at call sites and warn (-Wmismatched-new-delete).
 #ifndef PFSC_SANITIZED
-void* operator new(std::size_t bytes) {
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
   pfsc::counting::g_allocations.fetch_add(1, std::memory_order_relaxed);
   pfsc::counting::g_allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 #endif

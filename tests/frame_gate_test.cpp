@@ -16,10 +16,17 @@
 // serve() plus write()'s own frame. A coroutine per link hop, per
 // admission or per server half costs 7 frames per RPC (8 with a node NIC)
 // and fails it.
+//
+// The third gate bounds what ranks hold before they start (DESIGN.md §10,
+// "Idle footprint"): a rank whose job has not arrived is a RankStart
+// record, so a fleet of jobs that never overlap needs the frames of one
+// job, not a rank-main frame per rank from t = 0.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/scenario.hpp"
 #include "hw/platform.hpp"
@@ -39,6 +46,43 @@ TEST(FrameGate, ReducedQuartetParksRecordsNotFrames) {
   RecordProperty("peak_frames", std::to_string(obs.peak_frames));
   EXPECT_GT(obs.peak_frames, 0u);
   EXPECT_LE(obs.peak_frames, 4000u) << "coroutine frames live at the peak";
+}
+
+/// `jobs` four-rank IOR jobs under /fleet/ (so the ranks also wait for
+/// the setup directories), job k arriving at k seconds.
+Scenario spaced_fleet(int jobs) {
+  std::vector<JobSpec> list;
+  for (int k = 0; k < jobs; ++k) {
+    JobSpec j;
+    j.job_id = static_cast<lustre::sched::JobId>(k + 1);
+    j.nprocs = 4;
+    j.arrival = static_cast<Seconds>(k);
+    j.ior.block_size = 1_MiB;
+    j.ior.transfer_size = 1_MiB;
+    j.ior.segment_count = 1;
+    j.ior.hints.driver = mpiio::Driver::ad_lustre;
+    j.ior.hints.striping_factor = 2;
+    j.ior.test_file = "/fleet/ior." + std::to_string(k + 1);
+    list.push_back(j);
+  }
+  return Scenario::from_jobs(std::move(list));
+}
+
+TEST(FrameGate, RankThatHasNotArrivedHoldsNoFrame) {
+  const Observation one = run_scenario(spaced_fleet(1), 1);
+  const Observation fleet = run_scenario(spaced_fleet(32), 1);
+  ASSERT_EQ(fleet.per_job.size(), 32u);
+  for (const auto& job : fleet.per_job) {
+    ASSERT_EQ(job.err, lustre::Errno::ok);
+    ASSERT_LT(job.write_time, 0.5) << "jobs arriving 1 s apart overlap";
+  }
+  RecordProperty("peak_frames", std::to_string(fleet.peak_frames));
+  RecordProperty("carved_frame_bytes", std::to_string(fleet.carved_frame_bytes));
+  // A rank-main frame per rank from t = 0 puts the fleet 124 frames over
+  // one job's peak (634 against 510), and it carves them.
+  EXPECT_LE(fleet.peak_frames, one.peak_frames) << "frames live at the peak";
+  EXPECT_LE(fleet.carved_frame_bytes, one.carved_frame_bytes)
+      << "frame bytes carved from the heap";
 }
 
 constexpr std::uint64_t kRpcs = 4096;

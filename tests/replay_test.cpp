@@ -10,11 +10,13 @@
 // Scenario::multi it was recorded from, plus pinned absolute numbers.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "replay/fleet.hpp"
 #include "replay/log.hpp"
 
 #ifndef PFSC_DATA_DIR
@@ -467,6 +469,23 @@ TEST(JobListExec, RejectsJobsThatNeverArriveOrMoveNothing) {
     } catch (const UsageError& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << fields << ": " << e.what();
+    }
+  }
+  // A generated fleet's span becomes every arrival: NaN and inf are
+  // named at the generator, not later as one job's arrival.
+  for (const Seconds span : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    FleetConfig cfg;
+    cfg.jobs = 2;
+    cfg.span = span;
+    try {
+      generate_fleet(cfg);
+      ADD_FAILURE() << "span " << span << ": expected UsageError";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "fleet: span must be finite and non-negative"),
+                std::string::npos)
+          << "span " << span << ": " << e.what();
     }
   }
 }

@@ -1,5 +1,6 @@
 // Queued work as records: the in-order record join against join_all, the
-// RPC error paths under OST failure, and the run-end quiescence check.
+// RPC error paths under OST failure, the rank start records, and the
+// run-end quiescence check.
 //
 // A queued extent or RPC is a record that the engine wakes from the same
 // schedule calls the old per-extent and per-RPC coroutines received, so
@@ -15,8 +16,11 @@
 #include <utility>
 #include <vector>
 
+#include "harness/scenario.hpp"
 #include "mpi/runtime.hpp"
 #include "mpiio/file.hpp"
+#include "replay/fleet.hpp"
+#include "replay/log.hpp"
 #include "sim/task.hpp"
 #include "support/rng.hpp"
 #include "trace/recorder.hpp"
@@ -395,6 +399,43 @@ TEST(ExtentRecords, MixedBatchDispatchOrderIsPinned) {
   eng.run();
   RecordProperty("events", std::to_string(rec.events().size()));
   EXPECT_EQ(fnv.h, 16326690136968988803ull);
+}
+
+// ---------------------------------------------------------------------------
+// Rank start records
+// ---------------------------------------------------------------------------
+
+/// FNV-1a of a fully traced run (engine_sample_every 1: every dispatch is
+/// a span with its time and ordinal) and of each job's headline numbers.
+std::uint64_t traced_fleet_hash(unsigned jobs, Seconds span) {
+  replay::FleetConfig cfg;
+  cfg.jobs = jobs;
+  cfg.seed = 21;
+  cfg.span = span;
+  harness::Scenario s = replay::to_scenario(replay::generate_fleet(cfg));
+  s.trace.mode = trace::TraceMode::full;
+  s.trace.engine_sample_every = 1;
+  s.trace.capacity = std::size_t{1} << 22;
+  const harness::Observation obs = harness::run_scenario(s, 3);
+  EXPECT_EQ(obs.trace_summary.dropped_events, 0u);
+  Fnv fnv;
+  for (const char c : obs.trace_json) fnv.add(static_cast<std::uint64_t>(c));
+  for (const ior::Result& r : obs.per_job) {
+    fnv.add(r.write_time);
+    fnv.add(r.write_mbps);
+    fnv.add(r.err);
+  }
+  return fnv.h;
+}
+
+TEST(RankStart, FleetDispatchOrderIsPinned) {
+  // A staggered fleet under /fleet/: every rank takes the spawn wake, the
+  // setup-directory notify and its job's arrival delay before it starts.
+  // A synchronized fleet under /fleet/ starts by a world barrier and
+  // split, and takes no arrival wake. The hashes are those of rank mains
+  // that awaited the same wakeups themselves.
+  EXPECT_EQ(traced_fleet_hash(20, 5.0), 9648905706246868346ull);
+  EXPECT_EQ(traced_fleet_hash(8, 0.0), 11723443940736516019ull);
 }
 
 // ---------------------------------------------------------------------------

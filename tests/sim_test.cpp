@@ -225,6 +225,55 @@ TEST(Event, WaitAfterFireIsImmediate) {
   EXPECT_DOUBLE_EQ(log[0], 0.0);
 }
 
+/// Logs (id, wake time) when woken; parked on an Event like a coroutine.
+struct LoggingRecord final : Wakeable {
+  Engine* eng = nullptr;
+  std::vector<double>* log = nullptr;
+  double id = 0;
+  void wake() override {
+    log->push_back(id);
+    log->push_back(eng->now());
+  }
+};
+
+Task logging_waiter(Event& evt, std::vector<double>& log, Engine& eng,
+                    double id) {
+  co_await evt.wait();
+  log.push_back(id);
+  log.push_back(eng.now());
+}
+
+Task park_and_wait_then_trigger(Engine& eng, Event& evt,
+                                std::vector<LoggingRecord>& recs,
+                                std::vector<double>& log) {
+  // Alternate: record 0, coroutine 1, record 2, coroutine 3, ...
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    evt.park(recs[i]);
+    eng.start(logging_waiter(evt, log, eng, static_cast<double>(2 * i + 1)));
+  }
+  co_await eng.delay(2.5);
+  evt.trigger();
+}
+
+TEST(Event, ParkedRecordsAndCoroutinesWakeInParkOrder) {
+  Engine eng;
+  Event evt(eng);
+  std::vector<double> log;
+  std::vector<LoggingRecord> recs(3);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    recs[i].eng = &eng;
+    recs[i].log = &log;
+    recs[i].id = static_cast<double>(2 * i);
+  }
+  eng.spawn(park_and_wait_then_trigger(eng, evt, recs, log));
+  eng.run();
+  EXPECT_EQ(log, (std::vector<double>{0, 2.5, 1, 2.5, 2, 2.5, 3, 2.5, 4, 2.5,
+                                      5, 2.5}));
+  // A record has no await_ready to take the fired path, so parking on a
+  // fired event is a broken invariant, not a silent no-op.
+  EXPECT_DEATH(evt.park(recs[0]), "PFSC_ASSERT failed");
+}
+
 Task resource_user(Engine& eng, Resource& res, Seconds hold,
                    std::vector<double>& done_times) {
   co_await res.acquire();
