@@ -12,7 +12,9 @@ DiskModel::DiskModel(sim::Engine& eng, DiskParams params)
 }
 
 void DiskModel::enqueue(Request req) {
-  auto [it, inserted] = queues_.try_emplace(req.stream);
+  auto [it, inserted] = streams_.try_emplace(req.stream);
+  Stream& s = it->second;
+  if (inserted && have_current_ && req.stream == current_stream_) current_ = &s;
   if (auto* rec = eng_->recorder();
       rec != nullptr && rec->enabled(trace::Cat::disk)) {
     const trace::TrackId track = track_.get(*rec, trace_label_);
@@ -23,21 +25,15 @@ void DiskModel::enqueue(Request req) {
     rec->counter(trace::Cat::disk, track, "queue", eng_->now(),
                  static_cast<double>(queued_ + 1));
   }
-  if (it->second.pending.empty()) {
-    // Stream becomes runnable: add to the rotation unless it is the one
-    // currently being drained.
-    if (!(have_current_ && req.stream == current_stream_)) {
-      rotation_.push_back(req.stream);
-    }
-  }
-  auto& pending = it->second.pending;
+  // A stream becomes runnable: add it to the rotation unless it is the one
+  // currently being drained.
+  if (s.pending.empty() && &s != current_) rotation_.push_back(req.stream);
   const auto pos = std::upper_bound(
-      pending.begin(), pending.end(), req.offset,
+      s.pending.begin(), s.pending.end(), req.offset,
       [](Bytes offset, const Request& r) { return offset < r.offset; });
-  pending.insert(pos, req);
+  s.pending.insert(pos, req);
   queue_area_.advance(eng_->now(), queued_);
   ++queued_;
-  max_runnable_ = std::max(max_runnable_, rotation_.size() + (have_current_ ? 1 : 0));
   work_.trigger();
 }
 
@@ -53,29 +49,33 @@ void DiskModel::forget_stream(StreamId stream) {
                  "stream_close", eng_->now(),
                  static_cast<std::int64_t>(stream));
   }
-  auto it = queues_.find(stream);
-  if (it != queues_.end() && it->second.pending.empty()) queues_.erase(it);
-  next_offset_.erase(stream);
+  auto it = streams_.find(stream);
+  if (it == streams_.end()) return;
+  Stream& s = it->second;
+  s.positioned = false;
   // A closed stream can never be serviced again, so it must stop counting
   // towards the hot working set (long-running simulations that create and
   // unlink many files would otherwise overstate contention).
-  if (hot_counts_.erase(stream) > 0) {
-    std::erase(hot_ring_, stream);
+  if (s.hot > 0) {
+    s.hot = 0;
+    --hot_streams_;
+    std::erase(hot_ring_, &s);
+  }
+  if (s.pending.empty()) {
+    if (current_ == &s) current_ = nullptr;
+    streams_.erase(it);
   }
 }
 
-Seconds DiskModel::service_time(const Request& req, bool switched) {
+Seconds DiskModel::service_time(const Request& req, const Stream& s,
+                                bool switched) {
   Seconds t = params_.per_request_overhead;
-  bool seek = switched;
-  auto pos = next_offset_.find(req.stream);
-  if (pos == next_offset_.end()) {
-    seek = true;
-  } else if (pos->second != req.offset) {
+  bool seek = switched || !s.positioned;
+  if (!seek && s.head != req.offset) {
     // Offset jump within the same stream: absorbed by write-back caching
     // when small, a real head reposition when large.
-    const Bytes expected = pos->second;
-    const Bytes gap = req.offset > expected ? req.offset - expected
-                                            : expected - req.offset;
+    const Bytes gap = req.offset > s.head ? req.offset - s.head
+                                          : s.head - req.offset;
     if (gap > params_.reorder_window) seek = true;
   }
 
@@ -97,7 +97,7 @@ Seconds DiskModel::service_time(const Request& req, bool switched) {
     // each reposition costs more the more streams are hot. Both the
     // instantaneous queue and the recent working set count.
     const std::size_t streams = std::max(
-        rotation_.size() + (have_current_ ? 1 : 0), hot_counts_.size());
+        rotation_.size() + (have_current_ ? 1 : 0), hot_streams_);
     double factor = 1.0;
     if (streams > params_.contention_knee) {
       factor += params_.contention_alpha *
@@ -107,10 +107,7 @@ Seconds DiskModel::service_time(const Request& req, bool switched) {
       const auto over = static_cast<double>(streams - params_.contention_quad_knee);
       factor += params_.contention_quad_alpha * over * over;
     }
-    const Seconds cost = params_.seek_time * factor;
-    t += cost;
-    seek_time_total_ += cost;
-    ++seeks_;
+    t += params_.seek_time * factor;
   }
   t += static_cast<double>(req.bytes) / bw;
   return t * service_multiplier_;
@@ -129,70 +126,60 @@ sim::Task DiskModel::service_loop() {
     bool switched = false;
     const bool was_current = have_current_;
     const StreamId prev_stream = current_stream_;
-    if (have_current_) {
-      auto it = queues_.find(current_stream_);
-      const bool exhausted = it == queues_.end() || it->second.pending.empty() ||
-                             batch_used_ >= params_.batch;
-      if (exhausted) {
-        if (it != queues_.end() && !it->second.pending.empty()) {
-          rotation_.push_back(current_stream_);  // re-queue leftover work
-        }
-        have_current_ = false;
+    if (have_current_ && (current_ == nullptr || current_->pending.empty() ||
+                          batch_used_ >= params_.batch)) {
+      if (current_ != nullptr && !current_->pending.empty()) {
+        rotation_.push_back(current_stream_);  // re-queue leftover work
       }
+      have_current_ = false;
+      current_ = nullptr;
     }
     if (!have_current_) {
-      PFSC_ASSERT(!rotation_.empty());
-      current_stream_ = rotation_.front();
-      rotation_.pop_front();
       // Skip stale rotation entries for drained streams.
-      while (true) {
-        auto it = queues_.find(current_stream_);
-        if (it != queues_.end() && !it->second.pending.empty()) break;
+      do {
         PFSC_ASSERT(!rotation_.empty());
         current_stream_ = rotation_.front();
         rotation_.pop_front();
-      }
+        auto it = streams_.find(current_stream_);
+        current_ = it == streams_.end() ? nullptr : &it->second;
+      } while (current_ == nullptr || current_->pending.empty());
       have_current_ = true;
       batch_used_ = 0;
       // Re-selecting the only active stream is not a head movement.
-      if (!was_current || current_stream_ != prev_stream) {
-        switched = true;
-        ++switches_;
-      }
+      switched = !was_current || current_stream_ != prev_stream;
     }
 
     // Serve the stream's request closest after the head position (ascending
     // elevator); wrap to the lowest offset when past the end.
-    auto& q = queues_.find(current_stream_)->second.pending;
-    auto pick = q.begin();
-    auto head = next_offset_.find(current_stream_);
-    if (head != next_offset_.end()) {
+    Stream& s = *current_;
+    auto pick = s.pending.begin();
+    if (s.positioned) {
       auto ge = std::lower_bound(
-          q.begin(), q.end(), head->second,
+          s.pending.begin(), s.pending.end(), s.head,
           [](const Request& r, Bytes offset) { return r.offset < offset; });
-      if (ge != q.end()) pick = ge;
+      if (ge != s.pending.end()) pick = ge;
     }
     const Request req = *pick;
-    q.erase(pick);
+    s.pending.erase(pick);
     queue_area_.advance(eng_->now(), queued_);
     --queued_;
     ++batch_used_;
 
     // Maintain the hot-stream window before costing the request.
-    hot_ring_.push_back(req.stream);
-    ++hot_counts_[req.stream];
+    hot_ring_.push_back(&s);
+    if (s.hot++ == 0) ++hot_streams_;
     if (hot_ring_.size() > params_.hot_window) {
-      const StreamId old = hot_ring_.front();
+      Stream* old = hot_ring_.front();
       hot_ring_.pop_front();
-      auto hot_it = hot_counts_.find(old);
-      if (--hot_it->second == 0) hot_counts_.erase(hot_it);
+      if (--old->hot == 0) --hot_streams_;
     }
 
-    const Seconds t = service_time(req, switched);
+    const Seconds t = service_time(req, s, switched);
     busy_time_ += t;
     bytes_serviced_ += req.bytes;
     ++requests_;
-    next_offset_[req.stream] = req.offset + req.bytes;
+    s.head = req.offset + req.bytes;
+    s.positioned = true;
 
     // One sync span per serviced request (the loop serves one at a time,
     // so spans on this track never nest), plus hot-set transitions.
@@ -200,8 +187,8 @@ sim::Task DiskModel::service_loop() {
     const bool traced = rec != nullptr && rec->enabled(trace::Cat::disk);
     if (traced) {
       const trace::TrackId track = track_.get(*rec, trace_label_);
-      if (hot_counts_.size() != traced_hot_) {
-        traced_hot_ = hot_counts_.size();
+      if (hot_streams_ != traced_hot_) {
+        traced_hot_ = hot_streams_;
         rec->counter(trace::Cat::disk, track, "hot_streams", eng_->now(),
                      static_cast<double>(traced_hot_));
       }

@@ -102,19 +102,18 @@ class DiskModel {
   void set_service_multiplier(double factor);
 
   // -- statistics ------------------------------------------------------
+  /// Bytes serviced (instrument probes and FileSystem totals read it).
   Bytes bytes_serviced() const { return bytes_serviced_; }
+  /// Serviced requests and summed service time: the per-OST RPC and
+  /// busy-time counters that ROADMAP items 5 and 6 (contention
+  /// attribution, the run ledger) surface.
   std::uint64_t requests_serviced() const { return requests_; }
-  std::uint64_t stream_switches() const { return switches_; }
-  std::uint64_t seeks() const { return seeks_; }
   Seconds busy_time() const { return busy_time_; }
-  Seconds seek_time_total() const { return seek_time_total_; }
   /// Time-weighted integral of the number of queued requests (`seen`
-  /// false: no request ever arrived).
+  /// false: no request ever arrived); the run summary reads it.
   const QueueArea& queue_area() const { return queue_area_; }
-  /// High-water mark of concurrently runnable streams.
-  std::size_t max_runnable_streams() const { return max_runnable_; }
   /// Distinct streams serviced within the last `hot_window` requests.
-  std::size_t hot_streams() const { return hot_counts_.size(); }
+  std::size_t hot_streams() const { return hot_streams_; }
   const DiskParams& params() const { return params_; }
 
   /// Name this disk's trace track ("ost7.disk"); set by the owning
@@ -130,43 +129,46 @@ class DiskModel {
     std::coroutine_handle<> waiter;
   };
 
-  /// Per-stream elevator queue: requests served in ascending offset order.
-  /// Kept sorted by offset, equal offsets in arrival order; the vector keeps
-  /// its capacity, so a stream's steady-state churn never allocates.
-  struct StreamQueue {
+  /// One stream's elevator state, created at its first enqueue and erased
+  /// by a forget_stream that finds nothing pending. `pending` is kept
+  /// sorted by offset, equal offsets in arrival order; the vector keeps its
+  /// capacity, so a stream's steady-state churn never allocates.
+  struct Stream {
     std::vector<Request> pending;
+    Bytes head = 0;           // expected next offset, once `positioned`
+    bool positioned = false;  // serviced since creation or forget_stream
+    std::uint32_t hot = 0;    // entries in the hot window
   };
 
   void enqueue(Request req);
   sim::Task service_loop();
-  Seconds service_time(const Request& req, bool switched);
+  Seconds service_time(const Request& req, const Stream& s, bool switched);
 
   sim::Engine* eng_;
   DiskParams params_;
   sim::Event work_;
 
-  std::unordered_map<StreamId, StreamQueue> queues_;
+  std::unordered_map<StreamId, Stream> streams_;
   sim::Ring<StreamId> rotation_;  // runnable streams, oldest first
-  std::unordered_map<StreamId, Bytes> next_offset_;  // expected seq. position
   StreamId current_stream_ = 0;
   bool have_current_ = false;
+  // The current stream's record while `have_current_` and it exists (a
+  // forget_stream may erase a drained current stream); null otherwise.
+  Stream* current_ = nullptr;
   std::uint32_t batch_used_ = 0;
   std::size_t queued_ = 0;
   QueueArea queue_area_;
 
   Bytes bytes_serviced_ = 0;
   std::uint64_t requests_ = 0;
-  std::uint64_t switches_ = 0;
-  std::uint64_t seeks_ = 0;
   double service_multiplier_ = 1.0;
   Seconds busy_time_ = 0.0;
-  Seconds seek_time_total_ = 0.0;
-  std::size_t max_runnable_ = 0;
 
-  // Sliding window of recently-serviced stream ids (a deque, not a Ring:
-  // forget_stream erases from its middle).
-  std::deque<StreamId> hot_ring_;
-  std::unordered_map<StreamId, std::uint32_t> hot_counts_;
+  // Sliding window of recently-serviced streams (a deque, not a Ring:
+  // forget_stream erases from its middle). A forgotten stream leaves it,
+  // so every entry points at a live record.
+  std::deque<Stream*> hot_ring_;
+  std::size_t hot_streams_ = 0;  // records with `hot` > 0
 
   // Tracing: stream open/close instants, hot-window transitions, and one
   // sync span per serviced request (the loop serves one at a time).

@@ -22,16 +22,16 @@ Client::Client(FileSystem& fs, std::string name, sim::LinkModel* node_nic)
 }
 
 sim::Co<Result<InodeId>> Client::create(std::string path, StripeSettings settings) {
-  co_return co_await fs_->create(std::move(path), settings);
+  return fs_->create(std::move(path), settings);
 }
 sim::Co<Result<InodeId>> Client::open(std::string path) {
-  co_return co_await fs_->open(std::move(path));
+  return fs_->open(std::move(path));
 }
 sim::Co<Result<InodeId>> Client::mkdir(std::string path) {
-  co_return co_await fs_->mkdir(std::move(path));
+  return fs_->mkdir(std::move(path));
 }
 sim::Co<Errno> Client::unlink(std::string path) {
-  co_return co_await fs_->unlink(std::move(path));
+  return fs_->unlink(std::move(path));
 }
 
 void Client::begin_span(Rpc& rpc, bool is_write) {

@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 
+#include "support/stats.hpp"
+
 namespace pfsc::replay {
 
 namespace {
@@ -60,17 +62,6 @@ std::uint32_t effective_stripes(const JobSpec& j,
       return std::min(per_file, p.ost_count);
   }
   return per_file;
-}
-
-double jain(const std::vector<double>& xs) {
-  if (xs.empty()) return 1.0;
-  double sum = 0.0, sq = 0.0;
-  for (const double x : xs) {
-    sum += x;
-    sq += x * x;
-  }
-  if (sq == 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(xs.size()) * sq);
 }
 
 }  // namespace
@@ -129,7 +120,7 @@ FleetReport analyze_fleet(const harness::Observation& obs,
     achieved_list.push_back(js.achieved_mbps);
     report.jobs.push_back(std::move(js));
   }
-  report.jain_fairness = jain(achieved_list);
+  report.jain_fairness = jain_index(achieved_list);
 
   report.has_admission = !obs.admissions.empty();
   for (const harness::AdmissionRecord& rec : obs.admissions) {

@@ -4,7 +4,6 @@
 //                     coroutines or parked Wakeable records.
 //  * Condition      — condition-variable-like signal (no latched state).
 //  * Resource       — counting semaphore with FIFO hand-off.
-//  * Barrier        — reusable N-party barrier (generation-counted).
 //
 // The bandwidth servers built on these primitives (the basic building
 // blocks of the network model) live in sim/link.hpp as implementations of
@@ -87,8 +86,6 @@ class Condition {
     waiters_.clear();
   }
 
-  std::size_t waiter_count() const { return waiters_.size(); }
-
  private:
   Engine* eng_;
   std::vector<std::coroutine_handle<>> waiters_;
@@ -148,45 +145,6 @@ class Resource {
   std::size_t capacity_;
   std::size_t available_;
   Ring<Wakeup> waiters_;
-};
-
-/// Reusable barrier for `parties` processes.
-class Barrier {
- public:
-  Barrier(Engine& eng, std::size_t parties)
-      : eng_(&eng), parties_(parties) {
-    PFSC_REQUIRE(parties > 0, "Barrier: parties must be positive");
-  }
-
-  auto arrive() {
-    struct Awaiter {
-      Barrier& bar;
-      bool await_ready() const noexcept { return bar.parties_ == 1; }
-      bool await_suspend(std::coroutine_handle<> h) {
-        if (bar.arrived_ + 1 == bar.parties_) {
-          bar.arrived_ = 0;
-          ++bar.generation_;
-          for (auto w : bar.waiters_) bar.eng_->schedule(w, bar.eng_->now());
-          bar.waiters_.clear();
-          return false;  // last arriver passes straight through
-        }
-        ++bar.arrived_;
-        bar.waiters_.push_back(h);
-        return true;
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  std::uint64_t generation() const { return generation_; }
-
- private:
-  Engine* eng_;
-  std::size_t parties_;
-  std::size_t arrived_ = 0;
-  std::uint64_t generation_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace pfsc::sim

@@ -34,6 +34,15 @@ sim::Task writer(DiskModel& disk, DiskModel::StreamId s, int requests,
   }
 }
 
+/// writer() that records each request's completion instant in `done`.
+sim::Task timed_writer(sim::Engine& eng, DiskModel& disk, DiskModel::StreamId s,
+                       int requests, Bytes size, std::vector<double>& done) {
+  for (int i = 0; i < requests; ++i) {
+    co_await disk.submit(s, static_cast<Bytes>(i) * size, size, true);
+    done.push_back(eng.now());
+  }
+}
+
 TEST(DiskContention, HotStreamsTrackRecentWindow) {
   sim::Engine eng;
   DiskModel disk(eng, strict_params());
@@ -119,47 +128,55 @@ TEST(DiskContention, ElevatorServesAscendingOffsets) {
     }(disk, static_cast<Bytes>(i) * 200, done_at[static_cast<std::size_t>(i)], eng));
   }
   eng.run();
-  EXPECT_LT(done_at[0], done_at[1]);
-  EXPECT_LT(done_at[1], done_at[2]);
-  EXPECT_EQ(disk.seeks(), 1u);  // one initial positioning, then ascending
-  EXPECT_DOUBLE_EQ(eng.now(), 13.0);  // 10 seek + 3 transfers
+  // One initial positioning, then ascending: 10 s seek + 1 s, then 1 s each.
+  EXPECT_EQ(done_at, (std::vector<double>{11.0, 12.0, 13.0}));
 }
 
 TEST(DiskContention, ForgetStreamDropsPositionalState) {
   sim::Engine eng;
   DiskModel disk(eng, strict_params());
-  eng.spawn([](DiskModel& d) -> sim::Task {
-    co_await d.submit(7, 0, 100, true);
-  }(disk));
+  std::vector<double> done;
+  eng.spawn(timed_writer(eng, disk, 7, 1, 100, done));
   eng.run();
+  ASSERT_EQ(done, (std::vector<double>{2.0}));  // 1 s seek + 1 s
+  EXPECT_EQ(disk.hot_streams(), 1u);
   disk.forget_stream(7);
-  // A new request at the same offset is a fresh stream: pays a seek again.
-  const auto seeks_before = disk.seeks();
-  eng.spawn([](DiskModel& d) -> sim::Task {
+  EXPECT_EQ(disk.hot_streams(), 0u);  // a closed stream is not hot
+  // A new request at the next offset is a fresh stream: it pays a seek
+  // again (3.0 had the head been kept).
+  eng.spawn([](sim::Engine& e, DiskModel& d, std::vector<double>& out) -> sim::Task {
     co_await d.submit(7, 100, 100, true);  // would have been contiguous
-  }(disk));
+    out.push_back(e.now());
+  }(eng, disk, done));
   eng.run();
-  EXPECT_EQ(disk.seeks(), seeks_before + 1);
+  EXPECT_EQ(done, (std::vector<double>{2.0, 4.0}));
 }
 
 TEST(DiskContention, MaxRunnableHighWaterMark) {
+  // Five streams queue at t = 0. The first seek counts all five runnable
+  // streams although only one is hot: factor 1 + (5 - 2) = 4, so it ends
+  // at 4 + 1 = 5. Later seeks see four runnable streams (factor 3) until
+  // the hot window reaches five (factor 4).
   sim::Engine eng;
   DiskModel disk(eng, strict_params());
+  std::vector<double> done;
   for (int s = 0; s < 5; ++s) {
-    eng.spawn(writer(disk, static_cast<DiskModel::StreamId>(s), 2, 100));
+    eng.spawn(timed_writer(eng, disk, static_cast<DiskModel::StreamId>(s), 2,
+                           100, done));
   }
   eng.run();
-  EXPECT_GE(disk.max_runnable_streams(), 4u);
-  EXPECT_LE(disk.max_runnable_streams(), 5u);
+  EXPECT_EQ(done, (std::vector<double>{5, 9, 13, 17, 22, 27, 32, 37, 42, 47}));
 }
 
 TEST(DiskContention, SeekTimeTotalAccounted) {
+  // One request on an idle disk: exactly one unamplified 1 s seek.
   sim::Engine eng;
   DiskModel disk(eng, strict_params());
-  eng.spawn(writer(disk, 1, 1, 100));
+  std::vector<double> done;
+  eng.spawn(timed_writer(eng, disk, 1, 1, 100, done));
   eng.run();
-  EXPECT_DOUBLE_EQ(disk.seek_time_total(), 1.0);
-  EXPECT_EQ(disk.seeks(), 1u);
+  EXPECT_EQ(done, (std::vector<double>{2.0}));
+  EXPECT_DOUBLE_EQ(disk.busy_time(), 2.0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "hw/disk.hpp"
@@ -38,7 +39,6 @@ TEST(Disk, FirstRequestPaysOneSeek) {
   eng.run_until(100.0);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_DOUBLE_EQ(done[0], 2.0);  // 1s seek + 100B/100Bps
-  EXPECT_EQ(disk.stream_switches(), 1u);
 }
 
 TEST(Disk, SequentialSameStreamAvoidsSeeks) {
@@ -46,16 +46,16 @@ TEST(Disk, SequentialSameStreamAvoidsSeeks) {
   DiskModel disk(eng, simple_params());
   std::vector<double> done;
   // 3 contiguous requests from one stream: one seek then pure streaming.
+  // The stream drains after each request, and re-selecting it is neither a
+  // switch nor a seek.
   eng.spawn([](sim::Engine& e, DiskModel& d, std::vector<double>& out) -> sim::Task {
-    co_await d.submit(1, 0, 100, true);
-    co_await d.submit(1, 100, 100, true);
-    co_await d.submit(1, 200, 100, true);
-    out.push_back(e.now());
+    for (Bytes off : {0, 100, 200}) {
+      co_await d.submit(1, off, 100, true);
+      out.push_back(e.now());
+    }
   }(eng, disk, done));
   eng.run_until(100.0);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_DOUBLE_EQ(done[0], 4.0);  // 1 seek + 3 * 1s transfer
-  EXPECT_EQ(disk.stream_switches(), 1u);
+  EXPECT_EQ(done, (std::vector<double>{2.0, 3.0, 4.0}));  // 1 seek + 3 * 1s
 }
 
 TEST(Disk, DiscontiguousOffsetWithinStreamSeeks) {
@@ -75,23 +75,22 @@ TEST(Disk, InterleavedStreamsThrash) {
   sim::Engine eng;
   DiskModel disk(eng, simple_params());
   std::vector<double> done;
-  // Two streams, requests arriving alternately but queued up front: the
-  // elevator batches up to 4 per stream, so 4+4 requests = 2 switches.
-  eng.spawn([](DiskModel& d, std::vector<double>& out, sim::Engine& e) -> sim::Task {
-    for (int i = 0; i < 4; ++i) co_await d.submit(1, static_cast<Bytes>(i) * 100, 100, true);
-    out.push_back(e.now());
-  }(disk, done, eng));
-  eng.spawn([](DiskModel& d, std::vector<double>& out, sim::Engine& e) -> sim::Task {
-    for (int i = 0; i < 4; ++i) co_await d.submit(2, static_cast<Bytes>(i) * 100, 100, true);
-    out.push_back(e.now());
-  }(disk, done, eng));
+  // Two synchronous submitters: each stream has one queued request at a
+  // time, so the elevator alternates and every service switches stream and
+  // pays a 1 s seek, although each stream's own offsets are contiguous.
+  for (DiskModel::StreamId s : {1, 2}) {
+    eng.spawn([](DiskModel& d, DiskModel::StreamId s, std::vector<double>& out,
+                 sim::Engine& e) -> sim::Task {
+      for (int i = 0; i < 4; ++i) {
+        co_await d.submit(s, static_cast<Bytes>(i) * 100, 100, true);
+        out.push_back(e.now());
+      }
+    }(disk, s, done, eng));
+  }
   eng.run_until(1000.0);
-  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done, (std::vector<double>{2, 4, 6, 8, 10, 12, 14, 16}));
   EXPECT_EQ(disk.requests_serviced(), 8u);
   EXPECT_EQ(disk.bytes_serviced(), 800u);
-  // With per-request round robin (each stream has one queued request at a
-  // time because submitters are synchronous) every service switches stream.
-  EXPECT_GE(disk.stream_switches(), 7u);
 }
 
 TEST(Disk, ElevatorBatchLimitsSwitching) {
@@ -108,9 +107,9 @@ TEST(Disk, ElevatorBatchLimitsSwitching) {
     }
   }
   eng.run_until(1000.0);
-  ASSERT_EQ(done.size(), 8u);
-  // batch=2: serve 2 of A, 2 of B, 2 of A, 2 of B -> 4 switches.
-  EXPECT_EQ(disk.stream_switches(), 4u);
+  // batch=2: serve 2 of A, 2 of B, 2 of A, 2 of B -> 4 switches, each the
+  // first of its pair and each paying a 1 s seek.
+  EXPECT_EQ(done, (std::vector<double>{2, 3, 5, 6, 8, 9, 11, 12}));
 }
 
 TEST(Disk, ReorderWindowAbsorbsSmallJumps) {
@@ -254,7 +253,7 @@ TEST(Disk, ManyStreamsDegradeThroughputMonotonically) {
 // ---------------------------------------------------------------------------
 // Queue equivalence: DiskModel against a reference elevator that keeps each
 // stream's queue in a std::multimap<offset, request> (equal offsets FIFO)
-// and replays the same arrivals on its own clock.
+// and replays the same arrivals and forget_stream calls on its own clock.
 // ---------------------------------------------------------------------------
 
 struct Arrival {
@@ -263,14 +262,12 @@ struct Arrival {
   Bytes offset;
   Bytes bytes;
   bool is_write;
+  bool forget = false;  // a forget_stream(stream) call, not a request
 };
 
-struct ElevatorResult {
-  std::vector<std::size_t> order;  // arrival indices in service order
-  Seconds busy_time = 0.0;
-  std::uint64_t seeks = 0;
-  std::uint64_t switches = 0;
-};
+/// (arrival index, completion instant) per request, in service order. Each
+/// request's seek, switch and contention factor show in its instant.
+using ElevatorResult = std::vector<std::pair<std::size_t, Seconds>>;
 
 class ReferenceElevator {
  public:
@@ -286,11 +283,17 @@ class ReferenceElevator {
       }
       // Arrivals at or before a decision instant were enqueued first: their
       // wakeups were scheduled at t = 0, ahead of the service loop's own.
+      // A forget between two decisions touches only state the next
+      // decision reads, so it is replayed in arrival order with them.
       while (next < arrivals.size() && arrivals[next].at <= now) {
-        enqueue(next, arrivals[next]);
+        if (arrivals[next].forget) {
+          forget(arrivals[next].stream);
+        } else {
+          enqueue(next, arrivals[next]);
+        }
         ++next;
       }
-      now += serve_one(arrivals);
+      if (queued_ > 0) now += serve_one(arrivals, now);
     }
     return std::move(res_);
   }
@@ -305,7 +308,15 @@ class ReferenceElevator {
     ++queued_;
   }
 
-  Seconds serve_one(const std::vector<Arrival>& arrivals) {
+  void forget(DiskModel::StreamId stream) {
+    next_offset_.erase(stream);
+    if (hot_counts_.erase(stream) > 0) std::erase(hot_ring_, stream);
+    if (auto it = queues_.find(stream); it != queues_.end() && it->second.empty()) {
+      queues_.erase(it);
+    }
+  }
+
+  Seconds serve_one(const std::vector<Arrival>& arrivals, Seconds now) {
     bool switched = false;
     const bool was_current = have_current_;
     const auto prev = current_;
@@ -320,10 +331,7 @@ class ReferenceElevator {
       } while (queues_[current_].empty());
       have_current_ = true;
       batch_used_ = 0;
-      if (!was_current || current_ != prev) {
-        switched = true;
-        ++res_.switches;
-      }
+      switched = !was_current || current_ != prev;
     }
     auto& q = queues_[current_];
     auto pick = q.begin();
@@ -373,12 +381,10 @@ class ReferenceElevator {
         factor += p_.contention_quad_alpha * over * over;
       }
       t += p_.seek_time * factor;
-      ++res_.seeks;
     }
     t += static_cast<double>(a.bytes) / bw;
-    res_.busy_time += t;
     next_offset_[a.stream] = a.offset + a.bytes;
-    res_.order.push_back(index);
+    res_.emplace_back(index, now + t);
     return t;
   }
 
@@ -395,8 +401,10 @@ class ReferenceElevator {
   ElevatorResult res_;
 };
 
-/// Seeded arrivals: same-instant bursts, repeated offsets, backward jumps
-/// and restarts below a stream's head (the elevator's wrap-around).
+/// Seeded arrivals: same-instant bursts, repeated offsets, backward jumps,
+/// restarts below a stream's head (the elevator's wrap-around), and about
+/// one forget_stream in 16, some of them with requests still queued and
+/// some of streams the disk has never seen.
 std::vector<Arrival> random_arrivals(Rng& rng, std::size_t n) {
   const std::uint64_t nstreams = 1 + rng.uniform(6);
   std::vector<Bytes> cursor(nstreams, 0);
@@ -404,6 +412,10 @@ std::vector<Arrival> random_arrivals(Rng& rng, std::size_t n) {
   Seconds t = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (rng.uniform(3) != 0) t += rng.uniform_double(0.0, 0.05);
+    if (rng.uniform(16) == 0) {
+      out.push_back(Arrival{t, 1 + rng.uniform(nstreams + 1), 0, 0, false, true});
+      continue;
+    }
     const auto s = rng.uniform(nstreams);
     const Bytes bytes = (1 + rng.uniform(4)) * 256_KiB;
     Bytes off = cursor[s];
@@ -425,16 +437,17 @@ ElevatorResult run_disk(const DiskParams& p, const std::vector<Arrival>& arrival
   ElevatorResult res;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     eng.spawn([](sim::Engine& e, DiskModel& d, const Arrival& a, std::size_t index,
-                 std::vector<std::size_t>& order) -> sim::Task {
+                 ElevatorResult& out) -> sim::Task {
       co_await e.delay(a.at);
+      if (a.forget) {
+        d.forget_stream(a.stream);
+        co_return;
+      }
       co_await d.submit(a.stream, a.offset, a.bytes, a.is_write);
-      order.push_back(index);
-    }(eng, disk, arrivals[i], i, res.order));
+      out.emplace_back(index, e.now());
+    }(eng, disk, arrivals[i], i, res));
   }
   eng.run();
-  res.busy_time = disk.busy_time();
-  res.seeks = disk.seeks();
-  res.switches = disk.stream_switches();
   return res;
 }
 
@@ -446,13 +459,12 @@ TEST_P(DiskQueueEquivalence, MatchesMultimapReferenceElevator) {
   p.batch = static_cast<std::uint32_t>(1 + rng.uniform(8));
   p.reorder_window = rng.uniform(2) == 0 ? 0 : 16_MiB;
   const auto arrivals = random_arrivals(rng, 400);
+  const auto requests = static_cast<std::size_t>(std::count_if(
+      arrivals.begin(), arrivals.end(), [](const Arrival& a) { return !a.forget; }));
   const ElevatorResult ref = ReferenceElevator(p).run(arrivals);
   const ElevatorResult got = run_disk(p, arrivals);
-  ASSERT_EQ(ref.order.size(), arrivals.size());
-  EXPECT_EQ(got.order, ref.order);
-  EXPECT_EQ(got.busy_time, ref.busy_time);  // same sums in the same order
-  EXPECT_EQ(got.seeks, ref.seeks);
-  EXPECT_EQ(got.switches, ref.switches);
+  ASSERT_EQ(ref.size(), requests);
+  EXPECT_EQ(got, ref);  // same order, and each instant exactly
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiskQueueEquivalence,

@@ -60,7 +60,6 @@ TEST(Misuse, EngineSpawnGuards) {
 TEST(Misuse, ResourceAndPipeGuards) {
   sim::Engine eng;
   EXPECT_THROW(sim::Resource(eng, 0), UsageError);
-  EXPECT_THROW(sim::Barrier(eng, 0), UsageError);
   EXPECT_THROW(sim::FifoPipe(eng, 0.0), UsageError);
   EXPECT_THROW(sim::FairSharePipe(eng, 0.0), UsageError);
 }

@@ -81,20 +81,6 @@ TEST(ZeroDelay, DoesNotSuspend) {
   EXPECT_TRUE(ran);
 }
 
-TEST(Degenerate, SinglePartyBarrierPassesThrough) {
-  Engine eng;
-  Barrier bar(eng, 1);
-  int rounds = 0;
-  eng.spawn([](Barrier& b, int& rounds) -> Task {
-    for (int i = 0; i < 3; ++i) {
-      co_await b.arrive();
-      ++rounds;
-    }
-  }(bar, rounds));
-  eng.run();
-  EXPECT_EQ(rounds, 3);
-}
-
 TEST(Degenerate, EventDoubleTriggerIsNoop) {
   Engine eng;
   Event evt(eng);

@@ -372,53 +372,6 @@ TEST(Resource, HandOffStaysFifoWhileTheQueueGrowsMidRing) {
   EXPECT_EQ(res.available(), 1u);
 }
 
-Task barrier_party(Engine& eng, Barrier& bar, Seconds arrive_at,
-                   std::vector<double>& times) {
-  co_await eng.delay(arrive_at);
-  co_await bar.arrive();
-  times.push_back(eng.now());
-}
-
-TEST(Barrier, ReleasesEveryoneAtLastArrival) {
-  Engine eng;
-  Barrier bar(eng, 3);
-  std::vector<double> times;
-  eng.spawn(barrier_party(eng, bar, 1.0, times));
-  eng.spawn(barrier_party(eng, bar, 2.0, times));
-  eng.spawn(barrier_party(eng, bar, 5.0, times));
-  eng.run();
-  ASSERT_EQ(times.size(), 3u);
-  for (double t : times) EXPECT_DOUBLE_EQ(t, 5.0);
-  EXPECT_EQ(bar.generation(), 1u);
-}
-
-Task barrier_loop(Engine& eng, Barrier& bar, int rounds, Seconds step,
-                  std::vector<double>& times) {
-  for (int i = 0; i < rounds; ++i) {
-    co_await eng.delay(step);
-    co_await bar.arrive();
-    times.push_back(eng.now());
-  }
-}
-
-TEST(Barrier, IsReusableAcrossGenerations) {
-  Engine eng;
-  Barrier bar(eng, 2);
-  std::vector<double> times;
-  eng.spawn(barrier_loop(eng, bar, 3, 1.0, times));
-  eng.spawn(barrier_loop(eng, bar, 3, 2.0, times));
-  eng.run();
-  ASSERT_EQ(times.size(), 6u);
-  // Rounds complete at the slower party's pace: 2, 4, 6.
-  EXPECT_DOUBLE_EQ(times[0], 2.0);
-  EXPECT_DOUBLE_EQ(times[1], 2.0);
-  EXPECT_DOUBLE_EQ(times[2], 4.0);
-  EXPECT_DOUBLE_EQ(times[3], 4.0);
-  EXPECT_DOUBLE_EQ(times[4], 6.0);
-  EXPECT_DOUBLE_EQ(times[5], 6.0);
-  EXPECT_EQ(bar.generation(), 3u);
-}
-
 Task pipe_user(Engine& eng, LinkModel& pipe, Bytes bytes,
                std::vector<double>& done) {
   co_await pipe.transfer(bytes);

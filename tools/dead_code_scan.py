@@ -2,33 +2,39 @@
 """List the simulator functions that no shipped binary links.
 
 Configures a scratch build of the repository with
-`-O0 -ffunction-sections -fdata-sections` and `-Wl,--gc-sections`, builds
-every bench and example executable plus the stand-alone `perfbench/`
-project (unedited), then prints each `pfsc::` function that one of the
-`src/` static archives defines out of line (`nm` type `T`) and that none
-of those binaries still contains after the linker dropped unreferenced
-sections.
+`-O0 -fkeep-inline-functions -ffunction-sections -fdata-sections` and
+`-Wl,--gc-sections`, builds every bench and example executable plus the
+stand-alone `perfbench/` project (unedited), then prints each `pfsc::`
+function that one of the `src/` static archives defines and that none of
+those binaries still contains after the linker dropped unreferenced
+sections. Two lists: out-of-line functions (`nm` type `T`), and
+header-inline ones, which `-fkeep-inline-functions` emits as weak `W`
+symbols in every object file that includes their header.
 
     python3 tools/dead_code_scan.py                # build-deadcode/, 4 jobs
     python3 tools/dead_code_scan.py --build-dir /tmp/dc --jobs 2
 
 Tests are not shipped binaries and are not built, so a function that only
-a test calls is listed. Header-inline functions are not `T` symbols and are
-not seen. The exit status is 0 whatever the list holds; it is 1 only when
+a test calls is listed. The exit status is 0 whatever the list holds; it is 1 only when
 the build fails.
 """
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_DIRS = ("bench", "examples")
+# A function declared in namespace pfsc (or nested in it), member or not;
+# a std:: template instantiated on a pfsc type mangles as _ZSt... instead.
+PFSC = re.compile(r"_ZN[KVRO]*4pfsc")
 FLAGS = [
     "-DCMAKE_BUILD_TYPE=None",
-    "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections",
+    "-DCMAKE_CXX_FLAGS=-O0 -fkeep-inline-functions -ffunction-sections "
+    "-fdata-sections",
     "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
 ]
 
@@ -65,19 +71,26 @@ def shipped_executables(build):
     return out
 
 
-def nm_symbols(path, only_text):
-    """Demangled defined symbols of an object file, archive or executable."""
-    text = subprocess.run(["nm", "-C", "--defined-only", str(path)],
+def nm_symbols(path, types=None):
+    """Mangled defined symbols of an object file, archive or executable, as
+    a name -> `nm` type map; `types` keeps only those types."""
+    text = subprocess.run(["nm", "--defined-only", str(path)],
                           check=True, capture_output=True, text=True).stdout
-    names = set()
+    names = {}
     for line in text.splitlines():
         parts = line.split(" ", 2)
         if len(parts) != 3 or len(parts[1]) != 1:
             continue  # archive member headers and blank lines
-        if only_text and parts[1] != "T":
+        if types is not None and parts[1] not in types:
             continue
-        names.add(parts[2])
+        names.setdefault(parts[2], parts[1])
     return names
+
+
+def demangle(names):
+    text = subprocess.run(["c++filt"], input="\n".join(names), check=True,
+                          capture_output=True, text=True).stdout
+    return text.splitlines()
 
 
 def main():
@@ -100,21 +113,28 @@ def main():
         print(f"dead_code_scan: build failed: {err}", file=sys.stderr)
         return 1
 
-    defined = set()
+    defined = {}
     for archive in sorted((main_build / "src").rglob("*.a")):
-        defined |= {s for s in nm_symbols(archive, only_text=True)
-                    if s.startswith("pfsc::")}
+        for name, kind in nm_symbols(archive, types="TW").items():
+            # An out-of-line definition wins over an inline copy.
+            if PFSC.match(name) and defined.get(name) != "T":
+                defined[name] = kind
     linked = set()
     binaries = [path for _, path in exes] + [perf_build / "pfsc_perfbench"]
     for binary in binaries:
-        linked |= nm_symbols(binary, only_text=False)
+        linked |= nm_symbols(binary).keys()
+    # Compared demangled, so the constructor and destructor variants
+    # (C1/C2, D1/D2) of one function count as one.
+    linked = set(demangle(sorted(linked)))
 
-    dead = sorted(defined - linked)
-    print(f"{len(dead)} of {len(defined)} out-of-line pfsc:: functions in "
-          f"src/ are linked by none of {len(binaries)} binaries "
-          f"(benches, examples, pfsc_perfbench):")
-    for name in dead:
-        print(f"  {name}")
+    for kind, what in (("T", "out-of-line"), ("W", "header-inline")):
+        names = set(demangle(sorted(n for n, k in defined.items() if k == kind)))
+        dead = sorted(names - linked)
+        print(f"{len(dead)} of {len(names)} {what} pfsc:: functions in src/ "
+              f"are linked by none of {len(binaries)} binaries "
+              f"(benches, examples, pfsc_perfbench):")
+        for name in dead:
+            print(f"  {name}")
     return 0
 
 
